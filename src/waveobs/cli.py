@@ -400,7 +400,6 @@ def _cmd_hum(config, writer, seed):
         "domain": None,
         "T": None,
         "level": 64,
-        "tol": 1e-10,
         "quad": 4,
         "grid_m": None,
         "curve_nodes": 128,
@@ -410,13 +409,12 @@ def _cmd_hum(config, writer, seed):
     }
     config = _merge_config("hum", defaults, config)
     level = int(_positive(config, "level", int))
-    tol = _positive(config, "tol")
     quad = int(_positive(config, "quad", int))
     curve_nodes = int(_positive(config, "curve_nodes", int))
     y0, y1, breakpoints, data_name = _resolve_data(config)
     T = float(config["T"]) if config["T"] is not None else 2.0
     region = _resolve_region(config, T, curve_nodes)
-    solution = hum_control(region, level, y0, y1, breakpoints, rtol=tol, quad=quad)
+    solution = hum_control(region, level, y0, y1, breakpoints, quad=quad)
     grid_m = (
         int(_positive(config, "grid_m", int)) if config["grid_m"] is not None else None
     )
@@ -434,7 +432,6 @@ def _cmd_hum(config, writer, seed):
     _raster(writer, solution, nx, nt)
     result = {
         "cost": solution.cost,
-        "iterations": solution.iterations,
         "residual": solution.residual,
         "terminal_ratio": check["ratio"],
         "energy_initial": check["energy_initial"],
@@ -667,17 +664,13 @@ def _cmd_power_cobs(config, writer, seed):
         "level": 64,
         "tol": 1e-4,
         "max_iters": 50,
-        "solver_tol": 1e-10,
     }
     config = _merge_config("power-cobs", defaults, config)
     level = int(_positive(config, "level", int))
     tol = _positive(config, "tol")
     max_iters = int(_positive(config, "max_iters", int))
-    solver_tol = _positive(config, "solver_tol")
     domain = _resolve_domain(config["domain"])
-    res = power_iterate(
-        domain, level, tol=tol, max_iters=max_iters, rtol=solver_tol
-    )
+    res = power_iterate(domain, level, tol=tol, max_iters=max_iters)
     writer.write_csv(
         "estimates.csv",
         ["k", "estimate"],
@@ -713,7 +706,6 @@ def _cmd_verify(config, writer, seed):
         "T": None,
         "levels": [32, 64],
         "grid_factor": 4,
-        "tol": 1e-10,
         "quad": 4,
         "curve_nodes": 128,
         "delta": None,
@@ -727,7 +719,6 @@ def _cmd_verify(config, writer, seed):
     if any(v < 1 for v in levels):
         raise UsageError("'levels' must be positive")
     grid_factor = int(_positive(config, "grid_factor", int))
-    tol = _positive(config, "tol")
     quad = int(_positive(config, "quad", int))
     curve_nodes = int(_positive(config, "curve_nodes", int))
     obs_samples = int(_nonnegative(config, "obs_samples", int))
@@ -738,14 +729,13 @@ def _cmd_verify(config, writer, seed):
     rows = []
     ratios = []
     for level in levels:
-        solution = hum_control(region, level, y0, y1, breakpoints, rtol=tol, quad=quad)
+        solution = hum_control(region, level, y0, y1, breakpoints, quad=quad)
         check = forward_verify(solution, y0, y1, breakpoints, grid_factor * level)
         rows.append(
             [
                 level,
                 grid_factor * level,
                 solution.cost,
-                solution.iterations,
                 solution.residual,
                 check["ratio"],
             ]
@@ -753,7 +743,7 @@ def _cmd_verify(config, writer, seed):
         ratios.append(check["ratio"])
     writer.write_csv(
         "verify.csv",
-        ["level", "grid_m", "cost", "iterations", "residual", "terminal_ratio"],
+        ["level", "grid_m", "cost", "residual", "terminal_ratio"],
         rows,
     )
     result = {

@@ -30,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "Subdivision",
     "fold_index",
     "fold_indices",
     "interval_bounds",
@@ -66,26 +65,6 @@ def _as_fraction(x):
     if isinstance(x, str):
         return Fraction(x)
     return Fraction(float(x))
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    """Uniform subdivision of [0, 1] into ``n`` intervals of width 1/n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"subdivision level must be >= 1, got {self.n}")
-
-    @property
-    def kappa(self):
-        """Mesh size 1/n as an exact rational (kappa * n == 1)."""
-        return Fraction(1, self.n)
-
-    def node(self, i):
-        """Grid node x_i = i/n (any integer i, extended grid)."""
-        return Fraction(i, self.n)
 
 
 def fold_index(i, n):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dalembert import (
     PiecewiseInitialData,
@@ -50,8 +50,6 @@ __all__ = [
     "control_density",
     "forward_verify",
 ]
-
-_CHUNK = 32768
 
 
 class WeightProfile:
@@ -169,23 +167,6 @@ def basis_tables(level):
     return BasisTables(level=L, fn=fn, fs=fs, gn=gn, gs=gs)
 
 
-def _basis_eval(tables, u, v):
-    """Values of all basis waves at the points (u + v)/2, (u - v)/2."""
-    L = tables.level
-    wu = np.mod(u, 2.0)
-    wv = np.mod(v, 2.0)
-    cu = np.clip(np.floor(wu * L).astype(np.int64), 0, 2 * L - 1)
-    cv = np.clip(np.floor(wv * L).astype(np.int64), 0, 2 * L - 1)
-    du = wu - cu / L
-    dv = wv - cv / L
-    return (
-        tables.fn[:, cu]
-        + tables.fs[:, cu] * du
-        + tables.gn[:, cv]
-        + tables.gs[:, cv] * dv
-    )
-
-
 def _cell_rules(h, q=4):
     """Quadrature offsets/weights on one lattice cell and its cut triangles.
 
@@ -240,28 +221,31 @@ def _strip_cells(level, T):
     return A, B, cats
 
 
-def _accumulate(G, tables, u, v, w):
-    for lo in range(0, u.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        phi = _basis_eval(tables, u[sl], v[sl])
-        G += (phi * w[sl]) @ phi.T
+# On a cell a basis wave is fn + fs du + gn + gs dv, so a product of two
+# waves pairs the cell factors (1, du, 1, dv) of (fn, fs, gn, gs).  Entry
+# [i, j] indexes the weight moment (w, w du, w dv, w du^2, w dv^2, w du dv)
+# that multiplies factors i and j.
+_PAIR_MOMENT = np.array([[0, 1, 0, 2], [1, 3, 1, 5], [0, 1, 0, 2], [2, 5, 2, 4]])
 
 
 def assemble_gram(region, level, quad=4):
     """Gram matrix of the basis waves under the region's weight.
 
-    For a smoothed tube the integrand is sampled with a q x q Gauss rule per
-    characteristic cell (collapsed rule on boundary triangles), restricted
-    to cells where the weight can be nonzero.  For an indicator region the
-    grid is refined from the domain's level and the result is exact.
+    Every basis wave is F(u) + G(v) with F and G affine on each lattice
+    cell, so the Gram needs only six moments of the weight per cell, taken
+    with a q x q Gauss rule (collapsed rule on boundary triangles).  A
+    smoothed tube keeps the cells where its weight can be nonzero; an
+    indicator region keeps the cells of its squares refined to the level,
+    where the weight is 1 and the result is exact.  The moments, folded
+    onto the 2L period cells of u and v, form one 8L x 8L table M over the
+    node values and slopes of F and G, and G = Phi M Phi^T with Phi the
+    stacked basis tables.
     """
     L = int(level)
     h = 1.0 / L
-    tables = basis_tables(L)
-    nb = 2 * L - 1
-    G = np.zeros((nb, nb))
+    n = 2 * L
     full_rule, tri_rules = _cell_rules(h, quad)
-
+    cells = []  # (A, B, rule, weight at the rule points of each cell)
     if isinstance(region, IndicatorRegion):
         dom = region.domain
         if L % dom.level != 0:
@@ -269,44 +253,42 @@ def assemble_gram(region, level, quad=4):
                 f"level {L} must be a multiple of the domain level {dom.level}"
             )
         p = L // dom.level
-        ua, vb = [], []
-        for i, j in dom.squares:
-            ilo = (i - 1) if i > 0 else i
-            jlo = (j - 1) if j > 0 else j
-            ua.append(np.arange(ilo * p, ilo * p + p))
-            vb.append(np.arange(jlo * p, jlo * p + p))
-        if not ua:
-            return G
-        A = np.concatenate([np.repeat(x, p) for x in ua])
-        B = np.concatenate([np.tile(x, p) for x in vb])
-        du, dv, w = full_rule
-        u = (A[:, None] * h + du).ravel()
-        v = (B[:, None] * h + dv).ravel()
-        wts = np.broadcast_to(0.5 * w, (A.size, w.size)).ravel()
-        _accumulate(G, tables, u, v, wts)
-        return 0.5 * (G + G.T)
-
-    if not isinstance(region, SmoothedTube):
+        lo = p * np.array(
+            [(i - 1 if i > 0 else i, j - 1 if j > 0 else j) for i, j in dom.squares],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        da, db = np.divmod(np.arange(p * p), p)
+        A, B = (lo[:, :1] + da).ravel(), (lo[:, 1:] + db).ravel()
+        cells.append((A, B, full_rule, full_rule[2][None, :]))
+    elif isinstance(region, SmoothedTube):
+        A, B, cats = _strip_cells(L, region.T)
+        # restrict to cells whose center can meet the weight's support
+        xc = (A + B + 1) * (h / 2.0)
+        tc = (A - B) * (h / 2.0)
+        lip = region.curve.lipschitz_estimate()
+        margin = region.profile.delta0 + (1.0 + lip) * h
+        near = np.abs(xc - region.gamma(np.clip(tc, 0.0, region.T))) <= margin
+        for name, mask in cats.items():
+            sel = mask & near
+            rule = full_rule if name == "full" else tri_rules[name]
+            u = A[sel][:, None] * h + rule[0]
+            v = B[sel][:, None] * h + rule[1]
+            chi = region.chi((u + v) / 2.0, (u - v) / 2.0)
+            cells.append((A[sel], B[sel], rule, rule[2] * chi))
+    else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
 
-    A, B, cats = _strip_cells(L, region.T)
-    # restrict to cells whose center can meet the weight's support
-    xc = (A + B + 1) * (h / 2.0)
-    tc = (A - B) * (h / 2.0)
-    lip = region.curve.lipschitz_estimate()
-    margin = region.profile.delta0 + (1.0 + lip) * h
-    near = np.abs(xc - region.gamma(np.clip(tc, 0.0, region.T))) <= margin
-    for name, mask in cats.items():
-        sel = mask & near
-        if not np.any(sel):
-            continue
-        du, dv, w = full_rule if name == "full" else tri_rules[name]
-        u = (A[sel][:, None] * h + du).ravel()
-        v = (B[sel][:, None] * h + dv).ravel()
-        wts = np.broadcast_to(0.5 * w, (sel.sum(), w.size)).ravel().copy()
-        chi = region.chi((u + v) / 2.0, (u - v) / 2.0)
-        nz = chi > 0.0
-        _accumulate(G, tables, u[nz], v[nz], wts[nz] * chi[nz])
+    idx, val = [], []
+    for A, B, (du, dv, _), w in cells:
+        powers = np.column_stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv])
+        mom = 0.5 * w @ powers  # 1/2: Jacobian of (u, v) -> (x, t)
+        slots = np.stack([A % n, A % n + n, B % n + 2 * n, B % n + 3 * n], axis=1)
+        idx.append((slots[:, :, None] * (4 * n) + slots[:, None, :]).ravel())
+        val.append(np.broadcast_to(mom[:, _PAIR_MOMENT], (A.size, 4, 4)).ravel())
+    M = np.bincount(np.concatenate(idx), np.concatenate(val), minlength=(4 * n) ** 2)
+    t = basis_tables(L)
+    phi = np.hstack([t.fn[:, :n], t.fs, t.gn[:, :n], t.gs])
+    G = phi @ M.reshape(4 * n, 4 * n) @ phi.T
     return 0.5 * (G + G.T)
 
 
@@ -358,7 +340,6 @@ class HumSolution:
 
     z: np.ndarray
     cost: float
-    iterations: int
     residual: float
     data: PiecewiseInitialData
     region: object
@@ -368,41 +349,29 @@ class HumSolution:
         return control_density(self, x, t)
 
 
-def solve_hum(G, b, rtol=1e-10):
-    """Jacobi-preconditioned conjugate gradients on the Gram system."""
-    nb = b.size
-    diag = np.diag(G).copy()
-    diag[diag <= 0] = 1.0
-    pre = LinearOperator((nb, nb), matvec=lambda r: r / diag)
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
+def solve_hum(G, b):
+    """Cholesky solve of the Gram system: (z, relative residual)."""
     try:
-        z, info = cg(G, b, rtol=rtol, atol=0.0, maxiter=10 * nb, M=pre, callback=cb)
-    except TypeError:  # older scipy spells the tolerance differently
-        z, info = cg(G, b, tol=rtol, atol=0.0, maxiter=10 * nb, M=pre, callback=cb)
-    if info != 0:
+        z = cho_solve(cho_factor(G), b)
+    except LinAlgError:
         raise RuntimeError(
             "ill-conditioned conjugate system - the region may fail to "
             "observe every characteristic or the level is too coarse"
-        )
+        ) from None
     bn = float(np.linalg.norm(b))
     res = float(np.linalg.norm(G @ z - b)) / bn if bn > 0 else 0.0
-    return z, count[0], res
+    return z, res
 
 
-def hum_control(region, level, y0, y1=None, breakpoints=(), rtol=1e-10, quad=4):
+def hum_control(region, level, y0, y1=None, breakpoints=(), quad=4):
     """Assemble and solve the conjugate system; return the full solution."""
     L = int(level)
     G = assemble_gram(region, L, quad=quad)
     b = hum_rhs(L, y0, y1, breakpoints)
-    z, iters, res = solve_hum(G, b, rtol=rtol)
+    z, res = solve_hum(G, b)
     return HumSolution(
         z=z,
         cost=float(b @ z),
-        iterations=iters,
         residual=res,
         data=datum_from_coefficients(L, z),
         region=region,

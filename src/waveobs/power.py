@@ -121,7 +121,7 @@ def default_start(m):
     return y.scaled(1.0 / np.sqrt(y.norm_sq()))
 
 
-def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50, rtol=1e-10):
+def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
     """Estimate the observability constant of a square-aligned domain.
 
     Assembles the level-L conjugate Gram for the domain's indicator weight
@@ -139,7 +139,7 @@ def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50, rtol=1e-10)
     converged = False
     for it in range(int(max_iters)):
         b = _rhs_from_pair(L, y)
-        z, _, _ = solve_hum(G, b, rtol=rtol)
+        z, _ = solve_hum(G, b)
         w = _apply_duality(L, datum_from_coefficients(L, z))
         wn = float(np.sqrt(w.norm_sq()))
         if wn == 0:

@@ -157,7 +157,9 @@ def optimize(
     Runs projected gradient descent with the envelope-theorem gradient and
     H1 smoothing.  Stops when the relative change between the means of the
     last two blocks of ``patience`` regularized costs drops below ``tol``
-    (requires 2*patience history), or at ``max_iters``.
+    (requires 2*patience history), or at ``max_iters``.  A zero initial
+    cost (zero data on a constant curve) is already optimal and returns
+    at once, converged.
     """
     profile = WeightProfile(delta0, delta)
     curve = curve0
@@ -172,6 +174,9 @@ def optimize(
         raw.append(sol.cost)
         if callback is not None:
             callback(it, curve, sol, jeps_cost)
+        if costs[0] == 0.0:  # J_eps >= 0, so a zero start is optimal
+            converged = True
+            break
         if len(costs) >= 2 * p:
             recent = np.mean(costs[-p:])
             previous = np.mean(costs[-2 * p : -p])

@@ -103,7 +103,6 @@ def test_hum_artifacts(tmp_path):
     result = read_json(out / "result.json")
     for key in (
         "cost",
-        "iterations",
         "residual",
         "terminal_ratio",
         "energy_initial",
@@ -211,7 +210,7 @@ def test_verify_artifacts(tmp_path):
     assert result["obs_samples"] == 5
     assert result["obs_violations"] == 0
     rows = csv_lines(out / "verify.csv")
-    assert rows[0] == "level,grid_m,cost,iterations,residual,terminal_ratio"
+    assert rows[0] == "level,grid_m,cost,residual,terminal_ratio"
     assert len(rows) == 3
     # seeded rerun reproduces everything byte for byte
     _, out2 = run_cli(tmp_path, "verify", config, extra=["--seed", "11"], out_name="v2")
@@ -297,6 +296,17 @@ def test_computational_failure_exits_1_with_error_json(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_singular_gram_exits_1_with_error_json(tmp_path, capsys):
+    # at T=1 some characteristics miss the cylinder, so the Gram is singular
+    code, out = run_cli(tmp_path, "hum", {"T": 1, "level": 32})
+    assert code == 1
+    err = read_json(out / "error.json")
+    assert err["command"] == "hum"
+    assert "ill-conditioned" in err["error"]["message"]
+    capsys.readouterr()
+    assert not (out / "manifest.json").exists()
+
+
 # ------------------------------------------------------------------- process
 
 
@@ -312,3 +322,22 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["c_obs"] == 4
     assert (out / "manifest.json").exists()
+
+
+def test_artifacts_do_not_depend_on_thread_count(tmp_path):
+    for command in ("hum", "sweep"):
+        manifests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "waveobs.cli", command, "--out", str(out),
+                 "--threads", threads],
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1], command
+    # mirror-image cylinders tie; the tie goes to the smaller center
+    assert read_json(tmp_path / "sweep-1" / "result.json")["best_x0"] == 0.25

@@ -1,6 +1,9 @@
 """Characteristic lattice: folding, squares, domains, covers, GOC."""
 
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +349,29 @@ def test_domain_json_roundtrip(chevron):
             domain.contains(X.ravel(), Tt.ravel()),
             back.contains(X.ravel(), Tt.ravel()),
         )
+
+
+def test_readme_domain_examples_parse():
+    from conftest import load_fixture
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    text = re.sub(r"//[^\n]*", "", block)
+    decoder = json.JSONDecoder()
+    docs, pos = [], 0
+    while text[pos:].strip():
+        pos += len(text[pos:]) - len(text[pos:].lstrip())
+        doc, pos = decoder.raw_decode(text, pos)
+        docs.append(doc)
+    assert len(docs) == 4
+    kinds = set()
+    for doc in docs:
+        if "fixture" in doc:
+            doc = load_fixture(doc["fixture"])
+        domain = domain_from_json(doc)
+        kinds.add(type(domain))
+        assert float(domain.T) == 2.0
+    assert kinds == {SquareUnion, Cylinder, CurveTube}
 
 
 def test_domain_json_rejects_garbage():

@@ -179,6 +179,35 @@ def test_gram_psd_on_random_tubes(rng):
         assert np.linalg.eigvalsh(G).min() >= -1e-10
 
 
+def test_tube_gram_matches_pointwise_quadrature(rng):
+    from waveobs.grid import Curve
+    from waveobs.hum import _cell_rules, _strip_cells
+
+    # the tube reaches past both ends of the interval, so it weights the cut
+    # triangles at x = 0 and x = 1 as well as those at t = 0 and t = T
+    vals = [0.1, 0.4, 0.9, 0.6, 0.2, 0.5, 0.9, 0.3, 0.1]
+    tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), WeightProfile(0.15))
+    for L in (8, 16):
+        h = 1.0 / L
+        G = assemble_gram(tube, L)
+        full, tri = _cell_rules(h)
+        A, B, cats = _strip_cells(L, tube.T)
+        xs, ts, ws = [], [], []
+        for name, mask in cats.items():
+            du, dv, wq = full if name == "full" else tri[name]
+            u = (A[mask][:, None] * h + du).ravel()
+            v = (B[mask][:, None] * h + dv).ravel()
+            xs.append((u + v) / 2)
+            ts.append((u - v) / 2)
+            ws.append(np.tile(0.5 * wq, int(mask.sum())) * tube.chi(xs[-1], ts[-1]))
+            assert np.any(ws[-1] > 0), name
+        x, t, wts = np.concatenate(xs), np.concatenate(ts), np.concatenate(ws)
+        for _ in range(3):
+            z = rng.standard_normal(2 * L - 1)
+            phi = eval_phi(datum_from_coefficients(L, z), x, t)
+            assert float(z @ G @ z) == pytest.approx(float(wts @ phi**2), rel=1e-12)
+
+
 def test_gram_level_must_refine_indicator_domain(chevron):
     with pytest.raises(ValueError):
         assemble_gram(IndicatorRegion(chevron), 6)
@@ -214,7 +243,7 @@ def test_duality_identity():
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
     G = assemble_gram(tube, 16)
     b = hum_rhs(16, EX1.y0)
-    z, _, _ = solve_hum(G, b)
+    z, _ = solve_hum(G, b)
     bz = float(b @ z)
     assert abs(bz - float(z @ G @ z)) <= 1e-8 * abs(bz)
 
@@ -224,7 +253,7 @@ def test_optimality_against_random_test_data(rng):
     L = 16
     G = assemble_gram(tube, L)
     b = hum_rhs(L, EX1.y0)
-    z, _, _ = solve_hum(G, b)
+    z, _ = solve_hum(G, b)
     scale = float(np.linalg.norm(b))
     for _ in range(20):
         psi = rng.standard_normal(2 * L - 1)
@@ -267,7 +296,6 @@ def test_uncontrolled_run_conserves_energy():
     idle = HumSolution(
         z=np.zeros(2 * L - 1),
         cost=0.0,
-        iterations=0,
         residual=0.0,
         data=datum_from_coefficients(L, np.zeros(2 * L - 1)),
         region=tube,

@@ -1,5 +1,7 @@
 """Support-curve optimization: gradient density, smoothing, descent, sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,6 @@ def test_zero_adjoint_gives_zero_density():
     idle = HumSolution(
         z=np.zeros(2 * L - 1),
         cost=0.0,
-        iterations=0,
         residual=0.0,
         data=datum_from_coefficients(L, np.zeros(2 * L - 1)),
         region=tube,
@@ -87,7 +88,7 @@ def test_symmetric_state_gives_zero_density():
     sol = hum_control(tube, 32, EX4.y0, breakpoints=EX4.data_breakpoints())
     j = shape_derivative_density(sol)
     # the density's natural magnitude is ~cost/delta; the leftover asymmetry
-    # is conjugate-gradient noise, orders of magnitude below it
+    # is roundoff in the Gram and its solve, orders of magnitude below it
     scale = sol.cost / tube.profile.delta
     assert np.max(np.abs(j)) <= 1e-7 * scale
 
@@ -241,6 +242,18 @@ def test_descent_stops_quickly_when_stationary():
     assert trace.converged
     assert trace.iterations <= 2 * 10
     assert abs(trace.costs[-1] - trace.costs[0]) <= 1e-8 * trace.costs[0]
+
+
+def test_zero_data_stops_at_once_without_warnings():
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = optimize(
+            zero, Curve.constant(0.25, 2.0, 16), 0.15, 8, max_iters=30, patience=2
+        )
+    assert trace.converged
+    assert trace.iterations == 0
+    assert trace.costs[0] == 0.0
 
 
 def test_smoothed_directions_stay_bounded_along_run():
