@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-from .grid import fold_indices
-
 __all__ = [
     "PiecewiseInitialData",
     "project",
@@ -68,6 +66,8 @@ class PiecewiseInitialData:
         self.level = n
         self.alpha = alpha
         self.beta = beta
+        # gamma on the 2n fundamental cells, indexed by lattice cell + n
+        self._gtab = np.concatenate([(alpha - beta)[::-1], alpha + beta])
         # node tables of F and G over one period u in [0, 2]:
         # F'(u) = gamma_e / 2 and G'(v) = gamma_{-e} / 2 on cell e.
         e = np.arange(1, 2 * n + 1)
@@ -80,15 +80,21 @@ class PiecewiseInitialData:
         self._p0node = np.concatenate([[0.0], np.cumsum(alpha) / n])
 
     def gamma_of(self, e):
-        """gamma at arbitrary nonzero extended indices (vectorized)."""
+        """gamma at arbitrary nonzero extended indices (vectorized).
+
+        Extended index e spans lattice cell lo(e) = e-1 (e > 0) or e (e < 0);
+        gamma is 2n-periodic in the cell, so it is one lookup in the table
+        of :meth:`gamma_fundamental`.
+        """
         e = np.asarray(e)
-        k = fold_indices(e, self.level)
-        pos = np.where(k > 0, k - 1, -k - 1)
-        return self.alpha[pos] + np.where(k > 0, 1.0, -1.0) * self.beta[pos]
+        if np.any(e == 0):
+            raise ValueError("interval index 0 does not exist (indices are nonzero)")
+        n = self.level
+        return self._gtab[(np.where(e > 0, e - 1, e) + n) % (2 * n)]
 
     def gamma_fundamental(self):
         """gamma on the fundamental indices in (-n..-1, 1..n) order."""
-        return np.concatenate([(self.alpha - self.beta)[::-1], self.alpha + self.beta])
+        return self._gtab.copy()
 
     def phi0(self, x):
         x = np.asarray(x, dtype=float)

@@ -19,7 +19,6 @@ Matrix index order is (-n, ..., -1, 1, ..., n) throughout.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,20 +140,24 @@ def quadratic_form(squares, n, eta):
     return total
 
 
-def is_connected(graph):
-    """Breadth-first connectivity over the positive-weight edges."""
-    m = 2 * graph.n
-    adj = graph.weights > 0
-    seen = np.zeros(m, dtype=bool)
-    queue = deque([0])
+def _connected(adjacency):
+    """Whether a symmetric boolean adjacency matrix is connected.
+
+    Breadth-first search one level at a time: each pass adds every vertex
+    adjacent to the ones reached so far.  The diagonal is ignored.
+    """
+    seen = np.zeros(len(adjacency), dtype=bool)
     seen[0] = True
-    while queue:
-        v = queue.popleft()
-        for u in np.nonzero(adj[v])[0]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return bool(seen.all())
+    while True:
+        grown = seen | adjacency[seen].any(axis=0)
+        if np.array_equal(grown, seen):
+            return bool(seen.all())
+        seen = grown
+
+
+def is_connected(graph):
+    """Connectivity over the positive-weight edges."""
+    return _connected(graph.weights > 0)
 
 
 def spectrum(lap):
@@ -163,23 +166,6 @@ def spectrum(lap):
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {lap.shape}")
     return np.linalg.eigvalsh(lap)
-
-
-def _matrix_connected(lap):
-    """BFS connectivity on the off-diagonal pattern of a Laplacian."""
-    m = lap.shape[0]
-    adj = np.abs(lap) > 1e-12
-    np.fill_diagonal(adj, False)
-    seen = np.zeros(m, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        v = queue.popleft()
-        for u in np.nonzero(adj[v])[0]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    return bool(seen.all())
 
 
 def algebraic_connectivity(lap):
@@ -191,7 +177,7 @@ def algebraic_connectivity(lap):
         If the underlying graph is disconnected.
     """
     lap = np.asarray(lap, dtype=float)
-    if not _matrix_connected(lap):
+    if not _connected(np.abs(lap) > 1e-12):
         raise GraphDisconnectedError("graph disconnected (GOC violated)")
     return float(spectrum(lap)[1])
 
@@ -266,10 +252,10 @@ def observability_constant_graph(domain, eps=None, level=None):
         raise ValueError("either eps or level must be provided for this domain")
     squares = frozenset(squares_in_domain(domain, n))
     graph = build_graph(squares, n)
-    if not is_connected(graph):
-        raise GraphDisconnectedError("GOC violated at this resolution")
-    lap = laplacian(graph)
-    lam = algebraic_connectivity(lap)
+    try:
+        lam = algebraic_connectivity(laplacian(graph))
+    except GraphDisconnectedError:
+        raise GraphDisconnectedError("GOC violated at this resolution") from None
     min_degree = int(graph.degrees.min())
     lam_hat = min(lam, float(min_degree))
     return GraphConstant(

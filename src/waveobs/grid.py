@@ -12,9 +12,12 @@ interval indices are reduced to the fundamental index set
 by the folding map induced by the odd 2-periodic extension of the initial
 data (see :func:`fold_index`).
 
-Grid coordinates are kept as exact rationals (`fractions.Fraction`) so that
-square covers and inclusion tests are exact set operations; floating point
-enters only at quadrature time.
+Square covers run in integer lattice units: level-n cell k spans
+[k/n, (k+1)/n] in u or v, and square (i, j) is the cell pair (lo(i), lo(j)).
+Domain parameters stay exact rationals (`fractions.Fraction`), but they enter
+a cover only as integer thresholds computed once per call, so every
+per-square test is integer arithmetic (the tube's centerline test alone is
+in floats).
 
 The module also defines the three supported space-time observation-domain
 variants (axis square unions, tubes around a moving curve, and cylinders),
@@ -264,11 +267,8 @@ class SquareUnion:
         t = np.asarray(t, dtype=float)
         n = self.level
         u, v = x + t, x - t
-        iu = np.floor(u * n).astype(np.int64)
-        iv = np.floor(v * n).astype(np.int64)
-        # cell [k/n, (k+1)/n] has extended index k+1 for k >= 0, k for k < 0
-        ii = np.where(iu >= 0, iu + 1, iu)
-        jj = np.where(iv >= 0, iv + 1, iv)
+        ii = _index(np.floor(u * n).astype(np.int64))
+        jj = _index(np.floor(v * n).astype(np.int64))
         keys = _pack_keys(ii, jj)
         inside = np.isin(keys, self._key_array())
         win = (t > float(self.t_lo)) & (t < float(self.t_hi))
@@ -282,13 +282,6 @@ class SquareUnion:
             else:
                 self._keys = np.empty(0, dtype=np.int64)
         return self._keys
-
-    def uv_rects(self):
-        """The squares as exact closed rectangles [ulo,uhi]x[vlo,vhi] in (u,v)."""
-        n = self.level
-        return [
-            (interval_bounds(i, n), interval_bounds(j, n)) for i, j in sorted(self.squares)
-        ]
 
 
 @dataclass
@@ -400,10 +393,10 @@ def _boundary_segments(domain):
     for i, j in domain.squares:
         # sides keyed by (fixed axis, fixed index, cross-axis index)
         for key in (
-            ("u", i - 1 if i > 0 else i, j),
-            ("u", i if i > 0 else i + 1, j),
-            ("v", j - 1 if j > 0 else j, i),
-            ("v", j if j > 0 else j + 1, i),
+            ("u", _cell(i), j),
+            ("u", _cell(i) + 1, j),
+            ("v", _cell(j), i),
+            ("v", _cell(j) + 1, i),
         ):
             counts[key] = counts.get(key, 0) + 1
     n = domain.level
@@ -438,36 +431,49 @@ def _distance_to_segments(x, t, segments):
 # ---------------------------------------------------------------------------
 
 
+def _cell(i):
+    """Lattice cell k of the extended index i, so that I_i = [k/n, (k+1)/n]."""
+    return i - 1 if i > 0 else i
+
+
+def _index(k):
+    """Extended indices of lattice cells (inverse of :func:`_cell`, vectorized)."""
+    return np.where(k >= 0, k + 1, k)
+
+
+def _index_pairs(a, b):
+    """Set of (i, j) index pairs of the lattice cells (a, b)."""
+    return set(zip(_index(a).tolist(), _index(b).tolist()))
+
+
 def square_in_time_slab(ij, n, T):
     """Whether a level-n square's interior lies inside (0,1) x (0,T).
 
-    Exact integer test on the characteristic corners: with lo/hi the integer
-    interval endpoints (in units of 1/n), the interior lies in the slab iff
-    lo(i)+lo(j) >= 0, hi(i)+hi(j) <= 2n, lo(i) >= hi(j) and
-    hi(i) - lo(j) <= 2nT.
+    Exact integer test on the lattice cells a = lo(i), b = lo(j) (in units
+    of 1/n): the interior lies in the slab iff a+b >= 0, a+b+2 <= 2n, a > b
+    and a-b+1 <= floor(2nT).
     """
     i, j = ij[0], ij[1]
     if i == 0 or j == 0:
         raise ValueError(f"square index {tuple(ij)} contains a zero component")
-    ilo, ihi = (i - 1, i) if i > 0 else (i, i + 1)
-    jlo, jhi = (j - 1, j) if j > 0 else (j, j + 1)
-    if ilo + jlo < 0 or ihi + jhi > 2 * n:
-        return False
-    if ilo < jhi or Fraction(ihi - jlo) > 2 * n * _as_fraction(T):
-        return False
-    return True
+    a, b = _cell(i), _cell(j)
+    return 0 <= a + b <= 2 * n - 2 and b < a <= b - 1 + math.floor(2 * n * _as_fraction(T))
+
+
+def _slab_cells(d_lo, d_hi, s_lo, s_hi):
+    """Lattice cells (a, b) with d_lo <= a-b <= d_hi and s_lo <= a+b <= s_hi.
+
+    The time of a square's center is (a-b)/(2n) and its position
+    (a+b+1)/(2n); a+b and a-b have equal parity.
+    """
+    d, s = np.meshgrid(np.arange(d_lo, d_hi + 1), np.arange(s_lo, s_hi + 1), indexing="ij")
+    keep = (d - s) % 2 == 0
+    return (s + d)[keep] // 2, (s - d)[keep] // 2
 
 
 def squares_in_time_slab(n, T):
     """All elementary squares at level n with interior inside (0,1) x (0,T)."""
-    T = _as_fraction(T)
-    squares = set()
-    imax = math.ceil((1 + T) * n)
-    for i in range(1, imax + 1):
-        for j in range(-imax, n + 1):
-            if j != 0 and square_in_time_slab((i, j), n, T):
-                squares.add((i, j))
-    return squares
+    return _index_pairs(*_slab_cells(1, math.floor(2 * n * _as_fraction(T)) - 1, 0, 2 * n - 2))
 
 
 def _curve_abs_dev_max(curve, x_of_t, t0, t1):
@@ -486,69 +492,68 @@ def _curve_abs_dev_max(curve, x_of_t, t0, t1):
     return max(abs(x_of_t(tt) - float(curve(tt))) for tt in map(float, ts))
 
 
-def _square_in_moving_domain(ij, n, domain):
-    """Interior-inclusion test for cylinder / tube domains (edge-exact)."""
-    i, j = ij
-    ulo, uhi = interval_bounds(i, n)
-    vlo, vhi = interval_bounds(j, n)
-    t_min, t_max = (ulo - vhi) / 2, (uhi - vlo) / 2
-    if t_min < domain.t_lo or t_max > domain.t_hi:
-        return False
-    d0 = domain.delta0
-    if isinstance(domain, Cylinder):
-        # |x - x0| <= delta0 at the four corners suffices (x0 constant)
-        for v in (vlo, vhi):
-            for u in (ulo, uhi):
-                if abs((u + v) / 2 - domain.x0) > d0:
-                    return False
-        return True
-    # tube: check the four edges; along each edge x(t) is affine in t
-    curve, d0f = domain.curve, float(d0)
-    edges = (
-        (vlo, (ulo - vlo) / 2, (uhi - vlo) / 2),  # v fixed at vlo
-        (vhi, (ulo - vhi) / 2, (uhi - vhi) / 2),  # v fixed at vhi
-    )
-    for v, ta, tb in edges:
-        xf = lambda tt, vv=float(v): vv + tt  # x = v + t along constant-v edges
-        if _curve_abs_dev_max(curve, xf, ta, tb) > d0f + 1e-14:
-            return False
-    edges_u = (
-        (ulo, (ulo - vhi) / 2, (ulo - vlo) / 2),
-        (uhi, (uhi - vhi) / 2, (uhi - vlo) / 2),
-    )
-    for u, ta, tb in edges_u:
-        xf = lambda tt, uu=float(u): uu - tt  # x = u - t along constant-u edges
-        if _curve_abs_dev_max(curve, xf, ta, tb) > d0f + 1e-14:
-            return False
-    return True
+def _square_in_tube(a, b, n, tube):
+    """Edge test of the square on cells (a, b) against a tube.
 
-
-def _rect_covered(urange, vrange, rects):
-    """Exact test: is [ulo,uhi]x[vlo,vhi] covered by the closed rectangles?
-
-    Overlays the candidates' breakpoints and checks every elementary subcell
-    midpoint for membership; all arithmetic is rational, hence exact.
+    Along each edge x is affine in t (x = v + t on constant-v edges, x = u - t
+    on constant-u edges), so the edge lies within delta0 of the
+    piecewise-affine centerline iff its endpoints and the curve nodes
+    between them do.  Edge times are the floats k/(2n).
     """
-    ulo, uhi = urange
-    vlo, vhi = vrange
-    ubreaks = sorted({ulo, uhi} | {b for (ur, _) in rects for b in ur if ulo < b < uhi})
-    vbreaks = sorted({vlo, vhi} | {b for (_, vr) in rects for b in vr if vlo < b < vhi})
-    for ua, ub in zip(ubreaks[:-1], ubreaks[1:]):
-        um = (ua + ub) / 2
-        for va, vb in zip(vbreaks[:-1], vbreaks[1:]):
-            vm = (va + vb) / 2
-            if not any(ur[0] <= um <= ur[1] and vr[0] <= vm <= vr[1] for ur, vr in rects):
-                return False
-    return True
+    t_min, t_mid, t_max = ((a - b + k) / (2 * n) for k in (-1, 0, 1))
+    edges = (
+        (lambda tt, v=b / n: v + tt, t_mid, t_max),
+        (lambda tt, v=(b + 1) / n: v + tt, t_min, t_mid),
+        (lambda tt, u=a / n: u - tt, t_min, t_mid),
+        (lambda tt, u=(a + 1) / n: u - tt, t_mid, t_max),
+    )
+    d0 = float(tube.delta0) + 1e-14
+    return all(_curve_abs_dev_max(tube.curve, xf, ta, tb) <= d0 for xf, ta, tb in edges)
+
+
+def _union_cover(domain, n, d_lo, d_hi):
+    """Level-n cells covered by a square union stored at level m.
+
+    A level-n cell (a, b) lies in the closed union iff every level-m cell
+    whose interior meets it is stored: in u those are the cells
+    c in [floor(a m/n), ceil((a+1) m/n)), and likewise in v.  The stored
+    cells are counted over such a block with a summed-area table of the
+    union's bounding box.
+    """
+    m = domain.level
+    cells = np.array([(_cell(i), _cell(j)) for i, j in domain.squares], dtype=np.int64)
+    base = cells.min(axis=0)
+    size = cells.max(axis=0) - base + 1
+    table = np.zeros(size + 1, dtype=np.int64)
+    table[1 + cells[:, 0] - base[0], 1 + cells[:, 1] - base[1]] = 1
+    table = table.cumsum(axis=0).cumsum(axis=1)
+    axes = []
+    for lo, width in zip(base, size):
+        k = np.arange(lo * n // m, -(-(lo + width) * n // m))
+        c0 = k * m // n - lo
+        c1 = -(-(k + 1) * m // n) - lo
+        axes.append((k, c0, c1, np.clip(c0, 0, width), np.clip(c1, 0, width)))
+    (a, u0, u1, cu0, cu1), (b, v0, v1, cv0, cv1) = axes
+    stored = (
+        table[np.ix_(cu1, cv1)] - table[np.ix_(cu0, cv1)]
+        - table[np.ix_(cu1, cv0)] + table[np.ix_(cu0, cv0)]
+    )
+    d = a[:, None] - b[None, :]
+    keep = (stored == np.outer(u1 - u0, v1 - v0)) & (d >= d_lo) & (d <= d_hi)
+    ka, kb = np.nonzero(keep)
+    return _index_pairs(a[ka], b[kb])
 
 
 def squares_in_domain(domain, n):
     """Elementary squares at level n whose open interior lies in the domain.
 
-    For a :class:`SquareUnion` at its own level this is the stored set; at
-    other levels the inclusion is decided by an exact rational rectangle
-    cover in characteristic coordinates.  For cylinders and tubes the test
-    is corner/edge-exact for the piecewise-affine centerline.
+    Covers run in integer lattice units: the domain's time window, slab
+    height and cylinder edges become integer thresholds once per call
+    (``Fraction`` appears only there), and every per-square test is
+    integer arithmetic.  For a :class:`SquareUnion` at its own level this
+    is the stored set; at other levels a square is kept when the stored
+    squares cover it.  For cylinders the test is the exact corner test; for
+    tubes it is edge-exact for the piecewise-affine centerline.
 
     Returns a set of (i, j) index pairs (possibly empty).
     """
@@ -558,36 +563,26 @@ def squares_in_domain(domain, n):
         raise ValueError("square covers of eroded domains are not supported")
     if domain.is_empty():
         return set()
+    # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
+    d_lo = math.ceil(2 * n * domain.t_lo) + 1
+    d_hi = math.floor(2 * n * domain.t_hi) - 1
     if isinstance(domain, SquareUnion):
         if n == domain.level and domain.t_lo == 0 and domain.t_hi == domain.T:
             return set(domain.squares)
-        rects = domain.uv_rects()
-        # clip to the time window if one was set
-        tw = (domain.t_lo, domain.t_hi)
-        umin = min(r[0][0] for r in rects)
-        umax = max(r[0][1] for r in rects)
-        vmin = min(r[1][0] for r in rects)
-        vmax = max(r[1][1] for r in rects)
-        out = set()
-        for ku in range(math.floor(umin * n), math.ceil(umax * n)):
-            i = ku + 1 if ku >= 0 else ku
-            ur = interval_bounds(i, n)
-            for kv in range(math.floor(vmin * n), math.ceil(vmax * n)):
-                j = kv + 1 if kv >= 0 else kv
-                vr = interval_bounds(j, n)
-                t_min, t_max = (ur[0] - vr[1]) / 2, (ur[1] - vr[0]) / 2
-                if t_min < tw[0] or t_max > tw[1]:
-                    continue
-                if _rect_covered(ur, vr, rects):
-                    out.add((i, j))
-        return out
-    # moving domains: enumerate candidates inside the slab, then test
-    T = domain.T
-    out = set()
-    for ij in squares_in_time_slab(n, T):
-        if _square_in_moving_domain(ij, n, domain):
-            out.add(ij)
-    return out
+        return _union_cover(domain, n, d_lo, d_hi)
+    # moving domains: cells inside the slab and the time window
+    d_lo = max(d_lo, 1)
+    d_hi = min(d_hi, math.floor(2 * n * domain.T) - 1)
+    if isinstance(domain, Cylinder):
+        # all four corners within delta0 of x0: the extreme ones sit at x = s/(2n), (s+2)/(2n)
+        s_lo = math.ceil(2 * n * (domain.x0 - domain.delta0))
+        s_hi = math.floor(2 * n * (domain.x0 + domain.delta0)) - 2
+        return _index_pairs(*_slab_cells(d_lo, d_hi, s_lo, s_hi))
+    a, b = _slab_cells(d_lo, d_hi, 0, 2 * n - 2)
+    keep = np.array(
+        [_square_in_tube(ka, kb, n, domain) for ka, kb in zip(a.tolist(), b.tolist())], dtype=bool
+    )
+    return _index_pairs(a[keep], b[keep])
 
 
 def epsilon_interior(domain, eps):

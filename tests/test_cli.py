@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waveobs
 from waveobs.cli import main
 
 from conftest import CHEVRON_SQUARES
@@ -310,6 +313,13 @@ def test_singular_gram_exits_1_with_error_json(tmp_path, capsys):
 # ------------------------------------------------------------------- process
 
 
+def child_env():
+    """Environment in which a child interpreter imports this same waveobs."""
+    src = str(Path(waveobs.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "proc"
     proc = subprocess.run(
@@ -318,6 +328,7 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["c_obs"] == 4
@@ -335,6 +346,7 @@ def test_artifacts_do_not_depend_on_thread_count(tmp_path):
                 capture_output=True,
                 text=True,
                 timeout=300,
+                env=child_env(),
             )
             assert proc.returncode == 0, proc.stderr
             manifests.append((out / "manifest.json").read_bytes())

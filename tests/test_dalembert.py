@@ -18,7 +18,13 @@ from waveobs.dalembert import (
     terminal_velocity,
 )
 from waveobs.graph import observability_constant_graph
-from waveobs.grid import fold_index, square_area, square_center, squares_in_time_slab
+from waveobs.grid import (
+    fold_index,
+    fold_indices,
+    square_area,
+    square_center,
+    squares_in_time_slab,
+)
 from waveobs.testing import random_initial_data
 
 
@@ -119,6 +125,25 @@ def test_gamma_folding_identity(rng):
         assert data.gamma_of(np.array([e]))[0] == pytest.approx(
             fundamental(fold_index(e, 5)), abs=1e-15
         )
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+def test_gamma_of_equals_fold_definition_bitwise(n, seed, draw):
+    # gamma_e = alpha_pos + beta_pos on a positive fold, alpha_pos - beta_pos
+    # on a negative one, with pos = |fold(e)| - 1
+    data = random_initial_data(np.random.default_rng(seed), n)
+    e = np.array(draw.draw(st.lists(st.integers(-7 * n, 7 * n).filter(bool), min_size=1)))
+    k = fold_indices(e, n)
+    pos = np.abs(k) - 1
+    want = np.where(k > 0, data.alpha[pos] + data.beta[pos], data.alpha[pos] - data.beta[pos])
+    assert np.array_equal(data.gamma_of(e), want)
+
+
+def test_gamma_of_rejects_index_zero(rng):
+    data = random_initial_data(rng, 4)
+    for e in (0, [3, 0, -2]):
+        with pytest.raises(ValueError, match="index 0"):
+            data.gamma_of(e)
 
 
 # ------------------------------------------------------------------ energies

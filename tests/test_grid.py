@@ -1,6 +1,7 @@
 """Characteristic lattice: folding, squares, domains, covers, GOC."""
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +32,7 @@ from waveobs.grid import (
     squares_in_time_slab,
     subsquare_indices,
 )
+from waveobs.testing import random_connected_square_domain
 
 nonzero_ints = st.integers(-200, 200).filter(lambda i: i != 0)
 levels = st.integers(1, 12)
@@ -219,6 +221,117 @@ def test_squares_in_domain_non_multiple_level_nests_geometrically(chevron):
                 <= max(c[0] - c[1] for c in cs)
                 for cs in parents.values()
             )
+
+
+# Cover oracle: the exact-rational definitions the integer covers implement,
+# a breakpoint overlay for square unions and the corner/edge test for
+# cylinders and tubes, over brute-force candidate squares.
+
+
+def _rect_covered(urange, vrange, rects):
+    """Is [ulo,uhi]x[vlo,vhi] inside the union of the closed rectangles?
+
+    Overlays the rectangles' breakpoints and checks the midpoint of every
+    elementary subcell for membership, in exact rationals.
+    """
+    ulo, uhi = urange
+    vlo, vhi = vrange
+    ubreaks = sorted({ulo, uhi} | {b for (ur, _) in rects for b in ur if ulo < b < uhi})
+    vbreaks = sorted({vlo, vhi} | {b for (_, vr) in rects for b in vr if vlo < b < vhi})
+    for ua, ub in zip(ubreaks[:-1], ubreaks[1:]):
+        um = (ua + ub) / 2
+        for va, vb in zip(vbreaks[:-1], vbreaks[1:]):
+            vm = (va + vb) / 2
+            if not any(ur[0] <= um <= ur[1] and vr[0] <= vm <= vr[1] for ur, vr in rects):
+                return False
+    return True
+
+
+def _tube_edges_within(ij, n, tube):
+    """Every edge of the square within delta0 of the centerline (float test).
+
+    Along an edge x is affine in t, so the deviation from the
+    piecewise-affine centerline peaks at the edge's ends or at a curve node.
+    """
+    (ulo, uhi), (vlo, vhi) = interval_bounds(ij[0], n), interval_bounds(ij[1], n)
+    edges = [(float(v), 1.0, (ulo - v) / 2, (uhi - v) / 2) for v in (vlo, vhi)]
+    edges += [(float(u), -1.0, (u - vhi) / 2, (u - vlo) / 2) for u in (ulo, uhi)]
+    for w, sign, ta, tb in edges:  # x = w + sign * t along the edge
+        ta, tb = float(ta), float(tb)
+        ts = [ta, tb] + [tk for tk in tube.curve.times.tolist() if ta < tk < tb]
+        dev = max(abs(w + sign * tt - float(tube.curve(tt))) for tt in ts)
+        if dev > float(tube.delta0) + 1e-14:
+            return False
+    return True
+
+
+def _oracle_cover(domain, n):
+    T = Fraction(domain.T)
+    candidates = [
+        (i, j)
+        for i in range(1, math.ceil((1 + T) * n) + 1)  # u = x + t >= 0
+        for j in range(-math.ceil(T * n), n + 1)  # -T <= v = x - t <= 1
+        if j != 0
+    ]
+    if isinstance(domain, SquareUnion):
+        rects = [
+            (interval_bounds(i, domain.level), interval_bounds(j, domain.level))
+            for i, j in domain.squares
+        ]
+    out = set()
+    for ij in candidates:
+        (ulo, uhi), (vlo, vhi) = interval_bounds(ij[0], n), interval_bounds(ij[1], n)
+        if (ulo - vhi) / 2 < domain.t_lo or (uhi - vlo) / 2 > domain.t_hi:
+            continue
+        if isinstance(domain, SquareUnion):
+            keep = _rect_covered((ulo, uhi), (vlo, vhi), rects)
+        elif not _in_closed_strip(ij, n, T):
+            keep = False
+        elif isinstance(domain, Cylinder):
+            keep = all(abs(x - domain.x0) <= domain.delta0 for x, _ in square_corners(ij, n))
+        else:
+            keep = _tube_edges_within(ij, n, domain)
+        if keep:
+            out.add(ij)
+    return out
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_union_covers_match_the_rational_overlay(level):
+    rng = np.random.default_rng(level)
+    for _ in range(2):
+        domain = random_connected_square_domain(rng, level)
+        for n in (level + 1, 2 * level - 1, 3 * level):
+            cover = squares_in_domain(domain, n)
+            assert cover == _oracle_cover(domain, n), (sorted(domain.squares), n)
+
+
+def test_windowed_chevron_covers_match_the_rational_overlay(chevron):
+    for t_lo, t_hi in [(Fraction(3, 10), Fraction(17, 10)), (0.3, 1.7)]:
+        domain = SquareUnion(chevron.level, chevron.squares, chevron.T, t_lo, t_hi)
+        for n in (4, 5, 7, 8, 12):
+            cover = squares_in_domain(domain, n)
+            assert cover and cover == _oracle_cover(domain, n), (t_lo, n)
+
+
+def test_cylinder_covers_match_the_corner_test():
+    # binary-float parameters: 2n(x0 - delta0) is never an integer here
+    cylinder = Cylinder(x0=0.25, delta0=0.15, T=2)
+    inner = epsilon_interior(cylinder, 0.05)  # a time window (0.05, 1.95)
+    for domain in (cylinder, inner):
+        for n in (8, 16, 33):
+            cover = squares_in_domain(domain, n)
+            assert cover and cover == _oracle_cover(domain, n), (domain, n)
+
+
+@pytest.mark.parametrize("n", [8, 16, 33])
+def test_tube_covers_match_the_edge_test(n):
+    rng = np.random.default_rng(20260818)
+    times = np.linspace(0.0, 2.0, 65)
+    values = np.clip(0.5 + np.cumsum(rng.uniform(-0.02, 0.02, times.size)), 0.2, 0.8)
+    tube = CurveTube(curve=Curve(times, values), delta0=0.15)
+    cover = squares_in_domain(tube, n)
+    assert cover and cover == _oracle_cover(tube, n)
 
 
 def test_inner_squares_cover_the_eroded_cylinder(rng):
