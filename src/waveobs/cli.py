@@ -39,15 +39,6 @@ class UsageError(Exception):
 # formatting and artifact plumbing
 
 
-def _fmt(x):
-    """One CSV cell: ints verbatim, floats at 17 significant digits."""
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, int):
-        return str(x)
-    return "%.17g" % float(x)
-
-
 def _snap(x, tol=_SNAP_TOL):
     """Round to the nearest integer when within ``tol`` (display helper)."""
     x = float(x)
@@ -99,10 +90,25 @@ class ArtifactWriter:
         log.info("wrote %s (%d bytes)", path, len(data))
 
     def write_csv(self, name, header, rows):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(c) for c in row))
-        self._write_bytes(name, ("\n".join(lines) + "\n").encode("ascii"))
+        """Write the header line and the rows, with one ``%`` over all cells.
+
+        ``rows`` is a 2-D ndarray or a list of equal-length rows.  List columns
+        of Python ints (bools included) are written with ``%d``, all others with
+        ``%.17g``, which round-trips floats and writes ints below 2**53 verbatim.
+        """
+        if hasattr(rows, "ravel"):
+            width = rows.shape[1]
+            cells = rows.ravel().tolist()
+            fmts = ["%.17g"] * width
+        else:
+            width = len(rows[0]) if rows else 0
+            if any(len(row) != width for row in rows):
+                raise ValueError(f"{name}: rows differ in length")
+            cells = [c for row in rows for c in row]
+            ints = [all(isinstance(c, int) for c in cells[j::width]) for j in range(width)]
+            fmts = ["%d" if is_int else "%.17g" for is_int in ints]
+        body = ((",".join(fmts) + "\n") * len(rows)) % tuple(cells)
+        self._write_bytes(name, (",".join(header) + "\n" + body).encode("ascii"))
 
     def write_json(self, name, obj):
         text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
@@ -387,8 +393,8 @@ def _raster(writer, solution, nx, nt):
     v = control_density(solution, X.ravel(), Tt.ravel())
     rows_phi = np.column_stack([X.ravel(), Tt.ravel(), phi])
     rows_v = np.column_stack([X.ravel(), Tt.ravel(), v])
-    writer.write_csv("phi.csv", ["x", "t", "phi"], rows_phi.tolist())
-    writer.write_csv("control.csv", ["x", "t", "v"], rows_v.tolist())
+    writer.write_csv("phi.csv", ["x", "t", "phi"], rows_phi)
+    writer.write_csv("control.csv", ["x", "t", "v"], rows_v)
 
 
 def _cmd_hum(config, writer, seed):

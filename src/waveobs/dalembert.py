@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_FORCING_BLOCK = 64  # time levels per forcing call: a whole-grid call is slower at m=512
 
 
 class PiecewiseInitialData:
@@ -290,7 +291,9 @@ def leapfrog_solve(m, T, y0, beta=None, forcing=None):
     beta : array_like, optional
         Cell averages of the initial velocity (length m); zero if omitted.
     forcing : callable, optional
-        f(x_nodes, t) -> array of values at the interior nodes' x array.
+        Elementwise f(x, t), called once per block of up to 64 time levels
+        with the interior nodes x of shape (1, m-1) and the block's times t
+        of shape (k, 1); the result must broadcast to shape (k, m-1).
 
     Returns
     -------
@@ -314,12 +317,15 @@ def leapfrog_solve(m, T, y0, beta=None, forcing=None):
     Y = np.zeros((M + 1, m + 1))
     Y[0] = y0
     Y[1, 1:m] = 0.5 * (y0[2:] + y0[:-2]) + (beta[:-1] + beta[1:]) / (2 * m)
-    if forcing is not None:
-        Y[1, 1:m] += 0.5 * dt * dt * np.asarray(forcing(xin, 0.0), dtype=float)
-    for k in range(1, M):
-        Y[k + 1, 1:m] = Y[k, 2:] + Y[k, :-2] - Y[k - 1, 1:m]
+    for k in range(M):
+        if k > 0:
+            Y[k + 1, 1:m] = Y[k, 2:] + Y[k, :-2] - Y[k - 1, 1:m]
         if forcing is not None:
-            Y[k + 1, 1:m] += dt * dt * np.asarray(forcing(xin, k * dt), dtype=float)
+            if k % _FORCING_BLOCK == 0:
+                t = np.arange(k, min(k + _FORCING_BLOCK, M))[:, None] * dt
+                f = forcing(xin[None, :], t)
+                f = np.broadcast_to(np.asarray(f, dtype=float), (len(t), m - 1))
+            Y[k + 1, 1:m] += (dt * dt if k > 0 else 0.5 * dt * dt) * f[k % _FORCING_BLOCK]
     return Y
 
 

@@ -321,13 +321,17 @@ class Cylinder:
 
 @dataclass
 class CurveTube:
-    """Moving domain {(x, t) : |x - gamma(t)| < delta0, 0 < t < T}."""
+    """Moving domain {(x, t) : |x - gamma(t)| < delta0, t_lo < t < t_hi}."""
 
     curve: Curve
     delta0: Fraction
+    t_lo: Fraction = field(default=Fraction(0))
+    t_hi: Fraction = None  # defaults to T
 
     def __post_init__(self):
         self.delta0 = _as_fraction(self.delta0)
+        self.t_lo = _as_fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else _as_fraction(self.t_hi)
         d0 = float(self.delta0)
         vals = self.curve.values
         if np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
@@ -337,19 +341,16 @@ class CurveTube:
     def T(self):
         return _as_fraction(self.curve.times[-1])
 
-    t_lo = property(lambda self: Fraction(0))
-    t_hi = property(lambda self: self.T)
-
     def is_empty(self):
-        return self.delta0 <= 0
+        return self.delta0 <= 0 or self.t_hi <= self.t_lo
 
     def contains(self, x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         return (
             (np.abs(x - self.curve(t)) < float(self.delta0))
-            & (t > 0.0)
-            & (t < float(self.T))
+            & (t > float(self.t_lo))
+            & (t < float(self.t_hi))
         )
 
 
@@ -611,29 +612,10 @@ def epsilon_interior(domain, eps):
         margin = float(domain.delta0) / (2.0 * math.sqrt(M * M + 1.0))
         if float(eps) > margin or T - 2 * eps <= 0:
             return empty
-        half = domain.delta0 / 2
-        inner = CurveTube(domain.curve, half)
-        return _TimeWindowed(inner, eps, T - eps)
+        return CurveTube(domain.curve, domain.delta0 / 2, t_lo=eps, t_hi=T - eps)
     if isinstance(domain, SquareUnion):
         return ErodedDomain(domain, eps)
     raise TypeError(f"unsupported domain type {type(domain).__name__}")
-
-
-class _TimeWindowed:
-    """A domain restricted to a time window (used by tube interiors)."""
-
-    def __init__(self, base, t_lo, t_hi):
-        self.base = base
-        self.t_lo = _as_fraction(t_lo)
-        self.t_hi = _as_fraction(t_hi)
-        self.T = base.T
-
-    def is_empty(self):
-        return self.base.is_empty() or self.t_hi <= self.t_lo
-
-    def contains(self, x, t):
-        t = np.asarray(t, dtype=float)
-        return self.base.contains(x, t) & (t > float(self.t_lo)) & (t < float(self.t_hi))
 
 
 def goc_check(domain, starts=1024, step=None):

@@ -390,7 +390,8 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), grid_m=None):
     Solves y_tt = y_xx + phi*chi with the unit-CFL scheme on grid_m cells
     (a multiple of the control level; default four times) and reports the
     terminal-to-initial energy ratio sqrt(E(T)/E(0)).  Zero data gives
-    ratio 0 by convention.
+    ratio 0 by convention.  The forcing is the control density, evaluated
+    once per block of time levels (see :func:`leapfrog_solve`).
     """
     L = solution.level
     m = int(grid_m) if grid_m is not None else 4 * L

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import waveobs
-from waveobs.cli import main
+from waveobs.cli import ArtifactWriter, main
 
 from conftest import CHEVRON_SQUARES
 
@@ -44,6 +44,57 @@ def read_json(path):
 
 def csv_lines(path):
     return path.read_text().strip().split("\n")
+
+
+# ------------------------------------------------------------------- writer
+
+
+def _fmt(x):
+    """One CSV cell: ints verbatim, floats at 17 significant digits."""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
+    return "%.17g" % float(x)
+
+
+def _oracle_csv(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(c) for c in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]
+CSV_CASES = {
+    "mixed_python": [[0, True, 0.1], [7, False, -2.5], [10**20, True, 1.0]],
+    "numpy_scalars": [[np.int64(3), np.float64(0.1)], [np.int64(-9), np.float64(1 / 3)]],
+    "specials": [SPECIALS, SPECIALS[::-1]],
+    "float_ndarray": np.column_stack(
+        [np.linspace(0, 1, 7), np.linspace(0, 2, 7) ** 3, np.r_[SPECIALS, 0.2]]
+    ),
+    "int_ndarray": np.arange(12).reshape(4, 3) - 5,
+    "ndarray_row": [np.array([0.0, 1.0, 4.000000000000001, 1e-17])],
+    "empty_list": [],
+    "empty_ndarray": np.empty((0, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_write_csv_matches_per_cell_oracle(tmp_path, case):
+    rows = CSV_CASES[case]
+    width = len(rows[0]) if len(rows) else 3
+    header = [f"c{k}" for k in range(width)]
+    ArtifactWriter(str(tmp_path)).write_csv("t.csv", header, rows)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == _oracle_csv(header, rows)
+    if not len(rows):
+        assert data == b"c0,c1,c2\n"
+
+
+def test_write_csv_rejects_ragged_rows(tmp_path):
+    with pytest.raises(ValueError, match="rows differ in length"):
+        ArtifactWriter(str(tmp_path)).write_csv("t.csv", ["a", "b"], [[1, 2], [3]])
 
 
 # --------------------------------------------------------------- golden runs

@@ -414,6 +414,23 @@ def test_epsilon_interior_is_contained_and_covered(rng):
             assert domain.contains(float(cx), tt)
 
 
+@pytest.mark.parametrize("moving", [False, True])
+def test_tube_interior_cover_lies_in_the_tube_cover_and_window(moving):
+    times = np.linspace(0.0, 2.0, 33)
+    values = 0.5 + (0.05 * np.sin(np.pi * times) if moving else 0.0 * times)
+    tube = CurveTube(curve=Curve(times, values), delta0=0.15)
+    eps = Fraction(1, 20)
+    inner = epsilon_interior(tube, eps)
+    assert (inner.t_lo, inner.t_hi) == (eps, tube.T - eps)
+    n = 16
+    cover = squares_in_domain(inner, n)
+    assert cover and cover <= squares_in_domain(tube, n)
+    assert cover == _oracle_cover(inner, n)
+    for ij in cover:
+        ts = [ct for _, ct in square_corners(ij, n)]  # the closed square's times
+        assert eps <= min(ts) and max(ts) <= tube.T - eps, ij
+
+
 def test_epsilon_interior_empty_when_eps_large():
     inner = epsilon_interior(Cylinder(x0=0.5, delta0=0.1, T=1), 0.3)
     assert inner.is_empty()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from waveobs.dalembert import eval_phi
+from waveobs.dalembert import eval_phi, leapfrog_solve
 from waveobs.grid import SquareUnion, squares_in_time_slab
 from waveobs.hum import (
     HumSolution,
@@ -313,6 +313,39 @@ def test_terminal_ratio_decreases_with_level():
         ratios.append(forward_verify(sol, EX1.y0)["ratio"])
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 0.1
+
+
+def _per_step_leapfrog(m, T, y0, beta, forcing):
+    """Reference scheme: the forcing evaluated once per time step."""
+    M = round(T * m)
+    dt = 1.0 / m
+    xin = np.arange(1, m) / m
+    Y = np.zeros((M + 1, m + 1))
+    Y[0] = y0
+    Y[1, 1:m] = 0.5 * (y0[2:] + y0[:-2]) + (beta[:-1] + beta[1:]) / (2 * m)
+    Y[1, 1:m] += 0.5 * dt * dt * np.asarray(forcing(xin, 0.0), dtype=float)
+    for k in range(1, M):
+        Y[k + 1, 1:m] = Y[k, 2:] + Y[k, :-2] - Y[k - 1, 1:m]
+        Y[k + 1, 1:m] += dt * dt * np.asarray(forcing(xin, k * dt), dtype=float)
+    return Y
+
+
+def test_blocked_forcing_is_bitwise_per_step_forcing(chevron, rng):
+    tube = hum_control(SmoothedTube.around(0.25, 2.0, 0.15), 8, EX1.y0)
+    sharp = hum_control(IndicatorRegion(chevron), 8, EX1.y0)
+    forcings = {
+        "tube": lambda x, t: control_density(tube, x, t),
+        "chevron": lambda x, t: control_density(sharp, x, t),
+        "scalar": lambda x, t: 0.75,
+    }
+    # M = 2m time steps: below the 64-step block, not a multiple of it, two blocks
+    for m in (16, 40, 64):
+        y0 = np.r_[0.0, rng.standard_normal(m - 1), 0.0]
+        beta = rng.standard_normal(m)
+        for name, forcing in forcings.items():
+            Y = leapfrog_solve(m, 2.0, y0, beta, forcing)
+            assert np.array_equal(Y, _per_step_leapfrog(m, 2.0, y0, beta, forcing)), (name, m)
+            assert np.any(Y != leapfrog_solve(m, 2.0, y0, beta)), (name, m)
 
 
 def test_forward_grid_validation():
