@@ -18,16 +18,6 @@ import sys
 
 log = logging.getLogger("waveobs")
 
-COMMANDS = (
-    "graph-cobs",
-    "spectrum",
-    "hum",
-    "optimize",
-    "sweep",
-    "power-cobs",
-    "verify",
-)
-
 _SNAP_TOL = 1e-10  # printing only: eigenvalue-derived scalars snap to integers
 
 
@@ -132,6 +122,14 @@ class ArtifactWriter:
 
 # ---------------------------------------------------------------------------
 # config handling
+#
+# Each command's keys are declared once, in COMMAND_TABLE, as (default, kind).
+# A kind (type, positive) takes a JSON number, not a boolean, integral for int,
+# > 0 or >= 0; None leaves the value to the handler.  Only a key whose default
+# is None may be null, meaning "derive it".
+
+_POS_INT, _INT_GE0 = (int, True), (int, False)
+_POS_NUM, _NUM_GE0 = (float, True), (float, False)
 
 
 def _load_config(path):
@@ -149,41 +147,43 @@ def _load_config(path):
     return doc
 
 
-def _merge_config(command, defaults, given):
-    config = dict(defaults)
-    for key, value in given.items():
-        if key == "command":
-            if value != command:
-                raise UsageError(
-                    f"config is for command {value!r}, invoked as {command!r}"
-                )
-            continue
-        if key not in defaults:
-            raise UsageError(f"unknown config key for {command}: {key!r}")
-        config[key] = value
-    return config
+def _integral(value):
+    """True for a JSON integer, or a number with no fractional part such as 8.0."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
-def _positive(config, key, type_=float):
-    value = config[key]
-    try:
-        value = type_(value)
-    except (TypeError, ValueError):
+def _coerce(key, value, kind):
+    """The value of one config key, typed by its kind, or a UsageError naming the key."""
+    if kind is None:
+        return value
+    type_, positive = kind
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"config key {key!r} must be a number, got {value!r}")
-    if not value > 0:
+    if type_ is int and not _integral(value):
+        raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    value = type_(value)
+    if positive and not value > 0:
         raise UsageError(f"config key {key!r} must be positive, got {value!r}")
-    return value
-
-
-def _nonnegative(config, key, type_=float):
-    value = config[key]
-    try:
-        value = type_(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"config key {key!r} must be a number, got {value!r}")
-    if value < 0:
+    if not value >= 0:
         raise UsageError(f"config key {key!r} must be >= 0, got {value!r}")
     return value
+
+
+def _config(command, given):
+    """The command's full config: given keys checked and typed, defaults filled in."""
+    keys = COMMAND_TABLE[command][1]
+    if given.get("command", command) != command:
+        raise UsageError(f"config is for command {given['command']!r}, invoked as {command!r}")
+    unknown = [key for key in given if key not in keys and key != "command"]
+    if unknown:
+        raise UsageError(f"unknown config key for {command}: {unknown[0]!r}")
+    config = {}
+    for key, (default, kind) in keys.items():
+        value = given.get(key, default)
+        config[key] = value if value is None and default is None else _coerce(key, value, kind)
+    return config
 
 
 def _fixture_doc(name):
@@ -219,27 +219,28 @@ def _resolve_domain(spec):
 
 
 def _resolve_data(config):
-    """Initial data (y0, y1, breakpoints, preset) from a config."""
+    """Initial data as a ``ControlPreset`` (default ex1), with the config's ``T`` if given."""
     from waveobs.presets import get_preset
 
-    preset_name = config.get("preset")
-    data = config.get("data")
-    if preset_name is not None and data is not None:
+    if config["preset"] is not None and config["data"] is not None:
         raise UsageError("give either 'preset' or 'data', not both")
-    if data is not None:
-        return _custom_data(data)
-    if preset_name is None:
-        preset_name = "ex1"
-    try:
-        preset = get_preset(preset_name)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-    return preset.y0, preset.y1, preset.data_breakpoints(), preset.name
+    if config["data"] is not None:
+        data = _custom_data(config["data"])
+    else:
+        try:
+            data = get_preset("ex1" if config["preset"] is None else config["preset"])
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    if config["T"] is not None:
+        data.T = config["T"]
+    return data
 
 
 def _custom_data(data):
     """Piecewise data from node/cell arrays: y0 affine on nodes, y1 constant per cell."""
     import numpy as np
+
+    from waveobs.presets import ControlPreset
 
     if not isinstance(data, dict) or "y0_nodes" not in data:
         raise UsageError("custom data needs a 'y0_nodes' array")
@@ -266,16 +267,15 @@ def _custom_data(data):
             idx = np.clip((np.asarray(x, dtype=float) * m).astype(int), 0, m - 1)
             return y1_cells[idx]
 
-    breakpoints = tuple(nodes[1:-1])
-    return y0, y1, breakpoints, "custom"
+    return ControlPreset("custom", y0, y1, tuple(nodes[1:-1]), x0_init=None)
 
 
-def _resolve_region(config, T, curve_nodes=128):
+def _resolve_region(config, T):
     """Observation region from a config 'domain' entry (weighted or sharp)."""
     from waveobs.grid import Cylinder, CurveTube, SquareUnion
     from waveobs.hum import IndicatorRegion, SmoothedTube, WeightProfile
 
-    spec = config.get("domain")
+    spec = config["domain"]
     if spec is None:
         spec = {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": T}
     domain = _resolve_domain(spec)
@@ -283,7 +283,7 @@ def _resolve_region(config, T, curve_nodes=128):
         raise UsageError(
             f"domain horizon T={float(domain.T)} does not match config T={float(T)}"
         )
-    delta = config.get("delta")
+    delta = config["delta"]
     if isinstance(domain, SquareUnion):
         return IndicatorRegion(domain)
     if isinstance(domain, Cylinder):
@@ -292,7 +292,7 @@ def _resolve_region(config, T, curve_nodes=128):
             float(domain.T),
             float(domain.delta0),
             delta,
-            n_nodes=curve_nodes,
+            n_nodes=config["curve_nodes"],
         )
     if isinstance(domain, CurveTube):
         return SmoothedTube(domain.curve, WeightProfile(float(domain.delta0), delta))
@@ -303,17 +303,18 @@ def _resolve_region(config, T, curve_nodes=128):
 # command handlers
 
 
-def _cmd_graph_cobs(config, writer, seed):
+def _graph_constant(config):
+    """Graph observability constant of the config's domain at 'level' or 'eps'."""
     from waveobs.graph import observability_constant_graph
 
-    defaults = {"domain": {"fixture": "chevron_l4"}, "level": None, "eps": None}
-    config = _merge_config("graph-cobs", defaults, config)
     if config["level"] is not None and config["eps"] is not None:
         raise UsageError("give either 'level' or 'eps', not both")
-    level = int(_positive(config, "level", int)) if config["level"] is not None else None
-    eps = _positive(config, "eps") if config["eps"] is not None else None
     domain = _resolve_domain(config["domain"])
-    gc = observability_constant_graph(domain, eps=eps, level=level)
+    return observability_constant_graph(domain, eps=config["eps"], level=config["level"])
+
+
+def _cmd_graph_cobs(config, writer, seed):
+    gc = _graph_constant(config)
     result = {
         "c_obs": _snap(gc.c_obs),
         "lambda": _snap(gc.lam),
@@ -328,27 +329,10 @@ def _cmd_graph_cobs(config, writer, seed):
 
 
 def _cmd_spectrum(config, writer, seed):
-    from waveobs.graph import (
-        laplacian,
-        observability_constant_graph,
-        refined_laplacian,
-        spectrum,
-        vertex_position,
-    )
+    from waveobs.graph import laplacian, refined_laplacian, spectrum, vertex_position
 
-    defaults = {
-        "domain": {"fixture": "chevron_l4"},
-        "level": None,
-        "eps": None,
-        "refine": 1,
-    }
-    config = _merge_config("spectrum", defaults, config)
-    level = int(_positive(config, "level", int)) if config["level"] is not None else None
-    eps = _positive(config, "eps") if config["eps"] is not None else None
-    p = int(_positive(config, "refine", int))
-    domain = _resolve_domain(config["domain"])
-    gc = observability_constant_graph(domain, eps=eps, level=level)
-    n = gc.n
+    gc = _graph_constant(config)
+    n, p = gc.n, config["refine"]
     base = laplacian(gc.graph)
     if p == 1:
         matrix = base
@@ -400,41 +384,14 @@ def _raster(writer, solution, nx, nt):
 def _cmd_hum(config, writer, seed):
     from waveobs.hum import forward_verify, hum_control
 
-    defaults = {
-        "preset": None,
-        "data": None,
-        "domain": None,
-        "T": None,
-        "level": 64,
-        "quad": 4,
-        "grid_m": None,
-        "curve_nodes": 128,
-        "delta": None,
-        "raster_nx": None,
-        "raster_nt": None,
-    }
-    config = _merge_config("hum", defaults, config)
-    level = int(_positive(config, "level", int))
-    quad = int(_positive(config, "quad", int))
-    curve_nodes = int(_positive(config, "curve_nodes", int))
-    y0, y1, breakpoints, data_name = _resolve_data(config)
-    T = float(config["T"]) if config["T"] is not None else 2.0
-    region = _resolve_region(config, T, curve_nodes)
-    solution = hum_control(region, level, y0, y1, breakpoints, quad=quad)
-    grid_m = (
-        int(_positive(config, "grid_m", int)) if config["grid_m"] is not None else None
-    )
-    check = forward_verify(solution, y0, y1, breakpoints, grid_m)
-    nx = (
-        int(_positive(config, "raster_nx", int))
-        if config["raster_nx"] is not None
-        else level + 1
-    )
-    nt = (
-        int(_positive(config, "raster_nt", int))
-        if config["raster_nt"] is not None
-        else int(round(T * level)) + 1
-    )
+    level = config["level"]
+    data = _resolve_data(config)
+    breakpoints = data.data_breakpoints()
+    region = _resolve_region(config, data.T)
+    solution = hum_control(region, level, data.y0, data.y1, breakpoints, quad=config["quad"])
+    check = forward_verify(solution, data.y0, data.y1, breakpoints, config["grid_m"])
+    nx = config["raster_nx"] or level + 1
+    nt = config["raster_nt"] or int(round(data.T * level)) + 1
     _raster(writer, solution, nx, nt)
     result = {
         "cost": solution.cost,
@@ -443,8 +400,8 @@ def _cmd_hum(config, writer, seed):
         "energy_initial": check["energy_initial"],
         "energy_terminal": check["energy_terminal"],
         "level": level,
-        "T": T,
-        "data": data_name,
+        "T": data.T,
+        "data": data.name,
     }
     writer.write_json("result.json", result)
     return result
@@ -480,71 +437,58 @@ def _snapshot_indices(count, limit=12):
     return idx
 
 
+def _sweep(writer, config, data, x0s):
+    """Control cost of the cylinders centred at ``x0s``, written to sweep.csv."""
+    import numpy as np
+
+    from waveobs.shape import cylindrical_sweep
+
+    sweep = cylindrical_sweep(
+        data.y0,
+        config["delta0"],
+        config["level"],
+        data.T,
+        y1=data.y1,
+        breakpoints=data.data_breakpoints(),
+        delta=config["delta"],
+        x0s=x0s,
+        n_nodes=config["curve_nodes"],
+    )
+    writer.write_csv(
+        "sweep.csv", ["x0", "J"], np.column_stack([sweep.x0s, sweep.costs])
+    )
+    return sweep
+
+
 def _cmd_optimize(config, writer, seed):
     import numpy as np
 
-    from waveobs.presets import get_preset
-    from waveobs.shape import cylindrical_sweep, optimize, performance_index
+    from waveobs.shape import optimize, performance_index
 
-    defaults = {
-        "preset": None,
-        "data": None,
-        "T": None,
-        "eps_reg": None,
-        "rho": None,
-        "curve_nodes": 128,
-        "level": 64,
-        "gamma0": None,
-        "max_iters": 500,
-        "delta0": 0.15,
-        "delta": None,
-        "patience": 10,
-        "stop_tol": 1e-3,
-        "sweep_count": 13,
-    }
-    config = _merge_config("optimize", defaults, config)
-    if config["preset"] is None and config["data"] is None:
-        config["preset"] = "ex1"
-    y0, y1, breakpoints, data_name = _resolve_data(config)
-    preset = get_preset(config["preset"]) if config["preset"] is not None else None
-    T = float(config["T"]) if config["T"] is not None else (preset.T if preset else 2.0)
-    eps = (
-        float(_nonnegative(config, "eps_reg"))
-        if config["eps_reg"] is not None
-        else (preset.eps if preset else 1e-2)
-    )
-    rho = (
-        _positive(config, "rho")
-        if config["rho"] is not None
-        else (preset.rho if preset else 1e-4)
-    )
-    level = int(_positive(config, "level", int))
-    curve_nodes = int(_positive(config, "curve_nodes", int))
-    max_iters = int(_positive(config, "max_iters", int))
-    delta0 = _positive(config, "delta0")
-    patience = int(_positive(config, "patience", int))
-    stop_tol = _positive(config, "stop_tol")
-    sweep_count = int(_positive(config, "sweep_count", int))
+    data = _resolve_data(config)
+    T = data.T
+    eps = data.eps if config["eps_reg"] is None else config["eps_reg"]
+    rho = data.rho if config["rho"] is None else config["rho"]
     gamma0_spec = config["gamma0"]
-    if gamma0_spec is None and preset is not None:
-        gamma0_spec = {"constant": preset.x0_init}
-    curve0 = _gamma0_curve(gamma0_spec, T, curve_nodes)
+    if gamma0_spec is None and data.x0_init is not None:
+        gamma0_spec = {"constant": data.x0_init}
+    curve0 = _gamma0_curve(gamma0_spec, T, config["curve_nodes"])
     if abs(curve0.T - T) > 1e-12:
         raise UsageError(f"gamma0 horizon {curve0.T} does not match T={T}")
 
     trace = optimize(
-        y0,
+        data.y0,
         curve0,
-        delta0,
-        level,
-        y1=y1,
-        breakpoints=breakpoints,
+        config["delta0"],
+        config["level"],
+        y1=data.y1,
+        breakpoints=data.data_breakpoints(),
         delta=config["delta"],
         rho=rho,
         eps=eps,
-        max_iters=max_iters,
-        patience=patience,
-        tol=stop_tol,
+        max_iters=config["max_iters"],
+        patience=config["patience"],
+        tol=config["stop_tol"],
     )
 
     costs = trace.costs
@@ -568,28 +512,15 @@ def _cmd_optimize(config, writer, seed):
         "curve_final.csv", ["t", "value"], np.column_stack([final.times, final.values])
     )
 
-    sweep = cylindrical_sweep(
-        y0,
-        delta0,
-        level,
-        T,
-        y1=y1,
-        breakpoints=breakpoints,
-        delta=config["delta"],
-        x0s=np.linspace(0.2, 0.8, sweep_count),
-        n_nodes=curve_nodes,
-    )
-    writer.write_csv(
-        "sweep.csv", ["x0", "J"], np.column_stack([sweep.x0s, sweep.costs])
-    )
+    sweep = _sweep(writer, config, data, np.linspace(0.2, 0.8, config["sweep_count"]))
     j_opt = float(costs[-1])
     result = {
-        "data": data_name,
+        "data": data.name,
         "T": T,
         "eps_reg": eps,
         "rho": rho,
-        "level": level,
-        "curve_nodes": curve_nodes,
+        "level": config["level"],
+        "curve_nodes": config["curve_nodes"],
         "iterations": trace.iterations,
         "converged": trace.converged,
         "J0": float(costs[0]),
@@ -609,48 +540,15 @@ def _cmd_optimize(config, writer, seed):
 def _cmd_sweep(config, writer, seed):
     import numpy as np
 
-    from waveobs.shape import cylindrical_sweep
-
-    defaults = {
-        "preset": None,
-        "data": None,
-        "T": None,
-        "level": 64,
-        "curve_nodes": 128,
-        "delta0": 0.15,
-        "delta": None,
-        "x0_min": 0.2,
-        "x0_max": 0.8,
-        "count": 13,
-    }
-    config = _merge_config("sweep", defaults, config)
-    y0, y1, breakpoints, data_name = _resolve_data(config)
-    T = float(config["T"]) if config["T"] is not None else 2.0
-    level = int(_positive(config, "level", int))
-    curve_nodes = int(_positive(config, "curve_nodes", int))
-    delta0 = _positive(config, "delta0")
-    count = int(_positive(config, "count", int))
-    x0_min, x0_max = float(config["x0_min"]), float(config["x0_max"])
+    data = _resolve_data(config)
+    x0_min, x0_max = config["x0_min"], config["x0_max"]
     if not 0.0 < x0_min <= x0_max < 1.0:
         raise UsageError("need 0 < x0_min <= x0_max < 1")
-    sweep = cylindrical_sweep(
-        y0,
-        delta0,
-        level,
-        T,
-        y1=y1,
-        breakpoints=breakpoints,
-        delta=config["delta"],
-        x0s=np.linspace(x0_min, x0_max, count),
-        n_nodes=curve_nodes,
-    )
-    writer.write_csv(
-        "sweep.csv", ["x0", "J"], np.column_stack([sweep.x0s, sweep.costs])
-    )
+    sweep = _sweep(writer, config, data, np.linspace(x0_min, x0_max, config["count"]))
     result = {
-        "data": data_name,
-        "T": T,
-        "level": level,
+        "data": data.name,
+        "T": data.T,
+        "level": config["level"],
         "best_x0": sweep.best_x0,
         "best_J": sweep.best_cost,
         "worst_x0": sweep.worst_x0,
@@ -665,18 +563,8 @@ def _cmd_power_cobs(config, writer, seed):
 
     from waveobs.power import power_iterate
 
-    defaults = {
-        "domain": {"fixture": "chevron_l4"},
-        "level": 64,
-        "tol": 1e-4,
-        "max_iters": 50,
-    }
-    config = _merge_config("power-cobs", defaults, config)
-    level = int(_positive(config, "level", int))
-    tol = _positive(config, "tol")
-    max_iters = int(_positive(config, "max_iters", int))
     domain = _resolve_domain(config["domain"])
-    res = power_iterate(domain, level, tol=tol, max_iters=max_iters)
+    res = power_iterate(domain, config["level"], tol=config["tol"], max_iters=config["max_iters"])
     writer.write_csv(
         "estimates.csv",
         ["k", "estimate"],
@@ -693,7 +581,7 @@ def _cmd_power_cobs(config, writer, seed):
         "constant": res.constant,
         "iterations": res.iterations,
         "converged": res.converged,
-        "level": level,
+        "level": config["level"],
     }
     writer.write_json("result.json", result)
     return result
@@ -705,38 +593,22 @@ def _cmd_verify(config, writer, seed):
     from waveobs.grid import SquareUnion
     from waveobs.hum import forward_verify, hum_control
 
-    defaults = {
-        "preset": None,
-        "data": None,
-        "domain": None,
-        "T": None,
-        "levels": [32, 64],
-        "grid_factor": 4,
-        "quad": 4,
-        "curve_nodes": 128,
-        "delta": None,
-        "obs_samples": 0,
-    }
-    config = _merge_config("verify", defaults, config)
     levels = config["levels"]
-    if not isinstance(levels, (list, tuple)) or not levels:
+    if not isinstance(levels, (list, tuple)) or not levels or not all(map(_integral, levels)):
         raise UsageError("'levels' must be a nonempty array of integers")
     levels = [int(v) for v in levels]
     if any(v < 1 for v in levels):
         raise UsageError("'levels' must be positive")
-    grid_factor = int(_positive(config, "grid_factor", int))
-    quad = int(_positive(config, "quad", int))
-    curve_nodes = int(_positive(config, "curve_nodes", int))
-    obs_samples = int(_nonnegative(config, "obs_samples", int))
-    y0, y1, breakpoints, data_name = _resolve_data(config)
-    T = float(config["T"]) if config["T"] is not None else 2.0
-    region = _resolve_region(config, T, curve_nodes)
+    grid_factor, obs_samples = config["grid_factor"], config["obs_samples"]
+    data = _resolve_data(config)
+    breakpoints = data.data_breakpoints()
+    region = _resolve_region(config, data.T)
 
     rows = []
     ratios = []
     for level in levels:
-        solution = hum_control(region, level, y0, y1, breakpoints, quad=quad)
-        check = forward_verify(solution, y0, y1, breakpoints, grid_factor * level)
+        solution = hum_control(region, level, data.y0, data.y1, breakpoints, quad=config["quad"])
+        check = forward_verify(solution, data.y0, data.y1, breakpoints, grid_factor * level)
         rows.append(
             [
                 level,
@@ -753,8 +625,8 @@ def _cmd_verify(config, writer, seed):
         rows,
     )
     result = {
-        "data": data_name,
-        "T": T,
+        "data": data.name,
+        "T": data.T,
         "levels": levels,
         "ratios": ratios,
         "decreasing": all(b < a for a, b in zip(ratios, ratios[1:])),
@@ -765,7 +637,7 @@ def _cmd_verify(config, writer, seed):
         from waveobs.graph import observability_constant_graph
         from waveobs.testing import random_initial_data
 
-        spec = config.get("domain")
+        spec = config["domain"]
         domain = _resolve_domain(spec) if spec is not None else None
         if not isinstance(domain, SquareUnion):
             raise UsageError("'obs_samples' needs a square_union domain")
@@ -773,8 +645,8 @@ def _cmd_verify(config, writer, seed):
         rng = np.random.default_rng(seed)
         violations = 0
         for _ in range(obs_samples):
-            data = random_initial_data(rng, domain.level)
-            out = check_discrete_observability(data, gc.squares, gc.n, gc.c_obs)
+            sample = random_initial_data(rng, domain.level)
+            out = check_discrete_observability(sample, gc.squares, gc.n, gc.c_obs)
             violations += 0 if out["holds"] else 1
         result["obs_samples"] = obs_samples
         result["obs_violations"] = violations
@@ -783,14 +655,41 @@ def _cmd_verify(config, writer, seed):
     return result
 
 
-_HANDLERS = {
-    "graph-cobs": _cmd_graph_cobs,
-    "spectrum": _cmd_spectrum,
-    "hum": _cmd_hum,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "power-cobs": _cmd_power_cobs,
-    "verify": _cmd_verify,
+# ---------------------------------------------------------------------------
+# the command table: handler and config keys, key -> (default, kind)
+
+_CHEVRON = {"fixture": "chevron_l4"}
+_GRAPH_KEYS = {"domain": (_CHEVRON, None), "level": (None, _POS_INT), "eps": (None, _POS_NUM)}
+_DATA_KEYS = {"preset": (None, None), "data": (None, None), "T": (None, _POS_NUM)}
+
+COMMAND_TABLE = {
+    "graph-cobs": (_cmd_graph_cobs, _GRAPH_KEYS),
+    "spectrum": (_cmd_spectrum, {**_GRAPH_KEYS, "refine": (1, _POS_INT)}),
+    "hum": (_cmd_hum, {
+        **_DATA_KEYS, "domain": (None, None), "level": (64, _POS_INT), "quad": (4, _POS_INT),
+        "grid_m": (None, _POS_INT), "curve_nodes": (128, _POS_INT), "delta": (None, None),
+        "raster_nx": (None, _POS_INT), "raster_nt": (None, _POS_INT),
+    }),
+    "optimize": (_cmd_optimize, {
+        **_DATA_KEYS, "eps_reg": (None, _NUM_GE0), "rho": (None, _POS_NUM),
+        "curve_nodes": (128, _POS_INT), "level": (64, _POS_INT), "gamma0": (None, None),
+        "max_iters": (500, _POS_INT), "delta0": (0.15, _POS_NUM), "delta": (None, None),
+        "patience": (10, _POS_INT), "stop_tol": (1e-3, _POS_NUM), "sweep_count": (13, _POS_INT),
+    }),
+    "sweep": (_cmd_sweep, {
+        **_DATA_KEYS, "level": (64, _POS_INT), "curve_nodes": (128, _POS_INT),
+        "delta0": (0.15, _POS_NUM), "delta": (None, None),
+        "x0_min": (0.2, _POS_NUM), "x0_max": (0.8, _POS_NUM), "count": (13, _POS_INT),
+    }),
+    "power-cobs": (_cmd_power_cobs, {
+        "domain": (_CHEVRON, None), "level": (64, _POS_INT),
+        "tol": (1e-4, _POS_NUM), "max_iters": (50, _POS_INT),
+    }),
+    "verify": (_cmd_verify, {
+        **_DATA_KEYS, "domain": (None, None), "levels": ([32, 64], None),
+        "grid_factor": (4, _POS_INT), "quad": (4, _POS_INT), "curve_nodes": (128, _POS_INT),
+        "delta": (None, None), "obs_samples": (0, _INT_GE0),
+    }),
 }
 
 
@@ -829,7 +728,7 @@ def _build_parser():
             "optimization for the 1-d wave equation on moving domains."
         ),
     )
-    parser.add_argument("command", choices=COMMANDS, help="subcommand to run")
+    parser.add_argument("command", choices=list(COMMAND_TABLE), help="subcommand to run")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument(
         "--out", metavar="DIR", default="waveobs-out", help="artifact directory"
@@ -855,8 +754,8 @@ def main(argv=None):
 
     writer = ArtifactWriter(args.out)
     try:
-        config = _load_config(args.config)
-        result = _HANDLERS[args.command](config, writer, args.seed)
+        config = _config(args.command, _load_config(args.config))
+        result = COMMAND_TABLE[args.command][0](config, writer, args.seed)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except Exception as exc:  # computational failure -> structured error

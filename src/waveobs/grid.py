@@ -655,23 +655,27 @@ def goc_check(domain, starts=1024, step=None):
 
 
 def domain_to_json(domain):
-    """Serialize a domain to the documented JSON dict."""
+    """Serialize a domain to the documented JSON dict.
+
+    The time window is written as ``t_lo``/``t_hi`` only where it differs from
+    (0, T), so full-window documents carry no window keys.
+    """
     if isinstance(domain, SquareUnion):
-        return {
+        doc = {
             "type": "square_union",
             "T": _num(domain.T),
             "level": domain.level,
             "squares": [list(ij) for ij in sorted(domain.squares)],
         }
-    if isinstance(domain, Cylinder):
-        return {
+    elif isinstance(domain, Cylinder):
+        doc = {
             "type": "cylinder",
             "T": _num(domain.T),
             "x0": _num(domain.x0),
             "delta0": _num(domain.delta0),
         }
-    if isinstance(domain, CurveTube):
-        return {
+    elif isinstance(domain, CurveTube):
+        doc = {
             "type": "curve_tube",
             "T": domain.curve.T,
             "delta0": _num(domain.delta0),
@@ -680,7 +684,13 @@ def domain_to_json(domain):
                 "values": [float(v) for v in domain.curve.values],
             },
         }
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
+    else:
+        raise TypeError(f"unsupported domain type {type(domain).__name__}")
+    if domain.t_lo != 0:
+        doc["t_lo"] = _num(domain.t_lo)
+    if domain.t_hi != domain.T:
+        doc["t_hi"] = _num(domain.t_hi)
+    return doc
 
 
 def _num(fr):
@@ -689,24 +699,30 @@ def _num(fr):
 
 
 def domain_from_json(doc):
-    """Build a domain from its JSON dict (see :func:`domain_to_json`)."""
+    """Build a domain from its JSON dict (see :func:`domain_to_json`).
+
+    The optional ``t_lo``/``t_hi`` keys give the time window (default (0, T)).
+    """
     try:
         kind = doc["type"]
     except (TypeError, KeyError):
         raise ValueError("domain document must be an object with a 'type' key")
+    window = {key: doc[key] for key in ("t_lo", "t_hi") if key in doc}
     if kind == "square_union":
         return SquareUnion(
             level=int(doc["level"]),
             squares=frozenset(tuple(ij) for ij in doc["squares"]),
             T=_as_fraction(doc["T"]),
+            **window,
         )
     if kind == "cylinder":
         return Cylinder(
             x0=_as_fraction(doc["x0"]),
             delta0=_as_fraction(doc["delta0"]),
             T=_as_fraction(doc["T"]),
+            **window,
         )
     if kind == "curve_tube":
         curve = Curve(doc["curve"]["times"], doc["curve"]["values"])
-        return CurveTube(curve=curve, delta0=_as_fraction(doc["delta0"]))
+        return CurveTube(curve=curve, delta0=_as_fraction(doc["delta0"]), **window)
     raise ValueError(f"unknown domain type {kind!r}")

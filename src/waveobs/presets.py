@@ -25,7 +25,9 @@ class ControlPreset:
     T: float = 2.0
     eps: float = 1e-2  # curve-smoothing weight in the regularized cost
     rho: float = 1e-4  # descent step
-    x0_init: float = 0.5  # center of the initial (constant) support curve
+    # center of the initial (constant) support curve; None means there is no
+    # default start, so `optimize` on custom data needs a `gamma0`
+    x0_init: float = 0.5
     description: str = ""
 
     def data_breakpoints(self):

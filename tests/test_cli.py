@@ -335,6 +335,63 @@ def test_config_command_mismatch_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# (command, config, the part of the stderr message that names the key)
+BAD_CONFIGS = [
+    ("hum", {"level": 8.7}, "key 'level' must be an integer"),
+    ("hum", {"level": True}, "key 'level' must be a number"),
+    ("verify", {"levels": [8.5, 16]}, "'levels' must be a nonempty array of integers"),
+    ("hum", {"T": 0}, "key 'T' must be positive"),
+    ("hum", {"T": -1}, "key 'T' must be positive"),
+    ("hum", {"T": "abc"}, "key 'T' must be a number"),
+    ("sweep", {"x0_min": "a"}, "key 'x0_min' must be a number"),
+    ("verify", {"levels": ["a"]}, "'levels' must be a nonempty array of integers"),
+    ("hum", {"preset": "ex9"}, "unknown preset 'ex9'"),
+    ("spectrum", {"level": 8, "eps": 0.25}, "either 'level' or 'eps'"),
+    ("hum", {"level": "8"}, "key 'level' must be a number"),
+    ("hum", {"level": None}, "key 'level' must be a number"),
+    ("hum", {"raster_nx": 0}, "key 'raster_nx' must be positive"),
+    ("optimize", {"eps_reg": -1}, "key 'eps_reg' must be >= 0"),
+    ("power-cobs", {"tol": "x"}, "key 'tol' must be a number"),
+    ("spectrum", {"refine": 0}, "key 'refine' must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,config,message",
+    BAD_CONFIGS,
+    ids=[f"{command}-{json.dumps(config)}" for command, config, _ in BAD_CONFIGS],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, message):
+    with pytest.raises(SystemExit) as err:
+        run_cli(tmp_path, command, config)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_level_is_the_integer_level(tmp_path):
+    manifests = []
+    for level in (8, 8.0):
+        code, out = run_cli(tmp_path, "hum", {"level": level}, out_name=f"L{level!r}")
+        assert code == 0
+        assert read_json(out / "result.json")["level"] == 8
+        manifests.append(json.loads((out / "manifest.json").read_text())["files"])
+    assert manifests[0] == manifests[1]
+
+
+def test_readme_documents_every_config_key():
+    from waveobs.cli import COMMAND_TABLE
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    missing = {
+        f"{command}.{key}"
+        for command, (_, keys) in COMMAND_TABLE.items()
+        for key in keys
+        if f"`{key}`" not in readme
+    }
+    assert not missing
+
+
 def test_computational_failure_exits_1_with_error_json(tmp_path, capsys):
     config = {
         "domain": {"type": "square_union", "level": 4, "T": 2, "squares": [[2, 1]]}

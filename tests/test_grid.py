@@ -481,6 +481,33 @@ def test_domain_json_roundtrip(chevron):
         )
 
 
+def test_domain_json_keeps_the_time_window(chevron):
+    tube = CurveTube(curve=Curve.constant(0.5, 2.0, 33), delta0=0.15)
+    windowed_union = SquareUnion(chevron.level, chevron.squares, chevron.T, 0.3, 1.7)
+    for domain in [
+        epsilon_interior(Cylinder(x0=0.25, delta0=0.15, T=2), 0.05),
+        epsilon_interior(tube, 0.05),
+        windowed_union,
+    ]:
+        doc = domain_to_json(domain)
+        back = domain_from_json(doc)
+        assert domain_to_json(back) == doc
+        window = (float(domain.t_lo), float(domain.t_hi))
+        assert window != (0.0, 2.0)
+        assert (float(back.t_lo), float(back.t_hi)) == window
+        x = np.linspace(0, 1, 37)
+        t = np.r_[0.01, np.linspace(0, 2, 23), 1.99]
+        X, Tt = np.meshgrid(x, t)
+        assert np.array_equal(
+            domain.contains(X.ravel(), Tt.ravel()), back.contains(X.ravel(), Tt.ravel())
+        )
+        for n in (8, 16):
+            assert squares_in_domain(back, n) == squares_in_domain(domain, n)
+    # documents of full-window domains carry no window keys
+    for domain in (chevron, tube, Cylinder(x0=0.25, delta0=0.15, T=2)):
+        assert not {"t_lo", "t_hi"} & set(domain_to_json(domain))
+
+
 def test_readme_domain_examples_parse():
     from conftest import load_fixture
 
