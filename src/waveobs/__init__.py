@@ -20,7 +20,6 @@ _EXPORTS = {
     "SquareUnion": "grid",
     "epsilon_interior": "grid",
     "fold_index": "grid",
-    "goc_check": "grid",
     "square_center": "grid",
     "squares_in_domain": "grid",
     "domain_from_json": "grid",

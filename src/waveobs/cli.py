@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -154,6 +155,14 @@ def _integral(value):
     return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
+def _finite(value):
+    """True for a number inside the float range: no inf or nan, no integer beyond ~1.8e308."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _coerce(key, value, kind):
     """The value of one config key, typed by its kind, or a UsageError naming the key."""
     if kind is None:
@@ -161,6 +170,8 @@ def _coerce(key, value, kind):
     type_, positive = kind
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"config key {key!r} must be a number, got {value!r}")
+    if not _finite(value):
+        raise UsageError(f"config key {key!r} must be a finite number, got {value!r}")
     if type_ is int and not _integral(value):
         raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
     value = type_(value)
@@ -596,6 +607,8 @@ def _cmd_verify(config, writer, seed):
     levels = config["levels"]
     if not isinstance(levels, (list, tuple)) or not levels or not all(map(_integral, levels)):
         raise UsageError("'levels' must be a nonempty array of integers")
+    if not all(map(_finite, levels)):
+        raise UsageError("'levels' must be finite")
     levels = [int(v) for v in levels]
     if any(v < 1 for v in levels):
         raise UsageError("'levels' must be positive")

@@ -150,15 +150,19 @@ def project(phi0, phi1, level, breakpoints=()):
     cuts = sorted(set(float(b) for b in breakpoints if 0.0 < float(b) < 1.0))
     beta = np.empty(n)
     for i in range(n):
-        a, b = i / n, (i + 1) / n
-        pts = [a] + [c for c in cuts if a < c < b] + [b]
         acc = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            xs = mid + half * _GAUSS8_NODES
+        for xs, half in _gauss8_segments(i / n, (i + 1) / n, cuts):
             acc += half * float(_GAUSS8_WEIGHTS @ np.asarray(phi1(xs), dtype=float))
         beta[i] = n * acc
     return PiecewiseInitialData(n, alpha, beta)
+
+
+def _gauss8_segments(a, b, cuts):
+    """Gauss-8 nodes and half-length of each piece of [a, b] split at the sorted cuts."""
+    pts = [a] + [c for c in cuts if a < c < b] + [b]
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        yield mid + half * _GAUSS8_NODES, half
 
 
 def eval_phi(data, x, t):

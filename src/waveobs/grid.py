@@ -21,7 +21,9 @@ in floats).
 
 The module also defines the three supported space-time observation-domain
 variants (axis square unions, tubes around a moving curve, and cylinders),
-their square covers, epsilon-interiors and a sampled geometric-optics check.
+their square covers and the epsilon-interiors of cylinders and tubes.
+Whether a square-aligned domain observes is decided exactly by the
+connectivity of its observation graph (see :mod:`waveobs.graph`).
 """
 
 from __future__ import annotations
@@ -45,11 +47,9 @@ __all__ = [
     "SquareUnion",
     "CurveTube",
     "Cylinder",
-    "ErodedDomain",
     "squares_in_time_slab",
     "squares_in_domain",
     "epsilon_interior",
-    "goc_check",
     "domain_from_json",
     "domain_to_json",
 ]
@@ -354,77 +354,9 @@ class CurveTube:
         )
 
 
-class ErodedDomain:
-    """Points of a base domain at distance > eps from its boundary.
-
-    Generic inner set used by :func:`epsilon_interior` for square unions;
-    supports membership queries only (no square covers).
-    """
-
-    def __init__(self, base, eps):
-        self.base = base
-        self.eps = float(eps)
-        self.T = base.T
-        self._segments = _boundary_segments(base)
-
-    def is_empty(self):
-        return self._segments is None or self.base.is_empty()
-
-    def contains(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        inside = self.base.contains(x, t)
-        if self._segments is None:
-            return np.zeros_like(inside, dtype=bool)
-        d = _distance_to_segments(x, t, self._segments)
-        return inside & (d > self.eps)
-
-
 def _pack_keys(i, j):
     """Injective int64 key for index pairs (|i|,|j| < 2**31)."""
     return (np.asarray(i, dtype=np.int64) << 32) ^ (np.asarray(j, dtype=np.int64) & 0xFFFFFFFF)
-
-
-def _boundary_segments(domain):
-    """Boundary of a square-union domain as float (x, t) segments."""
-    if not isinstance(domain, SquareUnion) or domain.is_empty():
-        return None
-    # a square side is on the boundary iff it is shared with no other square
-    counts = {}
-    for i, j in domain.squares:
-        # sides keyed by (fixed axis, fixed index, cross-axis index)
-        for key in (
-            ("u", _cell(i), j),
-            ("u", _cell(i) + 1, j),
-            ("v", _cell(j), i),
-            ("v", _cell(j) + 1, i),
-        ):
-            counts[key] = counts.get(key, 0) + 1
-    n = domain.level
-    a, b = [], []
-    for (axis, fixed, cross), count in counts.items():
-        if count != 1:
-            continue
-        f = Fraction(fixed, n)
-        clo, chi = interval_bounds(cross, n)
-        (u0, v0), (u1, v1) = ((f, clo), (f, chi)) if axis == "u" else ((clo, f), (chi, f))
-        a.append((float(u0 + v0) / 2, float(u0 - v0) / 2))
-        b.append((float(u1 + v1) / 2, float(u1 - v1) / 2))
-    return np.array(a, dtype=float), np.array(b, dtype=float)
-
-
-def _distance_to_segments(x, t, segments):
-    """Euclidean (x, t) distance from points to the nearest segment."""
-    a, b = segments
-    p = np.stack([np.broadcast_arrays(x, t)[0], np.broadcast_arrays(x, t)[1]], axis=-1)
-    p = p.reshape(-1, 1, 2)
-    ab = (b - a)[None, :, :]
-    ap = p - a[None, :, :]
-    denom = np.sum(ab * ab, axis=-1)
-    s = np.clip(np.sum(ap * ab, axis=-1) / denom, 0.0, 1.0)
-    closest = a[None, :, :] + s[..., None] * ab
-    d = np.sqrt(np.sum((p - closest) ** 2, axis=-1)).min(axis=1)
-    return d.reshape(np.broadcast_arrays(x, t)[0].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +492,6 @@ def squares_in_domain(domain, n):
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
-    if isinstance(domain, ErodedDomain):
-        raise ValueError("square covers of eroded domains are not supported")
     if domain.is_empty():
         return set()
     # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
@@ -591,8 +521,8 @@ def epsilon_interior(domain, eps):
 
     Cylinders shrink exactly; tubes use the analytic inner approximation
     (half-width delta0/2 tube restricted to eps < t < T - eps, valid for
-    eps below delta0 / (2 sqrt(M^2 + 1)) with M the Lipschitz estimate);
-    square unions return a generic eroded-membership wrapper.  An empty
+    eps below delta0 / (2 sqrt(M^2 + 1)) with M the Lipschitz estimate).
+    Square unions are unsupported (``TypeError``) unless empty.  An empty
     result is returned as an empty :class:`SquareUnion`, not an error.
     """
     eps = _as_fraction(eps)
@@ -613,40 +543,7 @@ def epsilon_interior(domain, eps):
         if float(eps) > margin or T - 2 * eps <= 0:
             return empty
         return CurveTube(domain.curve, domain.delta0 / 2, t_lo=eps, t_hi=T - eps)
-    if isinstance(domain, SquareUnion):
-        return ErodedDomain(domain, eps)
     raise TypeError(f"unsupported domain type {type(domain).__name__}")
-
-
-def goc_check(domain, starts=1024, step=None):
-    """Sampled geometric-optics check (a semi-decision).
-
-    Traces both characteristic families from ``starts`` equidistant points of
-    [0, 1] x {0}, reflecting at x = 0 and x = 1, and reports whether every
-    ray meets the domain strictly before time T at the sampling resolution.
-    A False result may be a resolution artifact; graph connectivity is the
-    exact criterion for square-aligned domains.
-    """
-    if starts < 2:
-        raise ValueError(f"need at least 2 ray starts, got {starts}")
-    T = float(domain.T)
-    if step is None:
-        step = T / 4096.0
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if domain.is_empty():
-        return False
-    x0 = np.linspace(0.0, 1.0, starts)
-    nt = int(math.floor(T / step)) + 1
-    t = np.arange(nt) * step
-    t = t[t < T]
-    hit = np.zeros(starts, dtype=bool)
-    for direction in (1.0, -1.0):
-        w = x0[:, None] + direction * t[None, :]
-        pos = np.abs(np.mod(w + 1.0, 2.0) - 1.0)  # reflect at 0 and 1
-        inside = domain.contains(pos.ravel(), np.broadcast_to(t, w.shape).ravel())
-        hit |= inside.reshape(w.shape).any(axis=1)
-    return bool(hit.all())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dalembert import (
+    _GAUSS8_WEIGHTS,
     PiecewiseInitialData,
+    _gauss8_segments,
     eval_phi,
     leapfrog_solve,
     project,
@@ -40,7 +42,6 @@ __all__ = [
     "WeightProfile",
     "SmoothedTube",
     "IndicatorRegion",
-    "BasisTables",
     "basis_tables",
     "assemble_gram",
     "hum_rhs",
@@ -104,15 +105,12 @@ class SmoothedTube:
     def T(self):
         return self.curve.T
 
-    def gamma(self, t):
-        return np.interp(t, self.curve.times, self.curve.values)
-
     def chi(self, x, t):
-        return self.profile.eta(np.asarray(x, dtype=float) - self.gamma(t))
+        return self.profile.eta(np.asarray(x, dtype=float) - self.curve(t))
 
     def chi_x(self, x, t):
         """Spatial derivative of the weight (used by the shape gradient)."""
-        return self.profile.eta_prime(np.asarray(x, dtype=float) - self.gamma(t))
+        return self.profile.eta_prime(np.asarray(x, dtype=float) - self.curve(t))
 
 
 @dataclass
@@ -129,23 +127,13 @@ class IndicatorRegion:
         return self.domain.contains(x, t).astype(float)
 
 
-@dataclass
-class BasisTables:
-    """Per-period profile tables of the 2L-1 basis waves.
+def basis_tables(level):
+    """Stacked per-period profile tables Phi of the 2L-1 basis waves.
 
     Basis order: L-1 unit hats (position data), then L cell indicators
-    (velocity data).  Rows of ``fs``/``gs`` hold the slopes of F and G on
-    the 2L period cells, ``fn``/``gn`` the cumulative node values.
+    (velocity data).  Each row holds, on the 2L period cells, the node
+    values of F at the cells' left ends, the slopes of F, then the same for G.
     """
-
-    level: int
-    fn: np.ndarray
-    fs: np.ndarray
-    gn: np.ndarray
-    gs: np.ndarray
-
-
-def basis_tables(level):
     L = int(level)
     nb = 2 * L - 1
     alpha = np.zeros((nb, L))
@@ -162,9 +150,9 @@ def basis_tables(level):
     fs = np.where(per > 0, gpos[:, col], gneg[:, col]) / 2.0
     gs = np.where(per > 0, gneg[:, col], gpos[:, col]) / 2.0
     h = 1.0 / L
-    fn = np.concatenate([np.zeros((nb, 1)), np.cumsum(fs, axis=1) * h], axis=1)
-    gn = np.concatenate([np.zeros((nb, 1)), np.cumsum(gs, axis=1) * h], axis=1)
-    return BasisTables(level=L, fn=fn, fs=fs, gn=gn, gs=gs)
+    fn = np.concatenate([np.zeros((nb, 1)), np.cumsum(fs[:, :-1], axis=1) * h], axis=1)
+    gn = np.concatenate([np.zeros((nb, 1)), np.cumsum(gs[:, :-1], axis=1) * h], axis=1)
+    return np.hstack([fn, fs, gn, gs])
 
 
 def _cell_rules(h, q=4):
@@ -267,7 +255,7 @@ def assemble_gram(region, level, quad=4):
         tc = (A - B) * (h / 2.0)
         lip = region.curve.lipschitz_estimate()
         margin = region.profile.delta0 + (1.0 + lip) * h
-        near = np.abs(xc - region.gamma(np.clip(tc, 0.0, region.T))) <= margin
+        near = np.abs(xc - region.curve(np.clip(tc, 0.0, region.T))) <= margin
         for name, mask in cats.items():
             sel = mask & near
             rule = full_rule if name == "full" else tri_rules[name]
@@ -286,20 +274,9 @@ def assemble_gram(region, level, quad=4):
         idx.append((slots[:, :, None] * (4 * n) + slots[:, None, :]).ravel())
         val.append(np.broadcast_to(mom[:, _PAIR_MOMENT], (A.size, 4, 4)).ravel())
     M = np.bincount(np.concatenate(idx), np.concatenate(val), minlength=(4 * n) ** 2)
-    t = basis_tables(L)
-    phi = np.hstack([t.fn[:, :n], t.fs, t.gn[:, :n], t.gs])
+    phi = basis_tables(L)
     G = phi @ M.reshape(4 * n, 4 * n) @ phi.T
     return 0.5 * (G + G.T)
-
-
-_G8_NODES, _G8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _segment_quads(a, b, cuts):
-    pts = [a] + [c for c in cuts if a < c < b] + [b]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        yield mid + half * _G8_NODES, half * _G8_WEIGHTS
 
 
 def hum_rhs(level, y0, y1=None, breakpoints=()):
@@ -313,16 +290,16 @@ def hum_rhs(level, y0, y1=None, breakpoints=()):
     b = np.zeros(2 * L - 1)
     for m in range(L):
         acc = 0.0
-        for xs, ws in _segment_quads(m / L, (m + 1) / L, cuts):
-            acc += float(ws @ np.asarray(y0(xs), dtype=float))
+        for xs, half in _gauss8_segments(m / L, (m + 1) / L, cuts):
+            acc += float((half * _GAUSS8_WEIGHTS) @ np.asarray(y0(xs), dtype=float))
         b[L - 1 + m] = acc
     if y1 is not None:
         for k in range(1, L):
             acc = 0.0
             for lo, hi in (((k - 1) / L, k / L), (k / L, (k + 1) / L)):
-                for xs, ws in _segment_quads(lo, hi, cuts):
+                for xs, half in _gauss8_segments(lo, hi, cuts):
                     hat = 1.0 - L * np.abs(xs - k / L)
-                    acc += float((ws * hat) @ np.asarray(y1(xs), dtype=float))
+                    acc += float((half * _GAUSS8_WEIGHTS * hat) @ np.asarray(y1(xs), dtype=float))
             b[k - 1] = -acc
     return b
 

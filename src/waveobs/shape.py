@@ -22,7 +22,6 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .dalembert import eval_phi
-from .grid import Curve
 from .hum import SmoothedTube, WeightProfile, hum_control
 
 __all__ = [
@@ -243,7 +242,7 @@ def cylindrical_sweep(
     x0s = np.asarray(x0s, dtype=float)
     costs = np.empty_like(x0s)
     for k, x0 in enumerate(x0s):
-        tube = SmoothedTube(Curve.constant(x0, T, n_nodes), WeightProfile(delta0, delta))
+        tube = SmoothedTube.around(x0, T, delta0, delta, n_nodes)
         costs[k] = hum_control(tube, level, y0, y1, breakpoints).cost
     return SweepResult(x0s=x0s, costs=costs)
 

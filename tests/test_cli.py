@@ -353,13 +353,17 @@ BAD_CONFIGS = [
     ("optimize", {"eps_reg": -1}, "key 'eps_reg' must be >= 0"),
     ("power-cobs", {"tol": "x"}, "key 'tol' must be a number"),
     ("spectrum", {"refine": 0}, "key 'refine' must be positive"),
+    ("hum", {"T": float("inf")}, "key 'T' must be a finite number"),
+    ("hum", {"T": 10**400}, "key 'T' must be a finite number"),
+    ("hum", {"level": 10**400}, "key 'level' must be a finite number"),
+    ("verify", {"levels": [16, 10**400]}, "'levels' must be finite"),
 ]
 
 
 @pytest.mark.parametrize(
     "command,config,message",
     BAD_CONFIGS,
-    ids=[f"{command}-{json.dumps(config)}" for command, config, _ in BAD_CONFIGS],
+    ids=[f"{command}-{json.dumps(config)}"[:48] for command, config, _ in BAD_CONFIGS],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, message):
     with pytest.raises(SystemExit) as err:

@@ -1,4 +1,4 @@
-"""Characteristic lattice: folding, squares, domains, covers, GOC."""
+"""Characteristic lattice: folding, squares, domains, covers, interiors."""
 
 import json
 import math
@@ -21,7 +21,6 @@ from waveobs.grid import (
     epsilon_interior,
     fold_index,
     fold_indices,
-    goc_check,
     interval_bounds,
     interval_midpoint,
     square_area,
@@ -386,15 +385,6 @@ def test_cylinder_and_tube_contains():
     assert tube.contains(0.5, 0.5) and not tube.contains(0.35, 0.5)
 
 
-def test_goc_tube_and_thin_cylinder():
-    curve = Curve.constant(0.5, 2.0, 64)
-    assert goc_check(CurveTube(curve=curve, delta0=0.15))
-    # too thin and too short: a ray from x=1 never meets (0.15, 0.25)
-    assert not goc_check(Cylinder(x0=0.2, delta0=0.05, T=0.5))
-    empty = SquareUnion(level=1, squares=frozenset(), T=2)
-    assert not goc_check(empty)
-
-
 def test_epsilon_interior_is_contained_and_covered(rng):
     domain = Cylinder(x0=0.5, delta0=Fraction(3, 16), T=2)
     inner = epsilon_interior(domain, 0.15)
@@ -434,7 +424,8 @@ def test_tube_interior_cover_lies_in_the_tube_cover_and_window(moving):
 def test_epsilon_interior_empty_when_eps_large():
     inner = epsilon_interior(Cylinder(x0=0.5, delta0=0.1, T=1), 0.3)
     assert inner.is_empty()
-    assert not goc_check(inner)
+    with pytest.raises(TypeError, match="unsupported domain type SquareUnion"):
+        epsilon_interior(SquareUnion(level=2, squares={(2, 1)}, T=1), 0.1)
 
 
 # --------------------------------------------------------------------- curve
