@@ -141,7 +141,7 @@ def _load_config(path):
             doc = json.load(f)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-str digit limit
         raise UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
@@ -219,7 +219,7 @@ def _resolve_domain(spec):
         try:
             with open(spec["path"], "r", encoding="utf-8") as f:
                 doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
             raise UsageError(f"cannot read domain file: {exc}")
     else:
         doc = spec

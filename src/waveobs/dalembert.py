@@ -17,6 +17,7 @@ integer through the index folding map (2n-periodic, odd).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,13 +39,22 @@ _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _FORCING_BLOCK = 64  # time levels per forcing call: a whole-grid call is slower at m=512
 
 
+def _table_position(e, n):
+    """Position of nonzero extended indices e in the level-n gamma table (lattice cell + n)."""
+    e = np.asarray(e)
+    if np.any(e == 0):
+        raise ValueError("interval index 0 does not exist (indices are nonzero)")
+    return (np.where(e > 0, e - 1, e) + n) % (2 * n)
+
+
 class PiecewiseInitialData:
     """Wave initial data (phi0, phi1) resolved on the level-n uniform grid.
 
     phi0 is continuous piecewise affine with phi0(0) = phi0(1) = 0 and slope
     alpha_i on cell i; phi1 is piecewise constant with value beta_i on cell
-    i.  The class precomputes the per-period node tables of the d'Alembert
-    profiles F and G.
+    i.  The per-period node tables of the d'Alembert profiles F and G (and
+    the node values of phi0) are built on first use by :meth:`F`, :meth:`G`
+    or :meth:`phi0`, so data that only meet square covers never pay for them.
     """
 
     def __init__(self, level, alpha, beta):
@@ -69,16 +79,20 @@ class PiecewiseInitialData:
         self.beta = beta
         # gamma on the 2n fundamental cells, indexed by lattice cell + n
         self._gtab = np.concatenate([(alpha - beta)[::-1], alpha + beta])
+
+    @functools.cached_property
+    def _profiles(self):
         # node tables of F and G over one period u in [0, 2]:
         # F'(u) = gamma_e / 2 and G'(v) = gamma_{-e} / 2 on cell e.
-        e = np.arange(1, 2 * n + 1)
-        gf = self.gamma_of(e)
-        gg = self.gamma_of(-e)
-        self._fslope = gf / 2.0
-        self._gslope = gg / 2.0
-        self._fnode = np.concatenate([[0.0], np.cumsum(gf) / (2 * n)])
-        self._gnode = np.concatenate([[0.0], np.cumsum(gg) / (2 * n)])
-        self._p0node = np.concatenate([[0.0], np.cumsum(alpha) / n])
+        e = np.arange(1, 2 * self.level + 1)
+        return [
+            (np.concatenate([[0.0], np.cumsum(g) / (2 * self.level)]), g / 2.0)
+            for g in (self.gamma_of(e), self.gamma_of(-e))
+        ]
+
+    @functools.cached_property
+    def _p0node(self):
+        return np.concatenate([[0.0], np.cumsum(self.alpha) / self.level])
 
     def gamma_of(self, e):
         """gamma at arbitrary nonzero extended indices (vectorized).
@@ -87,11 +101,7 @@ class PiecewiseInitialData:
         gamma is 2n-periodic in the cell, so it is one lookup in the table
         of :meth:`gamma_fundamental`.
         """
-        e = np.asarray(e)
-        if np.any(e == 0):
-            raise ValueError("interval index 0 does not exist (indices are nonzero)")
-        n = self.level
-        return self._gtab[(np.where(e > 0, e - 1, e) + n) % (2 * n)]
+        return self._gtab[_table_position(e, self.level)]
 
     def gamma_fundamental(self):
         """gamma on the fundamental indices in (-n..-1, 1..n) order."""
@@ -123,11 +133,11 @@ class PiecewiseInitialData:
 
     def F(self, u):
         """Right-moving profile, 2-periodic with F(0) = 0."""
-        return self._profile(u, self._fnode, self._fslope)
+        return self._profile(u, *self._profiles[0])
 
     def G(self, v):
         """Left-moving profile, 2-periodic with G(0) = 0."""
-        return self._profile(v, self._gnode, self._gslope)
+        return self._profile(v, *self._profiles[1])
 
 
 def project(phi0, phi1, level, breakpoints=()):
@@ -205,7 +215,10 @@ def l2_phit_on_squares(data, squares, n):
 
     The data's level L must be a multiple of n; each level-n square splits
     into (L/n)^2 subsquares on which phi_t is constant, and the integral is
-    the exact area-weighted sum of squares.
+    the exact area-weighted sum of squares.  The squares' refined positions
+    in the gamma table depend only on (cover, L/n, L), so they are built once
+    per cover and kept in a small cache: repeated checks on one cover cost
+    one gather and three reductions.
     """
     L = data.level
     if L % n != 0:
@@ -213,13 +226,7 @@ def l2_phit_on_squares(data, squares, n):
             f"data level {L} is not a multiple of the square level {n}"
         )
     p = L // n
-    sq = np.asarray([(ij[0], ij[1]) for ij in squares], dtype=np.int64)
-    if sq.size == 0:
-        return 0.0
-    iu = _refined_ranges(sq[:, 0], p)
-    jv = _refined_ranges(sq[:, 1], p)
-    gu = data.gamma_of(iu.ravel()).reshape(iu.shape)
-    gv = data.gamma_of(-jv.ravel()).reshape(jv.shape)
+    gu, gv = data._gtab[_cover_positions(frozenset(squares), p, L)]
     # per square, sum over all subsquare pairs of ((gu - gv)/2)^2
     per_square = (
         p * np.einsum("ij,ij->i", gu, gu)
@@ -227,6 +234,21 @@ def l2_phit_on_squares(data, squares, n):
         - 2.0 * gu.sum(axis=1) * gv.sum(axis=1)
     )
     return float(per_square.sum()) / (8.0 * L * L)
+
+
+@functools.lru_cache(maxsize=16)
+def _cover_positions(squares, p, L):
+    """Positions in ``_gtab`` of the refined u- and v-indices, each of shape (S, p).
+
+    Row s holds the p level-L indices i refining the u-interval of square s and
+    the p indices -j of its v-interval (S = 0 for an empty cover).  The cached
+    table is read-only, as every caller of one cover shares it.
+    """
+    sq = np.asarray([(ij[0], ij[1]) for ij in sorted(squares)], dtype=np.int64).reshape(-1, 2)
+    e = np.stack([_refined_ranges(sq[:, 0], p), -_refined_ranges(sq[:, 1], p)])
+    pos = _table_position(e, L)
+    pos.flags.writeable = False
+    return pos
 
 
 def _refined_ranges(i, p):

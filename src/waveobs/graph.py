@@ -250,7 +250,7 @@ def observability_constant_graph(domain, eps=None, level=None):
         n = domain.level
     else:
         raise ValueError("either eps or level must be provided for this domain")
-    squares = frozenset(squares_in_domain(domain, n))
+    squares = squares_in_domain(domain, n)
     graph = build_graph(squares, n)
     try:
         lam = algebraic_connectivity(laplacian(graph))

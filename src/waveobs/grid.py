@@ -375,8 +375,8 @@ def _index(k):
 
 
 def _index_pairs(a, b):
-    """Set of (i, j) index pairs of the lattice cells (a, b)."""
-    return set(zip(_index(a).tolist(), _index(b).tolist()))
+    """Frozenset of (i, j) index pairs of the lattice cells (a, b)."""
+    return frozenset(zip(_index(a).tolist(), _index(b).tolist()))
 
 
 def square_in_time_slab(ij, n, T):
@@ -409,24 +409,29 @@ def squares_in_time_slab(n, T):
     return _index_pairs(*_slab_cells(1, math.floor(2 * n * _as_fraction(T)) - 1, 0, 2 * n - 2))
 
 
-def _curve_abs_dev_max(curve, x_of_t, t0, t1):
-    """Max of |x(t) - gamma(t)| on [t0, t1] with x affine, gamma pw-affine.
+def _curve_abs_dev_max(curve, w, sign, t0, t1):
+    """Max of |w + sign*t - gamma(t)| over each edge [t0, t1] (arrays), gamma pw-affine.
 
     The maximum of a piecewise-affine function is attained at the endpoints
-    or at the curve's interior nodes.
+    or at the curve's interior nodes.  An edge holds a few nodes, so node
+    k0 + j is taken on every edge at once, for j up to the largest count.
     """
-    ts = [t0, t1]
-    k0 = math.ceil(float(t0) / curve.dt)
-    k1 = math.floor(float(t1) / curve.dt)
-    for k in range(max(k0, 0), min(k1, len(curve.times) - 1) + 1):
-        tk = float(curve.times[k])
-        if float(t0) < tk < float(t1):
-            ts.append(tk)
-    return max(abs(x_of_t(tt) - float(curve(tt))) for tt in map(float, ts))
+    def dev(t):
+        return np.abs(w + sign * t - curve(t))
+
+    last = len(curve.times) - 1
+    k0 = np.maximum(np.ceil(t0 / curve.dt), 0).astype(np.int64)
+    k1 = np.minimum(np.floor(t1 / curve.dt), last).astype(np.int64)
+    out = np.maximum(dev(t0), dev(t1))
+    for j in range(int((k1 - k0).max(initial=-1)) + 1):
+        tk = curve.times[np.minimum(k0 + j, last)]
+        inside = (k0 + j <= k1) & (t0 < tk) & (tk < t1)
+        out = np.maximum(out, np.where(inside, dev(tk), 0.0))
+    return out
 
 
 def _square_in_tube(a, b, n, tube):
-    """Edge test of the square on cells (a, b) against a tube.
+    """Edge test of the squares on cells (a, b) (arrays) against a tube.
 
     Along each edge x is affine in t (x = v + t on constant-v edges, x = u - t
     on constant-u edges), so the edge lies within delta0 of the
@@ -435,13 +440,13 @@ def _square_in_tube(a, b, n, tube):
     """
     t_min, t_mid, t_max = ((a - b + k) / (2 * n) for k in (-1, 0, 1))
     edges = (
-        (lambda tt, v=b / n: v + tt, t_mid, t_max),
-        (lambda tt, v=(b + 1) / n: v + tt, t_min, t_mid),
-        (lambda tt, u=a / n: u - tt, t_min, t_mid),
-        (lambda tt, u=(a + 1) / n: u - tt, t_mid, t_max),
+        (b / n, 1.0, t_mid, t_max),
+        ((b + 1) / n, 1.0, t_min, t_mid),
+        (a / n, -1.0, t_min, t_mid),
+        ((a + 1) / n, -1.0, t_mid, t_max),
     )
     d0 = float(tube.delta0) + 1e-14
-    return all(_curve_abs_dev_max(tube.curve, xf, ta, tb) <= d0 for xf, ta, tb in edges)
+    return np.all([_curve_abs_dev_max(tube.curve, *edge) <= d0 for edge in edges], axis=0)
 
 
 def _union_cover(domain, n, d_lo, d_hi):
@@ -488,18 +493,20 @@ def squares_in_domain(domain, n):
     squares cover it.  For cylinders the test is the exact corner test; for
     tubes it is edge-exact for the piecewise-affine centerline.
 
-    Returns a set of (i, j) index pairs (possibly empty).
+    Returns a frozenset of (i, j) index pairs (possibly empty), so that
+    per-cover caches such as :func:`waveobs.dalembert.l2_phit_on_squares`
+    can key on it; a square union at its own level returns its stored set.
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
     if domain.is_empty():
-        return set()
+        return frozenset()
     # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
     d_lo = math.ceil(2 * n * domain.t_lo) + 1
     d_hi = math.floor(2 * n * domain.t_hi) - 1
     if isinstance(domain, SquareUnion):
         if n == domain.level and domain.t_lo == 0 and domain.t_hi == domain.T:
-            return set(domain.squares)
+            return domain.squares
         return _union_cover(domain, n, d_lo, d_hi)
     # moving domains: cells inside the slab and the time window
     d_lo = max(d_lo, 1)
@@ -510,9 +517,7 @@ def squares_in_domain(domain, n):
         s_hi = math.floor(2 * n * (domain.x0 + domain.delta0)) - 2
         return _index_pairs(*_slab_cells(d_lo, d_hi, s_lo, s_hi))
     a, b = _slab_cells(d_lo, d_hi, 0, 2 * n - 2)
-    keep = np.array(
-        [_square_in_tube(ka, kb, n, domain) for ka, kb in zip(a.tolist(), b.tolist())], dtype=bool
-    )
+    keep = _square_in_tube(a, b, n, domain)
     return _index_pairs(a[keep], b[keep])
 
 

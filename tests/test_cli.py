@@ -335,6 +335,31 @@ def test_config_command_mismatch_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a JSON integer past the int-to-str digit limit (4300) makes json.load raise
+# a plain ValueError; json.dumps hits the same limit, so the text is written
+HUGE_INT = "1" + "0" * 5000
+
+
+def test_config_with_a_huge_integer_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"level": %s}' % HUGE_INT)
+    with pytest.raises(SystemExit) as err:
+        main(["hum", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_domain_file_with_a_huge_integer_exits_2(tmp_path, capsys):
+    dom = tmp_path / "domain.json"
+    dom.write_text('{"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": %s}' % HUGE_INT)
+    with pytest.raises(SystemExit) as err:
+        run_cli(tmp_path, "graph-cobs", {"domain": {"path": str(dom)}, "level": 8})
+    assert err.value.code == 2
+    assert "cannot read domain file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # (command, config, the part of the stderr message that names the key)
 BAD_CONFIGS = [
     ("hum", {"level": 8.7}, "key 'level' must be an integer"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveobs import dalembert
 from waveobs.dalembert import (
     PiecewiseInitialData,
     check_discrete_observability,
@@ -17,7 +18,12 @@ from waveobs.dalembert import (
     project,
     terminal_velocity,
 )
-from waveobs.graph import observability_constant_graph
+from waveobs.graph import (
+    build_graph,
+    observability_constant_graph,
+    quadratic_form,
+    refined_laplacian,
+)
 from waveobs.grid import (
     fold_index,
     fold_indices,
@@ -25,7 +31,7 @@ from waveobs.grid import (
     square_center,
     squares_in_time_slab,
 )
-from waveobs.testing import random_initial_data
+from waveobs.testing import random_connected_square_domain, random_initial_data
 
 
 # ---------------------------------------------------------------- projection
@@ -139,6 +145,24 @@ def test_gamma_of_equals_fold_definition_bitwise(n, seed, draw):
     assert np.array_equal(data.gamma_of(e), want)
 
 
+def test_profiles_equal_the_eager_node_tables_bitwise(rng):
+    # F and G build their tables on first use; they must be the tables the
+    # constructor used to build: nodes cumsum(gamma)/(2n), slopes gamma/2
+    for n in (1, 4, 9):
+        data = random_initial_data(rng, n)
+        e = np.arange(1, 2 * n + 1)
+        w = rng.uniform(-3.0, 3.0, 400)
+        for profile, g in ((data.F, data.gamma_of(e)), (data.G, data.gamma_of(-e))):
+            nodes = np.concatenate([[0.0], np.cumsum(g) / (2 * n)])
+            m = np.mod(w, 2.0)
+            c = np.clip(np.floor(m * n).astype(np.int64), 0, 2 * n - 1)
+            assert np.array_equal(profile(w), nodes[c] + (g / 2.0)[c] * (m - c / n))
+        x = rng.uniform(0.0, 1.0, 100)
+        c = np.clip(np.floor(x * n).astype(np.int64), 0, n - 1)
+        p0 = np.concatenate([[0.0], np.cumsum(data.alpha) / n])
+        assert np.array_equal(data.phi0(x), p0[c] + data.alpha[c] * (x - c / n))
+
+
 def test_gamma_of_rejects_index_zero(rng):
     data = random_initial_data(rng, 4)
     for e in (0, [3, 0, -2]):
@@ -223,6 +247,49 @@ def test_l2_phit_refined_data(chevron, rng):
             float(square_area(4 * p)) * phi_t_on_square(data, ij) ** 2 for ij in fine
         )
         assert val == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_l2_phit_is_the_cover_graph_quadratic_form(level):
+    # the observed phi_t energy is the Laplacian form of the cover's graph in
+    # gamma, of the p-fold refined graph for data at level p * n
+    rng = np.random.default_rng(level)
+    for _ in range(3):
+        squares = random_connected_square_domain(rng, level).squares
+        graph = build_graph(squares, level)
+        for p in (1, 2, 3):
+            L = p * level
+            data = random_initial_data(rng, L)
+            gamma = data.gamma_fundamental()
+            if p == 1:
+                want = quadratic_form(squares, level, gamma)
+            else:
+                want = gamma @ refined_laplacian(graph, p) @ gamma
+            got = l2_phit_on_squares(data, squares, level)
+            assert got == pytest.approx(want / (8.0 * L * L), rel=1e-12), (sorted(squares), p)
+
+
+def test_l2_phit_is_the_same_float_for_any_container(chevron, rng):
+    data = random_initial_data(rng, 12)
+    squares = sorted(chevron.squares)
+    values = []
+    for cover in (set(squares), frozenset(squares), squares, squares[::-1]):
+        dalembert._cover_positions.cache_clear()  # each container builds the table
+        values.append(l2_phit_on_squares(data, cover, 4))
+        values.append(l2_phit_on_squares(data, cover, 4))  # cache hit
+    assert values == [values[0]] * len(values)
+
+
+def test_l2_phit_rejects_zero_indices_and_foreign_levels(rng):
+    data = random_initial_data(rng, 8)
+    for squares in ([(0, 1)], [(2, 1), (3, 0)]):
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ValueError, match="index 0"):
+                l2_phit_on_squares(data, squares, 4)
+    with pytest.raises(ValueError, match="not a multiple"):
+        l2_phit_on_squares(data, [(2, 1)], 3)
+    assert l2_phit_on_squares(data, [], 4) == 0.0
+    assert l2_phit_on_squares(data, frozenset(), 8) == 0.0
 
 
 def test_discrete_observability_random_smoke(chevron, rng):

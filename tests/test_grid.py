@@ -205,6 +205,25 @@ def test_squares_in_domain_identity_and_refinement(chevron):
         assert refined == expected
 
 
+def test_squares_in_domain_returns_a_frozenset(chevron):
+    cylinder = Cylinder(x0=0.25, delta0=0.15, T=2)
+    tube = CurveTube(Curve.constant(0.5, 2.0, 16), delta0=0.15)
+    domains = [
+        chevron,
+        SquareUnion(chevron.level, chevron.squares, chevron.T, 0.3, 1.7),
+        cylinder,
+        tube,
+        epsilon_interior(tube, 0.05),
+        epsilon_interior(cylinder, 0.2),  # empty
+        SquareUnion(level=1, squares=frozenset(), T=2),
+        Cylinder(x0=0.5, delta0=0, T=2),
+    ]
+    for domain in domains:
+        for n in (1, 4, 8):
+            assert type(squares_in_domain(domain, n)) is frozenset, (domain, n)
+    assert squares_in_domain(chevron, chevron.level) is chevron.squares
+
+
 def test_squares_in_domain_non_multiple_level_nests_geometrically(chevron):
     # at a level that does not divide the stored one, squares are kept only
     # when they sit inside the union geometrically

@@ -1,10 +1,14 @@
 """Null-control solver: weights, Gram system, duality, forward verification."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveobs.dalembert import eval_phi, leapfrog_solve
-from waveobs.grid import SquareUnion, squares_in_time_slab
+from waveobs.grid import Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
 from waveobs.hum import (
     HumSolution,
     IndicatorRegion,
@@ -369,3 +373,64 @@ def test_cost_never_increases_when_domain_grows():
         region = IndicatorRegion(SquareUnion(4, squares, 2))
         costs.append(hum_control(region, 8, EX1.y0).cost)
     assert costs[0] >= costs[1] >= costs[2]
+
+
+# ------------------------------------------------- properties of the cost J
+
+# polynomial data with dyadic coefficients: y0 = x(1-x)(a0 + a1 x + a2 x^2),
+# y1 = b0 + b1 x + b2 x^2; Gauss-8 integrates them exactly in hum_rhs
+_COEFS = st.lists(st.integers(-8, 8), min_size=6, max_size=6)
+
+
+def _poly_datum(coefs, scale=1.0, mirror=False):
+    a, b = scale * np.asarray(coefs[:3]) / 4, scale * np.asarray(coefs[3:]) / 4
+
+    def at(x):
+        x = np.asarray(x, dtype=float)
+        return 1.0 - x if mirror else x
+
+    def y0(x):
+        x = at(x)
+        return x * (1.0 - x) * (a[0] + x * (a[1] + x * a[2]))
+
+    def y1(x):
+        x = at(x)
+        return b[0] + x * (b[1] + x * b[2])
+
+    return y0, y1
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    _COEFS,
+    st.floats(0.125, 8.0) | st.floats(-8.0, -0.125),
+    st.sampled_from([0.25, 0.4, 0.6]),
+    st.sampled_from([4, 8, 16]),
+)
+def test_cost_is_quadratic_in_the_data(coefs, c, x0, L):
+    region = SmoothedTube.around(x0, 2.0, 0.15)
+    J = hum_control(region, L, *_poly_datum(coefs)).cost
+    Jc = hum_control(region, L, *_poly_datum(coefs, scale=c)).cost
+    assert Jc == pytest.approx(c * c * J, rel=1e-9)
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    _COEFS,
+    st.sampled_from([Fraction(1, 4), Fraction(5, 16), Fraction(3, 8), Fraction(1, 2)]),
+    st.sampled_from([(4, 1), (4, 2), (4, 4), (8, 1), (8, 2)]),
+)
+def test_cost_is_invariant_under_the_mirror(coefs, x0, levels):
+    # the sharp cylinder: its Gram is exact, so x -> 1 - x maps the discrete
+    # problem onto itself (the smoothed tube's collapsed triangle rule at
+    # t = 0 and t = T is not mirror-symmetric, so its cost is only
+    # symmetric up to quadrature error)
+    n, p = levels
+
+    def cylinder(x):
+        cover = squares_in_domain(Cylinder(x0=x, delta0=Fraction(1, 4), T=2), n)
+        return IndicatorRegion(SquareUnion(level=n, squares=cover, T=2))
+
+    J = hum_control(cylinder(x0), n * p, *_poly_datum(coefs)).cost
+    Jm = hum_control(cylinder(1 - x0), n * p, *_poly_datum(coefs, mirror=True)).cost
+    assert Jm == pytest.approx(J, rel=1e-9)
