@@ -143,10 +143,10 @@ class PiecewiseInitialData:
 def project(phi0, phi1, level, breakpoints=()):
     """Resolve callable data onto the level-n grid.
 
-    alpha comes from exact node differences of phi0; beta from per-cell
-    Gauss quadrature of phi1, with cells split at the given breakpoints so
-    that piecewise-smooth velocities integrate exactly.  phi0 must vanish at
-    both ends (|phi0(0)|, |phi0(1)| <= 1e-12).
+    alpha comes from exact node differences of phi0, which must vanish at
+    both ends (to 1e-12); beta from Gauss quadrature of phi1 on the cells
+    split at the breakpoints, so piecewise-smooth velocities integrate
+    exactly.  Each callable is called once, on a 1-D array.
     """
     n = int(level)
     nodes = np.arange(n + 1) / n
@@ -157,22 +157,32 @@ def project(phi0, phi1, level, breakpoints=()):
         )
     alpha = n * np.diff(p0)
 
-    cuts = sorted(set(float(b) for b in breakpoints if 0.0 < float(b) < 1.0))
-    beta = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for xs, half in _gauss8_segments(i / n, (i + 1) / n, cuts):
-            acc += half * float(_GAUSS8_WEIGHTS @ np.asarray(phi1(xs), dtype=float))
-        beta[i] = n * acc
+    xs, half, cell = _gauss8_pieces(n, breakpoints)
+    dots = _pair_on_pieces(_GAUSS8_WEIGHTS, phi1, xs)
+    beta = n * np.bincount(cell, half * dots, minlength=n)
     return PiecewiseInitialData(n, alpha, beta)
 
 
-def _gauss8_segments(a, b, cuts):
-    """Gauss-8 nodes and half-length of each piece of [a, b] split at the sorted cuts."""
-    pts = [a] + [c for c in cuts if a < c < b] + [b]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        yield mid + half * _GAUSS8_NODES, half
+def _gauss8_pieces(n, breakpoints):
+    """Gauss-8 rules of every piece of the n grid cells split at the breakpoints.
+
+    Breakpoints outside (0, 1) or on a grid node split nothing.  Returns the
+    (P, 8) nodes, the P half-lengths and the cell of each piece, in increasing x.
+    """
+    edges = np.arange(n + 1) / n
+    cuts = [float(c) for c in breakpoints if 0.0 < float(c) < 1.0]
+    pts = np.unique(np.concatenate([edges, cuts]))
+    lo, hi = pts[:-1], pts[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    cell = np.searchsorted(edges, lo, side="right") - 1
+    return mid[:, None] + half[:, None] * _GAUSS8_NODES, half, cell
+
+
+def _pair_on_pieces(w, f, xs):
+    """The float of ``w[p] @ f(xs[p])`` for every piece p (w broadcasts over
+    the rows of xs); f is called once, on the flat 1-D array of all nodes."""
+    fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    return np.matmul(w[..., None, :], fx[..., :, None])[..., 0, 0]
 
 
 def eval_phi(data, x, t):

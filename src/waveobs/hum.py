@@ -22,7 +22,9 @@ a square-aligned domain, in which case the quadrature is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -30,7 +32,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .dalembert import (
     _GAUSS8_WEIGHTS,
     PiecewiseInitialData,
-    _gauss8_segments,
+    _gauss8_pieces,
+    _pair_on_pieces,
     eval_phi,
     leapfrog_solve,
     project,
@@ -155,12 +158,14 @@ def basis_tables(level):
     return np.hstack([fn, fs, gn, gs])
 
 
+@functools.lru_cache(maxsize=16)
 def _cell_rules(h, q=4):
     """Quadrature offsets/weights on one lattice cell and its cut triangles.
 
     Returns the full-cell tensor rule and the four half-cell triangle rules
     (strip boundary cuts at x=0, x=1, t=0, t=T), each as (du, dv, w) with
     weights including the cell Jacobian but not the (u,v)->(x,t) factor 1/2.
+    The rules are cached per (h, q), so they are read-only.
     """
     g, w = np.polynomial.legendre.leggauss(q)
     x1 = (g + 1.0) * h / 2.0
@@ -181,7 +186,9 @@ def _cell_rules(h, q=4):
         "t0": (h * S, h * S * R, W),  # keep du >= dv
         "tT": (h * S * R, h * S, W),  # keep du <= dv
     }
-    return full, tri
+    for arr in (*full, *(a for rule in tri.values() for a in rule)):
+        arr.flags.writeable = False
+    return full, MappingProxyType(tri)
 
 
 def _strip_cells(level, T):
@@ -216,17 +223,28 @@ def _strip_cells(level, T):
 _PAIR_MOMENT = np.array([[0, 1, 0, 2], [1, 3, 1, 5], [0, 1, 0, 2], [2, 5, 2, 4]])
 
 
+def _tube_bands(region, A, B, h):
+    """Masks of the cells (A, B) that can meet the tube's weight or its ramp."""
+    xc = (A + B + 1) * (h / 2.0)
+    tc = (A - B) * (h / 2.0)
+    dist = np.abs(xc - region.curve(np.clip(tc, 0.0, region.T)))
+    slack = (1.0 + region.curve.lipschitz_estimate()) * h
+    delta0, delta = region.profile.delta0, region.profile.delta
+    return dist <= delta0 + slack, dist > delta0 - delta - slack
+
+
 def assemble_gram(region, level, quad=4):
     """Gram matrix of the basis waves under the region's weight.
 
     Every basis wave is F(u) + G(v) with F and G affine on each lattice
     cell, so the Gram needs only six moments of the weight per cell, taken
     with a q x q Gauss rule (collapsed rule on boundary triangles).  A
-    smoothed tube keeps the cells where its weight can be nonzero; an
-    indicator region keeps the cells of its squares refined to the level,
-    where the weight is 1 and the result is exact.  The moments, folded
-    onto the 2L period cells of u and v, form one 8L x 8L table M over the
-    node values and slopes of F and G, and G = Phi M Phi^T with Phi the
+    smoothed tube keeps the cells where its weight can be nonzero and
+    evaluates it only on those that can meet its ramp (plateau cells have
+    weight 1); an indicator region keeps the cells of its squares refined to
+    the level, where the weight is 1 and the result is exact.  The moments,
+    folded onto the 2L period cells of u and v, form one 8L x 8L table M over
+    the node values and slopes of F and G, and G = Phi M Phi^T with Phi the
     stacked basis tables.
     """
     L = int(level)
@@ -250,18 +268,15 @@ def assemble_gram(region, level, quad=4):
         cells.append((A, B, full_rule, full_rule[2][None, :]))
     elif isinstance(region, SmoothedTube):
         A, B, cats = _strip_cells(L, region.T)
-        # restrict to cells whose center can meet the weight's support
-        xc = (A + B + 1) * (h / 2.0)
-        tc = (A - B) * (h / 2.0)
-        lip = region.curve.lipschitz_estimate()
-        margin = region.profile.delta0 + (1.0 + lip) * h
-        near = np.abs(xc - region.curve(np.clip(tc, 0.0, region.T))) <= margin
+        near, ramp = _tube_bands(region, A, B, h)
         for name, mask in cats.items():
             sel = mask & near
             rule = full_rule if name == "full" else tri_rules[name]
-            u = A[sel][:, None] * h + rule[0]
-            v = B[sel][:, None] * h + rule[1]
-            chi = region.chi((u + v) / 2.0, (u - v) / 2.0)
+            r = ramp[sel]  # the other rows lie in the plateau: chi = 1
+            chi = np.ones((r.size, rule[2].size))
+            u = A[sel][r][:, None] * h + rule[0]
+            v = B[sel][r][:, None] * h + rule[1]
+            chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
             cells.append((A[sel], B[sel], rule, rule[2] * chi))
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
@@ -283,24 +298,19 @@ def hum_rhs(level, y0, y1=None, breakpoints=()):
     """Duality pairings of the basis data against the control data.
 
     Hat entries are -integral(hat_k * y1); cell entries are the cell
-    integrals of y0.  Quadrature splits cells at the given breakpoints.
+    integrals of y0.  Quadrature splits cells at the given breakpoints; y0
+    and y1 are each called once, on the 1-D array of all Gauss nodes.
     """
     L = int(level)
-    cuts = sorted(set(float(c) for c in breakpoints if 0.0 < float(c) < 1.0))
+    xs, half, cell = _gauss8_pieces(L, breakpoints)
+    hw = half[:, None] * _GAUSS8_WEIGHTS
     b = np.zeros(2 * L - 1)
-    for m in range(L):
-        acc = 0.0
-        for xs, half in _gauss8_segments(m / L, (m + 1) / L, cuts):
-            acc += float((half * _GAUSS8_WEIGHTS) @ np.asarray(y0(xs), dtype=float))
-        b[L - 1 + m] = acc
+    b[L - 1 :] = np.bincount(cell, _pair_on_pieces(hw, y0, xs), minlength=L)
     if y1 is not None:
-        for k in range(1, L):
-            acc = 0.0
-            for lo, hi in (((k - 1) / L, k / L), (k / L, (k + 1) / L)):
-                for xs, half in _gauss8_segments(lo, hi, cuts):
-                    hat = 1.0 - L * np.abs(xs - k / L)
-                    acc += float((half * _GAUSS8_WEIGHTS * hat) @ np.asarray(y1(xs), dtype=float))
-            b[k - 1] = -acc
+        k = np.stack([cell + 1, cell])  # cell m: hat m+1 rises, hat m falls
+        hat = 1.0 - L * np.abs(xs - (k / L)[:, :, None])
+        dots = _pair_on_pieces(hw * hat, y1, xs)  # rising sides first: each hat sums left to right
+        b[: L - 1] = -np.bincount(k.ravel(), dots.ravel(), minlength=L + 1)[1:L]
     return b
 
 

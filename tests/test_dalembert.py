@@ -31,6 +31,7 @@ from waveobs.grid import (
     square_center,
     squares_in_time_slab,
 )
+from waveobs.presets import get_preset
 from waveobs.testing import random_connected_square_domain, random_initial_data
 
 
@@ -59,6 +60,51 @@ def test_project_sine_slopes_match_node_differences():
     data = project(f, lambda x: np.zeros_like(np.asarray(x, dtype=float)), level)
     nodes = np.arange(level + 1) / level
     assert data.alpha == pytest.approx(level * np.diff(f(nodes)), abs=1e-15)
+
+
+def _per_piece_beta(phi1, n, breakpoints):
+    """The per-cell, per-piece projection loop: beta_i = n * sum of half * (W @ f)."""
+    W = dalembert._GAUSS8_WEIGHTS
+    cuts = sorted(set(float(b) for b in breakpoints if 0.0 < float(b) < 1.0))
+    beta = np.empty(n)
+    for i in range(n):
+        a, b = i / n, (i + 1) / n
+        pts = [a] + [c for c in cuts if a < c < b] + [b]
+        acc = 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            xs = mid + half * dalembert._GAUSS8_NODES
+            acc += half * float(W @ np.asarray(phi1(xs), dtype=float))
+        beta[i] = n * acc
+    return beta
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(np.ndim(x))
+        return f(x)
+
+    return g
+
+
+# a cut on a cell edge (0.5 at even levels), two cuts in one cell, a
+# duplicate, and cuts at or outside the ends of the interval
+CUT_CASES = [(), (0.4, 0.6), (0.5, 0.3, 0.3001, 0.3, -0.25, 0.0, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 129])
+@pytest.mark.parametrize("breakpoints", CUT_CASES)
+@pytest.mark.parametrize("preset", ["ex1", "ex2", "ex3", "ex4"])
+def test_project_is_bitwise_the_per_piece_loop(preset, breakpoints, n):
+    p = get_preset(preset)
+    smooth = lambda x: np.cos(3.0 * np.asarray(x, dtype=float)) + np.asarray(x, dtype=float) ** 2
+    phi1 = p.y1 or smooth
+    calls0, calls1 = [], []
+    data = project(_counted(p.y0, calls0), _counted(phi1, calls1), n, breakpoints)
+    assert np.array_equal(data.beta, _per_piece_beta(phi1, n, breakpoints))
+    nodes = np.arange(n + 1) / n
+    assert np.array_equal(data.alpha, n * np.diff(p.y0(nodes)))
+    assert calls0 == [1] and calls1 == [1]
 
 
 def test_project_rejects_nonzero_boundary():

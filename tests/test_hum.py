@@ -1,13 +1,14 @@
 """Null-control solver: weights, Gram system, duality, forward verification."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveobs.dalembert import eval_phi, leapfrog_solve
+from waveobs.dalembert import _GAUSS8_NODES, _GAUSS8_WEIGHTS, eval_phi, leapfrog_solve
 from waveobs.grid import Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
 from waveobs.hum import (
     HumSolution,
@@ -23,6 +24,7 @@ from waveobs.hum import (
     solve_hum,
 )
 from waveobs.presets import get_preset
+from waveobs.testing import random_connected_square_domain
 
 EX1 = get_preset("ex1")
 
@@ -113,6 +115,59 @@ def test_rhs_linearity_and_constant_oracle(rng):
     # constant position: cell entries are the cell integrals, 1/L each
     b2 = hum_rhs(L, lambda x: np.ones_like(np.asarray(x, dtype=float)))
     assert b2[L - 1 :] == pytest.approx(np.full(L, 1.0 / L))
+
+
+def _per_piece_rhs(L, y0, y1, breakpoints):
+    """The per-cell, per-piece pairing loop: one data call and one dot per piece."""
+    cuts = sorted(set(float(c) for c in breakpoints if 0.0 < float(c) < 1.0))
+
+    def pieces(a, b):
+        pts = [a] + [c for c in cuts if a < c < b] + [b]
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            yield mid + half * _GAUSS8_NODES, half
+
+    b = np.zeros(2 * L - 1)
+    for m in range(L):
+        acc = 0.0
+        for xs, half in pieces(m / L, (m + 1) / L):
+            acc += float((half * _GAUSS8_WEIGHTS) @ np.asarray(y0(xs), dtype=float))
+        b[L - 1 + m] = acc
+    if y1 is not None:
+        for k in range(1, L):
+            acc = 0.0
+            for lo, hi in (((k - 1) / L, k / L), (k / L, (k + 1) / L)):
+                for xs, half in pieces(lo, hi):
+                    w = half * _GAUSS8_WEIGHTS * (1.0 - L * np.abs(xs - k / L))
+                    acc += float(w @ np.asarray(y1(xs), dtype=float))
+            b[k - 1] = -acc
+    return b
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(np.ndim(x))
+        return f(x)
+
+    return g
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 32, 129])
+@pytest.mark.parametrize(
+    # a cut on a cell edge (0.5 at even levels), two cuts in one cell, a
+    # duplicate, and cuts at or outside the ends of the interval
+    "breakpoints", [(), (0.4, 0.6), (0.5, 0.3, 0.3001, 0.3, -0.25, 0.0, 1.0, 1.5)]
+)
+@pytest.mark.parametrize("with_y1", [False, True])
+@pytest.mark.parametrize("preset", ["ex1", "ex2", "ex3", "ex4"])
+def test_rhs_is_bitwise_the_per_piece_loop(preset, with_y1, breakpoints, L):
+    p = get_preset(preset)
+    smooth = lambda x: np.cos(3.0 * np.asarray(x, dtype=float)) + np.asarray(x, dtype=float) ** 2
+    y1 = (p.y1 or smooth) if with_y1 else None
+    calls0, calls1 = [], []
+    b = hum_rhs(L, _counted(p.y0, calls0), y1 and _counted(y1, calls1), breakpoints)
+    assert np.array_equal(b, _per_piece_rhs(L, p.y0, y1, breakpoints))
+    assert calls0 == [1] and calls1 == ([1] if with_y1 else [])
 
 
 def _closed_form_cell_integral(data, a_idx, b_idx, h):
@@ -210,6 +265,65 @@ def test_tube_gram_matches_pointwise_quadrature(rng):
             z = rng.standard_normal(2 * L - 1)
             phi = eval_phi(datum_from_coefficients(L, z), x, t)
             assert float(z @ G @ z) == pytest.approx(float(wts @ phi**2), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=33),
+    st.floats(0.05, 0.4),
+    st.floats(0.05, 0.95),
+    st.sampled_from([2, 4, 8, 16, 32, 64]),
+)
+def test_plateau_cells_have_weight_one(values, delta0, frac, L):
+    # random curves, steep ones included (33 nodes over T = 2 reach slope 16)
+    from waveobs.grid import Curve
+    from waveobs.hum import _cell_rules, _strip_cells, _tube_bands
+
+    tube = SmoothedTube(
+        Curve(np.linspace(0.0, 2.0, len(values)), values), WeightProfile(delta0, frac * delta0)
+    )
+    h = 1.0 / L
+    full, tri = _cell_rules(h)
+    A, B, cats = _strip_cells(L, tube.T)
+    near, ramp = _tube_bands(tube, A, B, h)
+    plateau = near & ~ramp
+    prof = tube.profile
+    if prof.delta0 - prof.delta < (1.0 + tube.curve.lipschitz_estimate()) * h:
+        assert not plateau.any()
+    for name, mask in cats.items():
+        du, dv, _ = full if name == "full" else tri[name]
+        u = A[mask & plateau][:, None] * h + du
+        v = B[mask & plateau][:, None] * h + dv
+        assert np.all(tube.chi((u + v) / 2, (u - v) / 2) == 1.0)
+    # evaluating the weight on every kept cell gives the same Gram, bitwise
+    def all_ramp(*args):
+        near, ramp = _tube_bands(*args)
+        return near, np.ones_like(ramp)
+
+    G = assemble_gram(tube, L)
+    with patch("waveobs.hum._tube_bands", all_ramp):
+        assert np.array_equal(G, assemble_gram(tube, L))
+
+
+def test_plateau_cells_exist_on_the_reference_cylinder():
+    from waveobs.hum import _strip_cells, _tube_bands
+
+    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    A, B, _ = _strip_cells(32, 2.0)
+    near, ramp = _tube_bands(tube, A, B, 1.0 / 32)
+    assert 0 < np.sum(near & ~ramp) < np.sum(near)
+
+
+def test_cell_rules_are_cached_and_read_only():
+    from waveobs.hum import _cell_rules
+
+    full, tri = _cell_rules(1.0 / 8)
+    assert _cell_rules(1.0 / 8) is _cell_rules(1.0 / 8)
+    for arr in (*full, *(a for rule in tri.values() for a in rule)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(TypeError):
+        tri["x0"] = full
 
 
 def test_gram_level_must_refine_indicator_domain(chevron):
@@ -434,3 +548,29 @@ def test_cost_is_invariant_under_the_mirror(coefs, x0, levels):
     J = hum_control(cylinder(x0), n * p, *_poly_datum(coefs)).cost
     Jm = hum_control(cylinder(1 - x0), n * p, *_poly_datum(coefs, mirror=True)).cost
     assert Jm == pytest.approx(J, rel=1e-9)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.lists(st.integers(-8, 8), min_size=14, max_size=14),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(2, 1), (2, 2), (2, 4), (4, 1), (4, 2)]),
+)
+def test_cost_does_not_decrease_from_level_to_twice_the_level(coefs, seed, levels):
+    # the level-L data space lies in the level-2L one, and for an indicator
+    # weight the Gram is exact, as are the pairings with data of degree <= 7
+    # (Gauss-8), so the conjugate minimum can only go down: J(2L) >= J(L)
+    n, p = levels
+    region = IndicatorRegion(random_connected_square_domain(np.random.default_rng(seed), n))
+    a, c = np.asarray(coefs[:6]) / 4, np.asarray(coefs[6:]) / 4
+
+    def y0(x):
+        x = np.asarray(x, dtype=float)
+        return x * (1.0 - x) * np.polynomial.polynomial.polyval(x, a)
+
+    def y1(x):
+        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
+
+    J = hum_control(region, n * p, y0, y1).cost
+    J2 = hum_control(region, 2 * n * p, y0, y1).cost
+    assert J2 >= J * (1.0 - 1e-12)
