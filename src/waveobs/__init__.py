@@ -5,7 +5,7 @@ cover and its graph Laplacian, builds null controls by duality, and optimizes
 the support curve of the control region by projected gradient descent.
 
 Submodule attributes are loaded lazily so the command-line entry point can
-pin BLAS thread counts before numpy is first imported.
+pin numpy to one BLAS thread before numpy is first imported.
 """
 
 import importlib

@@ -5,8 +5,8 @@ artifacts (CSV/JSON) plus a manifest with content checksums.  One command per
 process; re-running a command with the same config and seed reproduces the
 output files byte for byte.
 
-Heavy numeric imports happen inside the command handlers so that ``--threads``
-can pin the BLAS/OpenMP thread counts before numpy is first loaded.
+``main`` pins one BLAS/OpenMP thread before numpy is first loaded (hence the
+imports inside the command handlers), so artifacts do not depend on the host.
 """
 
 import argparse
@@ -126,10 +126,11 @@ class ArtifactWriter:
 #
 # Each command's keys are declared once, in COMMAND_TABLE, as (default, kind).
 # A kind (type, positive) takes a JSON number, not a boolean, integral for int,
-# > 0 or >= 0; None leaves the value to the handler.  Only a key whose default
-# is None may be null, meaning "derive it".
+# > 0 or >= 0, and at most _INT_MAX for int; None leaves the value to the
+# handler.  Only a key whose default is None may be null, meaning "derive it".
 
 _POS_INT, _INT_GE0 = (int, True), (int, False)
+_INT_MAX = 2**31 - 1
 _POS_NUM, _NUM_GE0 = (float, True), (float, False)
 
 
@@ -174,6 +175,8 @@ def _coerce(key, value, kind):
         raise UsageError(f"config key {key!r} must be a finite number, got {value!r}")
     if type_ is int and not _integral(value):
         raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    if type_ is int and value > _INT_MAX:
+        raise UsageError(f"config key {key!r} must be at most {_INT_MAX}, got {value!r}")
     value = type_(value)
     if positive and not value > 0:
         raise UsageError(f"config key {key!r} must be positive, got {value!r}")
@@ -610,8 +613,8 @@ def _cmd_verify(config, writer, seed):
     if not all(map(_finite, levels)):
         raise UsageError("'levels' must be finite")
     levels = [int(v) for v in levels]
-    if any(v < 1 for v in levels):
-        raise UsageError("'levels' must be positive")
+    if not all(1 <= v <= _INT_MAX for v in levels):
+        raise UsageError(f"'levels' must be positive and at most {_INT_MAX}")
     grid_factor, obs_samples = config["grid_factor"], config["obs_samples"]
     data = _resolve_data(config)
     breakpoints = data.data_breakpoints()
@@ -710,19 +713,6 @@ COMMAND_TABLE = {
 # entry point
 
 
-def _set_threads(n):
-    for var in (
-        "OPENBLAS_NUM_THREADS",
-        "OMP_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ[var] = str(n)
-    if "numpy" in sys.modules:
-        log.warning("numpy already imported; --threads may not take effect")
-
-
 def _setup_logging():
     name = os.environ.get("WAVEOBS_LOG", "warning").upper()
     level = getattr(logging, name, None)
@@ -747,22 +737,16 @@ def _build_parser():
         "--out", metavar="DIR", default="waveobs-out", help="artifact directory"
     )
     parser.add_argument("--seed", metavar="N", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--threads",
-        metavar="N",
-        type=int,
-        help="pin BLAS/OpenMP thread counts (set before numpy loads)",
-    )
     return parser
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error("--threads must be >= 1")
-        _set_threads(args.threads)
+    if "numpy" not in sys.modules:  # one BLAS thread; in-process callers keep theirs
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+            os.environ[var] = "1"
     _setup_logging()
 
     writer = ArtifactWriter(args.out)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dalembert import (
     _GAUSS8_WEIGHTS,
@@ -49,6 +48,7 @@ __all__ = [
     "assemble_gram",
     "hum_rhs",
     "solve_hum",
+    "solve_tridiagonal",
     "hum_control",
     "HumSolution",
     "control_density",
@@ -337,10 +337,14 @@ class HumSolution:
 
 
 def solve_hum(G, b):
-    """Cholesky solve of the Gram system: (z, relative residual)."""
+    """Solve G z = b for a vector or matrix b: (z, relative residual).
+
+    Cholesky only checks definiteness and LU solves; either failing is an error.
+    """
     try:
-        z = cho_solve(cho_factor(G), b)
-    except LinAlgError:
+        np.linalg.cholesky(G)
+        z = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
         raise RuntimeError(
             "ill-conditioned conjugate system - the region may fail to "
             "observe every characteristic or the level is too coarse"
@@ -348,6 +352,20 @@ def solve_hum(G, b):
     bn = float(np.linalg.norm(b))
     res = float(np.linalg.norm(G @ z - b)) / bn if bn > 0 else 0.0
     return z, res
+
+
+def solve_tridiagonal(diag, off, rhs):
+    """Solve the SPD tridiagonal system (n ``diag``, n-1 ``off``) by elimination on floats."""
+    d, e, x = (np.asarray(v, dtype=float).tolist() for v in (diag, off, rhs))
+    for k in range(1, len(d)):
+        m = e[k - 1] / d[k - 1]
+        d[k] -= m * e[k - 1]
+        x[k] -= m * x[k - 1]
+    if d:
+        x[-1] /= d[-1]
+    for k in range(len(d) - 2, -1, -1):
+        x[k] = (x[k] - e[k] * x[k + 1]) / d[k]
+    return np.array(x, dtype=float)
 
 
 def hum_control(region, level, y0, y1=None, breakpoints=(), quad=4):

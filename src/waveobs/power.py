@@ -9,10 +9,10 @@ with L_q the control map of the domain and R the duality map from L2 x H-1
 back to the energy space.  The composition is self-adjoint and positive, so
 Rayleigh quotients of a power iteration converge to the constant from below.
 
-Discretely, one conjugate-system Gram per domain is assembled once; each
-iteration solves it for a new right-hand side, applies the duality map (a
-tridiagonal Poisson solve for the first component, a sign flip for the
-second), and renormalizes.  Iterates are stored as node values of
+Discretely, one conjugate-system Gram per domain is assembled and inverted
+once; each iteration applies the inverse to a new right-hand side, applies the
+duality map (a tridiagonal Poisson solve for the first component, a sign flip
+for the second), and renormalizes.  Iterates are stored as node values of
 piecewise-affine pairs, for which every pairing used here is exact.
 """
 
@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .hum import IndicatorRegion, assemble_gram, datum_from_coefficients, solve_hum
+from .hum import IndicatorRegion, assemble_gram, datum_from_coefficients
+from .hum import solve_hum, solve_tridiagonal
 
 __all__ = ["StatePair", "poisson_solve", "power_iterate", "PowerResult"]
 
@@ -63,15 +63,12 @@ def poisson_solve(rhs_node_integrals):
     """Dirichlet Poisson solve on the unit interval, P1 elements.
 
     Input: the load integrals against the interior hat functions (length
-    m-1).  Output: interior node values of the solution, via the exact
-    tridiagonal stiffness factorization.
+    m-1).  Output: interior node values of the solution, by elimination on
+    the tridiagonal stiffness matrix.
     """
     f = np.asarray(rhs_node_integrals, dtype=float)
     m = f.size + 1
-    ab = np.zeros((2, m - 1))
-    ab[0, 1:] = -m
-    ab[1, :] = 2.0 * m
-    return solveh_banded(ab, f, lower=False)
+    return solve_tridiagonal([2.0 * m] * (m - 1), [-float(m)] * (m - 2), f)
 
 
 def _rhs_from_pair(level, y):
@@ -124,12 +121,14 @@ def default_start(m):
 def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
     """Estimate the observability constant of a square-aligned domain.
 
-    Assembles the level-L conjugate Gram for the domain's indicator weight
-    once, then iterates y -> R L_q y with Rayleigh-quotient estimates.
+    Assembles and inverts (``solve_hum`` on the identity) the level-L Gram of
+    the domain's indicator weight once, then iterates y -> R L_q y with
+    Rayleigh-quotient estimates.
     Stops when the relative change of the estimate drops below ``tol``.
     """
     L = int(level)
     G = assemble_gram(IndicatorRegion(domain), L)
+    Ginv, _ = solve_hum(G, np.eye(G.shape[0]))
     y = default_start(L) if start is None else start.scaled(1.0)
     nrm = np.sqrt(y.norm_sq())
     if nrm == 0:
@@ -139,7 +138,7 @@ def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
     converged = False
     for it in range(int(max_iters)):
         b = _rhs_from_pair(L, y)
-        z, _ = solve_hum(G, b)
+        z = Ginv @ b
         w = _apply_duality(L, datum_from_coefficients(L, z))
         wn = float(np.sqrt(w.norm_sq()))
         if wn == 0:

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .dalembert import eval_phi
-from .hum import SmoothedTube, WeightProfile, hum_control
+from .hum import SmoothedTube, WeightProfile, hum_control, solve_tridiagonal
 
 __all__ = [
     "shape_derivative_density",
@@ -100,15 +99,16 @@ def pair_with_density(curve, j, direction):
 def h1_smooth(curve, j, eps):
     """Smoothed gradient of the regularized cost.
 
-    Solves (M + eps K) j_eps = M j + eps K gamma on the curve nodes with
-    natural boundary conditions; eps = 0 returns j unchanged.
+    Solves the tridiagonal (M + eps K) j_eps = M j + eps K gamma on the curve
+    nodes with natural boundary conditions; eps = 0 returns j unchanged.
     """
     if eps == 0:
         return np.array(j, dtype=float, copy=True)
     M = curve_mass_matrix(curve)
     K = _stiffness_banded(curve)
     rhs = _banded_matvec(M, j) + eps * _banded_matvec(K, curve.values)
-    return solveh_banded(M + eps * K, rhs, lower=False)
+    off, diag = M + eps * K
+    return solve_tridiagonal(diag, off[1:], rhs)
 
 
 def descent_step(curve, grad, rho, delta0):

@@ -382,6 +382,10 @@ BAD_CONFIGS = [
     ("hum", {"T": 10**400}, "key 'T' must be a finite number"),
     ("hum", {"level": 10**400}, "key 'level' must be a finite number"),
     ("verify", {"levels": [16, 10**400]}, "'levels' must be finite"),
+    ("hum", {"level": 10**20}, "key 'level' must be at most 2147483647"),
+    ("hum", {"level": 1e20}, "key 'level' must be at most 2147483647"),
+    ("hum", {"raster_nx": 2**31}, "key 'raster_nx' must be at most 2147483647"),
+    ("verify", {"levels": [16, 2**31]}, "'levels' must be positive and at most 2147483647"),
 ]
 
 
@@ -396,6 +400,13 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, conf
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_keys_take_values_up_to_2_to_the_31_minus_1():
+    from waveobs.cli import _POS_INT, _coerce
+
+    assert _coerce("level", 2**31 - 1, _POS_INT) == 2**31 - 1
+    assert _coerce("level", float(2**31 - 1), _POS_INT) == 2**31 - 1
 
 
 def test_integral_float_level_is_the_integer_level(tmp_path):
@@ -460,8 +471,7 @@ def child_env():
 def test_module_entry_point(tmp_path):
     out = tmp_path / "proc"
     proc = subprocess.run(
-        [sys.executable, "-m", "waveobs.cli", "graph-cobs", "--out", str(out),
-         "--threads", "1"],
+        [sys.executable, "-m", "waveobs.cli", "graph-cobs", "--out", str(out)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -473,20 +483,50 @@ def test_module_entry_point(tmp_path):
 
 
 def test_artifacts_do_not_depend_on_thread_count(tmp_path):
-    for command in ("hum", "sweep"):
+    # the CLI pins one BLAS thread whatever the environment asks for; at two
+    # threads the Gram product of hum at levels 32 and 128 changes in its last bits
+    cases = {"hum-32": ("hum", {"level": 32}), "hum-64": ("hum", {}),
+             "hum-128": ("hum", {"level": 128}), "sweep": ("sweep", {})}
+    for name, (command, config) in cases.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
         manifests = []
         for threads in ("1", "2"):
-            out = tmp_path / f"{command}-{threads}"
+            out = tmp_path / f"{name}-{threads}"
             proc = subprocess.run(
-                [sys.executable, "-m", "waveobs.cli", command, "--out", str(out),
-                 "--threads", threads],
+                [sys.executable, "-m", "waveobs.cli", command, "--config", str(cfg),
+                 "--out", str(out)],
                 capture_output=True,
                 text=True,
                 timeout=300,
-                env=child_env(),
+                env={**child_env(), "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
             manifests.append((out / "manifest.json").read_bytes())
-        assert manifests[0] == manifests[1], command
+        assert manifests[0] == manifests[1], name
     # mirror-image cylinders tie; the tie goes to the smaller center
     assert read_json(tmp_path / "sweep-1" / "result.json")["best_x0"] == 0.25
+
+
+NO_SCIPY = """
+import sys
+from waveobs.cli import main
+cfg, out = sys.argv[1:]
+for command in ("hum", "power-cobs", "optimize"):
+    assert main([command, "--config", cfg, "--out", out + "/" + command]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_control_commands_load_no_scipy(tmp_path):
+    cfg = tmp_path / "level16.json"
+    cfg.write_text(json.dumps({"level": 16}))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(cfg), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

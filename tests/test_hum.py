@@ -22,6 +22,7 @@ from waveobs.hum import (
     hum_control,
     hum_rhs,
     solve_hum,
+    solve_tridiagonal,
 )
 from waveobs.presets import get_preset
 from waveobs.testing import random_connected_square_domain
@@ -403,6 +404,37 @@ def test_solver_reports_ill_conditioned_system():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="ill-conditioned"):
             solve_hum(G, b)
+
+
+def test_singular_gram_that_passes_the_cholesky_check_is_reported():
+    # two level-2 squares at level 4: one eigenvalue of G is ~1e-19, the last
+    # Cholesky pivot is roundoff-positive, and the LU solve meets an exact zero
+    dom = SquareUnion(level=2, squares=frozenset([(2, -1), (4, -1)]), T=2)
+    G = assemble_gram(IndicatorRegion(dom), 4)
+    with pytest.raises(RuntimeError, match="ill-conditioned"):
+        solve_hum(G, np.ones(G.shape[0]))
+
+
+def test_solve_with_a_matrix_right_side_is_the_column_solves(rng):
+    G = assemble_gram(SmoothedTube.around(0.25, 2.0, 0.15), 16)
+    n = G.shape[0]
+    for B in (rng.standard_normal((n, 5)), np.eye(n)):
+        Z, res = solve_hum(G, B)
+        assert Z.shape == B.shape and res <= 1e-12
+        for k in range(B.shape[1]):
+            z, _ = solve_hum(G, B[:, k])
+            assert np.max(np.abs(Z[:, k] - z)) <= 1e-12 * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 200])
+def test_tridiagonal_solve_matches_a_dense_solve(rng, n):
+    diag = rng.uniform(2.5, 4.0, n)
+    off = rng.uniform(-1.0, 1.0, max(n - 1, 0))
+    rhs = rng.standard_normal(n)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x = solve_tridiagonal(diag, off, rhs)
+    assert x.shape == (n,) and x.dtype == np.float64
+    assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------------- forward
