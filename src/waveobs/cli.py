@@ -300,6 +300,9 @@ def _resolve_region(config, T):
     delta = config["delta"]
     if isinstance(domain, SquareUnion):
         return IndicatorRegion(domain)
+    if domain.t_lo != 0 or domain.t_hi != domain.T:
+        raise UsageError("the smoothed weight of a cylinder or curve_tube has no time "
+                         "window: drop 't_lo'/'t_hi' or give a square_union domain")
     if isinstance(domain, Cylinder):
         return SmoothedTube.around(
             float(domain.x0),
@@ -343,22 +346,17 @@ def _cmd_graph_cobs(config, writer, seed):
 
 
 def _cmd_spectrum(config, writer, seed):
-    from waveobs.graph import laplacian, refined_laplacian, spectrum, vertex_position
+    from waveobs.graph import laplacian, refined_laplacian, spectrum
 
     gc = _graph_constant(config)
     n, p = gc.n, config["refine"]
-    base = laplacian(gc.graph)
+    order = [*range(-n, 0), *range(1, n + 1)]  # the matrix order
     if p == 1:
-        matrix = base
-        names = [None] * (2 * n)
-        for i in list(range(-n, 0)) + list(range(1, n + 1)):
-            names[vertex_position(i, n)] = f"v{i}"
+        matrix = laplacian(gc.graph)
+        names = [f"v{i}" for i in order]
     else:
         matrix = refined_laplacian(gc.graph, p)
-        names = [None] * (2 * n * p)
-        for i in list(range(-n, 0)) + list(range(1, n + 1)):
-            for s in range(p):
-                names[vertex_position(i, n) * p + s] = f"v{i}s{s}"
+        names = [f"v{i}s{s}" for i in order for s in range(p)]
     eigenvalues = [_snap(v) for v in spectrum(matrix / p)]
     writer.write_csv("laplacian.csv", names, matrix.tolist())
     writer.write_csv(
@@ -381,14 +379,13 @@ def _raster(writer, solution, nx, nt):
     import numpy as np
 
     from waveobs.dalembert import eval_phi
-    from waveobs.hum import control_density
 
     T = float(solution.region.T)
     xs = np.linspace(0.0, 1.0, nx)
     ts = np.linspace(0.0, T, nt)
     X, Tt = np.meshgrid(xs, ts)  # t-major rows
     phi = eval_phi(solution.data, X.ravel(), Tt.ravel())
-    v = control_density(solution, X.ravel(), Tt.ravel())
+    v = phi * solution.region.chi(X.ravel(), Tt.ravel())  # the control density phi * chi
     rows_phi = np.column_stack([X.ravel(), Tt.ravel(), phi])
     rows_v = np.column_stack([X.ravel(), Tt.ravel(), v])
     writer.write_csv("phi.csv", ["x", "t", "phi"], rows_phi)

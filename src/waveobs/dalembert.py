@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .grid import _index, table_positions
+
 __all__ = [
     "PiecewiseInitialData",
     "project",
@@ -37,14 +39,6 @@ __all__ = [
 
 _GAUSS8_NODES, _GAUSS8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _FORCING_BLOCK = 64  # time levels per forcing call: a whole-grid call is slower at m=512
-
-
-def _table_position(e, n):
-    """Position of nonzero extended indices e in the level-n gamma table (lattice cell + n)."""
-    e = np.asarray(e)
-    if np.any(e == 0):
-        raise ValueError("interval index 0 does not exist (indices are nonzero)")
-    return (np.where(e > 0, e - 1, e) + n) % (2 * n)
 
 
 class PiecewiseInitialData:
@@ -101,7 +95,7 @@ class PiecewiseInitialData:
         gamma is 2n-periodic in the cell, so it is one lookup in the table
         of :meth:`gamma_fundamental`.
         """
-        return self._gtab[_table_position(e, self.level)]
+        return self._gtab[table_positions(e, self.level)]
 
     def gamma_fundamental(self):
         """gamma on the fundamental indices in (-n..-1, 1..n) order."""
@@ -195,9 +189,7 @@ def eval_phi(data, x, t):
 def _cell_of(w, n):
     """Extended cell index of coordinate w; lattice points go to the lower cell."""
     k = np.floor(w * n).astype(np.int64)
-    on_node = (k == w * n)
-    k = k - on_node
-    return np.where(k >= 0, k + 1, k)
+    return _index(k - (k == w * n))
 
 
 def eval_phi_t(data, x, t):
@@ -255,17 +247,12 @@ def _cover_positions(squares, p, L):
     table is read-only, as every caller of one cover shares it.
     """
     sq = np.asarray([(ij[0], ij[1]) for ij in sorted(squares)], dtype=np.int64).reshape(-1, 2)
-    e = np.stack([_refined_ranges(sq[:, 0], p), -_refined_ranges(sq[:, 1], p)])
-    pos = _table_position(e, L)
+    step = np.arange(p)
+    # a v-row lists -j' for the j' refining j in increasing order, so its cells descend
+    pos = p * table_positions(np.stack([sq[:, 0], -sq[:, 1]]), L // p)[..., None]
+    pos = pos + np.stack([step, step[::-1]])[:, None]
     pos.flags.writeable = False
     return pos
-
-
-def _refined_ranges(i, p):
-    """Subinterval indices of each extended index, one row per entry."""
-    i = np.asarray(i, dtype=np.int64)
-    starts = np.where(i > 0, p * (i - 1) + 1, p * i)
-    return starts[:, None] + np.arange(p, dtype=np.int64)[None, :]
 
 
 def check_discrete_observability(data, squares, n, c_obs):

@@ -10,7 +10,8 @@ interval indices are reduced to the fundamental index set
     I_n = {-n, ..., -1, 1, ..., n}
 
 by the folding map induced by the odd 2-periodic extension of the initial
-data (see :func:`fold_index`).
+data (see :func:`fold_index`).  Array code reaches this convention only
+through :func:`lattice_cells` and :func:`table_positions`.
 
 Square covers run in integer lattice units: level-n cell k spans
 [k/n, (k+1)/n] in u or v, and square (i, j) is the cell pair (lo(i), lo(j)).
@@ -36,7 +37,8 @@ import numpy as np
 
 __all__ = [
     "fold_index",
-    "fold_indices",
+    "lattice_cells",
+    "table_positions",
     "interval_bounds",
     "interval_midpoint",
     "square_center",
@@ -48,6 +50,7 @@ __all__ = [
     "CurveTube",
     "Cylinder",
     "squares_in_time_slab",
+    "cover_cells",
     "squares_in_domain",
     "epsilon_interior",
     "domain_from_json",
@@ -100,14 +103,26 @@ def fold_index(i, n):
     return sign * folded
 
 
-def fold_indices(idx, n):
-    """Vectorized :func:`fold_index` for integer arrays (no zero entries)."""
+def lattice_cells(idx):
+    """Lattice cells k of nonzero extended indices (vectorized): I_i = [k/n, (k+1)/n].
+
+    The cell is i - 1 for i > 0 and i for i < 0, at every level.
+    """
     idx = np.asarray(idx)
     if np.any(idx == 0):
         raise ValueError("interval index 0 does not exist (indices are nonzero)")
-    sign = np.sign(idx)
-    r = (np.abs(idx) - 1) % (2 * n)
-    return sign * np.where(r < n, r + 1, r - 2 * n)
+    return idx - (idx > 0)
+
+
+def table_positions(idx, n):
+    """Positions of nonzero extended indices in the level-n (-n..-1, 1..n) order.
+
+    Vectorized ``vertex_position(fold_index(i, n), n)``: the folding map is
+    2n-periodic in the lattice cell, so the position is the cell shifted by n,
+    mod 2n.  Under a p-fold refinement the level-(p n) positions of index i
+    are ``p * table_positions(i, n) + arange(p)``.
+    """
+    return (lattice_cells(idx) + n) % (2 * n)
 
 
 def interval_bounds(e, n):
@@ -364,13 +379,8 @@ def _pack_keys(i, j):
 # ---------------------------------------------------------------------------
 
 
-def _cell(i):
-    """Lattice cell k of the extended index i, so that I_i = [k/n, (k+1)/n]."""
-    return i - 1 if i > 0 else i
-
-
 def _index(k):
-    """Extended indices of lattice cells (inverse of :func:`_cell`, vectorized)."""
+    """Extended indices of lattice cells (inverse of :func:`lattice_cells`)."""
     return np.where(k >= 0, k + 1, k)
 
 
@@ -389,7 +399,7 @@ def square_in_time_slab(ij, n, T):
     i, j = ij[0], ij[1]
     if i == 0 or j == 0:
         raise ValueError(f"square index {tuple(ij)} contains a zero component")
-    a, b = _cell(i), _cell(j)
+    a, b = i - (i > 0), j - (j > 0)  # lattice cells, as in lattice_cells
     return 0 <= a + b <= 2 * n - 2 and b < a <= b - 1 + math.floor(2 * n * _as_fraction(T))
 
 
@@ -459,7 +469,7 @@ def _union_cover(domain, n, d_lo, d_hi):
     union's bounding box.
     """
     m = domain.level
-    cells = np.array([(_cell(i), _cell(j)) for i, j in domain.squares], dtype=np.int64)
+    cells = lattice_cells(np.array(list(domain.squares), dtype=np.int64))
     base = cells.min(axis=0)
     size = cells.max(axis=0) - base + 1
     table = np.zeros(size + 1, dtype=np.int64)
@@ -479,34 +489,29 @@ def _union_cover(domain, n, d_lo, d_hi):
     d = a[:, None] - b[None, :]
     keep = (stored == np.outer(u1 - u0, v1 - v0)) & (d >= d_lo) & (d <= d_hi)
     ka, kb = np.nonzero(keep)
-    return _index_pairs(a[ka], b[kb])
+    return a[ka], b[kb]
 
 
-def squares_in_domain(domain, n):
-    """Elementary squares at level n whose open interior lies in the domain.
+def cover_cells(domain, n):
+    """Lattice cells (a, b) of the level-n squares whose open interior lies in the domain.
 
     Covers run in integer lattice units: the domain's time window, slab
     height and cylinder edges become integer thresholds once per call
     (``Fraction`` appears only there), and every per-square test is
-    integer arithmetic.  For a :class:`SquareUnion` at its own level this
-    is the stored set; at other levels a square is kept when the stored
-    squares cover it.  For cylinders the test is the exact corner test; for
-    tubes it is edge-exact for the piecewise-affine centerline.
-
-    Returns a frozenset of (i, j) index pairs (possibly empty), so that
-    per-cover caches such as :func:`waveobs.dalembert.l2_phit_on_squares`
-    can key on it; a square union at its own level returns its stored set.
+    integer arithmetic.  For a :class:`SquareUnion` a square is kept when
+    the stored squares cover it; for cylinders the test is the exact corner
+    test; for tubes it is edge-exact for the piecewise-affine centerline.
+    Every domain honours its ``t_lo``/``t_hi`` window.  Returns two int64
+    arrays (empty for an empty cover), in no particular order.
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
     if domain.is_empty():
-        return frozenset()
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
     d_lo = math.ceil(2 * n * domain.t_lo) + 1
     d_hi = math.floor(2 * n * domain.t_hi) - 1
     if isinstance(domain, SquareUnion):
-        if n == domain.level and domain.t_lo == 0 and domain.t_hi == domain.T:
-            return domain.squares
         return _union_cover(domain, n, d_lo, d_hi)
     # moving domains: cells inside the slab and the time window
     d_lo = max(d_lo, 1)
@@ -515,10 +520,24 @@ def squares_in_domain(domain, n):
         # all four corners within delta0 of x0: the extreme ones sit at x = s/(2n), (s+2)/(2n)
         s_lo = math.ceil(2 * n * (domain.x0 - domain.delta0))
         s_hi = math.floor(2 * n * (domain.x0 + domain.delta0)) - 2
-        return _index_pairs(*_slab_cells(d_lo, d_hi, s_lo, s_hi))
+        return _slab_cells(d_lo, d_hi, s_lo, s_hi)
     a, b = _slab_cells(d_lo, d_hi, 0, 2 * n - 2)
     keep = _square_in_tube(a, b, n, domain)
-    return _index_pairs(a[keep], b[keep])
+    return a[keep], b[keep]
+
+
+def squares_in_domain(domain, n):
+    """Elementary squares at level n whose open interior lies in the domain.
+
+    The frozenset of (i, j) index pairs of :func:`cover_cells` (possibly
+    empty), so that per-cover caches such as
+    :func:`waveobs.dalembert.l2_phit_on_squares` can key on it; a square
+    union at its own level and full time window returns its stored set.
+    """
+    own_level = isinstance(domain, SquareUnion) and n == domain.level
+    if own_level and (domain.t_lo, domain.t_hi) == (0, domain.T):
+        return domain.squares
+    return _index_pairs(*cover_cells(domain, n))
 
 
 def epsilon_interior(domain, eps):

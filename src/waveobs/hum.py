@@ -38,7 +38,7 @@ from .dalembert import (
     project,
     terminal_velocity,
 )
-from .grid import Curve, SquareUnion, fold_indices
+from .grid import Curve, SquareUnion, cover_cells, table_positions
 
 __all__ = [
     "WeightProfile",
@@ -146,12 +146,10 @@ def basis_tables(level):
         alpha[k - 1, k] = -L
     for m in range(L):  # indicator of cell m+1
         beta[L - 1 + m, m] = 1.0
-    gpos = alpha + beta  # gamma_i, i = 1..L
-    gneg = alpha - beta  # gamma_{-i}
-    per = fold_indices(np.arange(1, 2 * L + 1), L)
-    col = np.where(per > 0, per - 1, -per - 1)
-    fs = np.where(per > 0, gpos[:, col], gneg[:, col]) / 2.0
-    gs = np.where(per > 0, gneg[:, col], gpos[:, col]) / 2.0
+    gtab = np.hstack([(alpha - beta)[:, ::-1], alpha + beta])  # gamma in (-L..-1, 1..L) order
+    e = np.arange(1, 2 * L + 1)
+    fs = gtab[:, table_positions(e, L)] / 2.0  # F' = gamma_e / 2 on period cell e
+    gs = gtab[:, table_positions(-e, L)] / 2.0  # G' = gamma_{-e} / 2
     h = 1.0 / L
     fn = np.concatenate([np.zeros((nb, 1)), np.cumsum(fs[:, :-1], axis=1) * h], axis=1)
     gn = np.concatenate([np.zeros((nb, 1)), np.cumsum(gs[:, :-1], axis=1) * h], axis=1)
@@ -241,11 +239,11 @@ def assemble_gram(region, level, quad=4):
     with a q x q Gauss rule (collapsed rule on boundary triangles).  A
     smoothed tube keeps the cells where its weight can be nonzero and
     evaluates it only on those that can meet its ramp (plateau cells have
-    weight 1); an indicator region keeps the cells of its squares refined to
-    the level, where the weight is 1 and the result is exact.  The moments,
-    folded onto the 2L period cells of u and v, form one 8L x 8L table M over
-    the node values and slopes of F and G, and G = Phi M Phi^T with Phi the
-    stacked basis tables.
+    weight 1); an indicator region keeps the level-L cells of its domain's
+    cover (time window included), where the weight is 1 and the result is
+    exact.  The moments, folded onto the 2L period cells of u and v, form one
+    8L x 8L table M over the node values and slopes of F and G, and
+    G = Phi M Phi^T with Phi the stacked basis tables.
     """
     L = int(level)
     h = 1.0 / L
@@ -258,13 +256,7 @@ def assemble_gram(region, level, quad=4):
             raise ValueError(
                 f"level {L} must be a multiple of the domain level {dom.level}"
             )
-        p = L // dom.level
-        lo = p * np.array(
-            [(i - 1 if i > 0 else i, j - 1 if j > 0 else j) for i, j in dom.squares],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        da, db = np.divmod(np.arange(p * p), p)
-        A, B = (lo[:, :1] + da).ravel(), (lo[:, 1:] + db).ravel()
+        A, B = cover_cells(dom, L)
         cells.append((A, B, full_rule, full_rule[2][None, :]))
     elif isinstance(region, SmoothedTube):
         A, B, cats = _strip_cells(L, region.T)

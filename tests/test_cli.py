@@ -249,6 +249,18 @@ def test_power_cobs_artifacts(tmp_path):
     assert len(datum) == 1 + 17
 
 
+def test_power_cobs_honours_the_time_window(tmp_path):
+    # 18 of the chevron's 25 squares lie above t = 1/2, so the constant grows
+    chevron = {"type": "square_union", "level": 4, "T": 2, "squares": sorted(CHEVRON_SQUARES)}
+    constants = []
+    for name, domain in (("full", chevron), ("window", {**chevron, "t_lo": 0.5})):
+        code, out = run_cli(tmp_path, "power-cobs", {"domain": domain, "level": 16}, out_name=name)
+        assert code == 0
+        constants.append(read_json(out / "result.json")["constant"])
+    assert constants[0] == pytest.approx(3.949, abs=1e-3)
+    assert constants[1] == pytest.approx(7.849, abs=1e-3)
+
+
 def test_verify_artifacts(tmp_path):
     config = {
         "domain": {"fixture": "chevron_l4"},
@@ -386,6 +398,11 @@ BAD_CONFIGS = [
     ("hum", {"level": 1e20}, "key 'level' must be at most 2147483647"),
     ("hum", {"raster_nx": 2**31}, "key 'raster_nx' must be at most 2147483647"),
     ("verify", {"levels": [16, 2**31]}, "'levels' must be positive and at most 2147483647"),
+    ("hum", {"domain": {"type": "cylinder", "t_lo": 0.5, "x0": 0.25, "delta0": 0.15, "T": 2}},
+     "drop 't_lo'/'t_hi'"),
+    ("verify", {"domain": {"type": "curve_tube", "t_hi": 1.5, "delta0": 0.15,
+                           "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
+     "drop 't_lo'/'t_hi'"),
 ]
 
 

@@ -16,11 +16,11 @@ from waveobs.grid import (
     Cylinder,
     CurveTube,
     SquareUnion,
+    cover_cells,
     domain_from_json,
     domain_to_json,
     epsilon_interior,
     fold_index,
-    fold_indices,
     interval_bounds,
     interval_midpoint,
     square_area,
@@ -30,7 +30,9 @@ from waveobs.grid import (
     squares_in_domain,
     squares_in_time_slab,
     subsquare_indices,
+    table_positions,
 )
+from waveobs.graph import vertex_position
 from waveobs.testing import random_connected_square_domain
 
 nonzero_ints = st.integers(-200, 200).filter(lambda i: i != 0)
@@ -56,7 +58,7 @@ def test_fold_zero_rejected():
     with pytest.raises(ValueError):
         fold_index(0, 4)
     with pytest.raises(ValueError):
-        fold_indices(np.array([1, 0, 2]), 4)
+        table_positions(np.array([1, 0, 2]), 4)
 
 
 @given(nonzero_ints, levels)
@@ -83,10 +85,14 @@ def test_fold_lands_in_fundamental_set(i, n):
     assert f != 0 and -n <= f <= n
 
 
-@given(st.lists(nonzero_ints, min_size=1, max_size=30), levels)
-def test_fold_vectorized_matches_scalar(idx, n):
-    out = fold_indices(np.array(idx), n)
-    assert [fold_index(i, n) for i in idx] == out.tolist()
+@given(st.lists(nonzero_ints, min_size=1, max_size=30), levels, st.integers(1, 5))
+def test_table_positions_are_the_folded_vertex_positions(idx, n, p):
+    out = table_positions(np.array(idx), n)
+    assert out.tolist() == [vertex_position(fold_index(i, n), n) for i in idx]
+    # refinement: the p level-(p n) subintervals of I_i sit at p * position + (0..p-1)
+    for i, pos in zip(idx, out.tolist()):
+        fine = sorted({ii for ii, _ in subsquare_indices((i, 1), p)})
+        assert table_positions(np.array(fine), p * n).tolist() == [p * pos + s for s in range(p)]
 
 
 def test_fold_respects_odd_periodic_extension():
@@ -222,6 +228,21 @@ def test_squares_in_domain_returns_a_frozenset(chevron):
         for n in (1, 4, 8):
             assert type(squares_in_domain(domain, n)) is frozenset, (domain, n)
     assert squares_in_domain(chevron, chevron.level) is chevron.squares
+
+
+def test_cover_cells_are_the_squares_in_domain(chevron):
+    window = SquareUnion(chevron.level, chevron.squares, chevron.T, t_lo=Fraction(1, 2))
+    cases = [(dom, n) for dom in (chevron, window) for n in (4, 8, 12)]
+    times = np.linspace(0.0, 2.0, 33)
+    tube = CurveTube(Curve(times, 0.5 + 0.2 * np.sin(np.pi * times)), delta0=0.15)
+    cases += [(Cylinder(x0=0.25, delta0=0.15, T=2), 16), (tube, 16)]
+    cases += [(SquareUnion(level=1, squares=frozenset(), T=2), 4)]
+    for domain, n in cases:
+        a, b = cover_cells(domain, n)
+        pairs = list(zip((a + (a >= 0)).tolist(), (b + (b >= 0)).tolist()))
+        assert len(pairs) == len(set(pairs)), (domain, n)
+        assert set(pairs) == squares_in_domain(domain, n), (domain, n)
+    assert len(squares_in_domain(window, 4)) == 18
 
 
 def test_squares_in_domain_non_multiple_level_nests_geometrically(chevron):

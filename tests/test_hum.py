@@ -228,6 +228,16 @@ def test_indicator_gram_matches_closed_form(chevron):
         assert G[k, l] == pytest.approx(pair, abs=1e-10)
 
 
+def test_indicator_gram_honours_the_time_window(chevron):
+    # the windowed chevron's Gram is the Gram of its level-L cover
+    L = 16
+    window = SquareUnion(chevron.level, chevron.squares, chevron.T, t_lo=Fraction(1, 2))
+    cover = SquareUnion(L, squares_in_domain(window, L), chevron.T)
+    G = assemble_gram(IndicatorRegion(window), L)
+    assert np.array_equal(G, assemble_gram(IndicatorRegion(cover), L))
+    assert not np.array_equal(G, assemble_gram(IndicatorRegion(chevron), L))
+
+
 def test_gram_psd_on_random_tubes(rng):
     from waveobs.grid import Curve
 
