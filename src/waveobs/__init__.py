@@ -19,8 +19,6 @@ _EXPORTS = {
     "CurveTube": "grid",
     "SquareUnion": "grid",
     "epsilon_interior": "grid",
-    "fold_index": "grid",
-    "square_center": "grid",
     "squares_in_domain": "grid",
     "domain_from_json": "grid",
     "domain_to_json": "grid",
@@ -37,7 +35,6 @@ _EXPORTS = {
     "PiecewiseInitialData": "dalembert",
     "project": "dalembert",
     "eval_phi": "dalembert",
-    "eval_phi_t": "dalembert",
     "leapfrog_solve": "dalembert",
     # control
     "SmoothedTube": "hum",

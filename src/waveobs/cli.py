@@ -228,7 +228,7 @@ def _resolve_domain(spec):
         doc = spec
     try:
         return domain_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"invalid domain: {exc}")
 
 
@@ -419,23 +419,19 @@ def _cmd_hum(config, writer, seed):
 
 
 def _gamma0_curve(spec, T, n_nodes):
-    import numpy as np
-
     from waveobs.grid import Curve
 
     if spec is None:
         raise UsageError("optimize needs a 'gamma0' spec")
     if not isinstance(spec, dict):
         raise UsageError("'gamma0' must be an object")
-    if "constant" in spec:
-        return Curve.constant(float(spec["constant"]), T, n_nodes)
-    if "times" in spec and "values" in spec:
-        times = np.asarray(spec["times"], dtype=float)
-        values = np.asarray(spec["values"], dtype=float)
-        try:
-            return Curve(times, values)
-        except ValueError as exc:
-            raise UsageError(f"invalid gamma0 curve: {exc}")
+    try:
+        if "constant" in spec:
+            return Curve.constant(float(spec["constant"]), T, n_nodes)
+        if "times" in spec and "values" in spec:
+            return Curve(spec["times"], spec["values"])
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid gamma0 curve: {exc}")
     raise UsageError("'gamma0' needs 'constant' or 'times'+'values'")
 
 
@@ -572,9 +568,12 @@ def _cmd_sweep(config, writer, seed):
 def _cmd_power_cobs(config, writer, seed):
     import numpy as np
 
+    from waveobs.grid import SquareUnion
     from waveobs.power import power_iterate
 
     domain = _resolve_domain(config["domain"])
+    if not isinstance(domain, SquareUnion):
+        raise UsageError(f"power-cobs needs a square_union domain, got {type(domain).__name__}")
     res = power_iterate(domain, config["level"], tol=config["tol"], max_iters=config["max_iters"])
     writer.write_csv(
         "estimates.csv",

@@ -18,21 +18,19 @@ integer through the index folding map (2n-periodic, odd).
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .grid import _index, table_positions
+from .grid import _square_array, table_positions
 
 __all__ = [
     "PiecewiseInitialData",
+    "gamma_table",
+    "profile_tables",
     "project",
     "eval_phi",
-    "eval_phi_t",
-    "phi_t_on_square",
     "l2_phit_on_squares",
     "check_discrete_observability",
-    "energy",
     "leapfrog_solve",
     "terminal_velocity",
 ]
@@ -71,18 +69,11 @@ class PiecewiseInitialData:
         self.level = n
         self.alpha = alpha
         self.beta = beta
-        # gamma on the 2n fundamental cells, indexed by lattice cell + n
-        self._gtab = np.concatenate([(alpha - beta)[::-1], alpha + beta])
+        self._gtab = gamma_table(alpha, beta)
 
     @functools.cached_property
     def _profiles(self):
-        # node tables of F and G over one period u in [0, 2]:
-        # F'(u) = gamma_e / 2 and G'(v) = gamma_{-e} / 2 on cell e.
-        e = np.arange(1, 2 * self.level + 1)
-        return [
-            (np.concatenate([[0.0], np.cumsum(g) / (2 * self.level)]), g / 2.0)
-            for g in (self.gamma_of(e), self.gamma_of(-e))
-        ]
+        return profile_tables(self._gtab)
 
     @functools.cached_property
     def _p0node(self):
@@ -93,24 +84,15 @@ class PiecewiseInitialData:
 
         Extended index e spans lattice cell lo(e) = e-1 (e > 0) or e (e < 0);
         gamma is 2n-periodic in the cell, so it is one lookup in the table
-        of :meth:`gamma_fundamental`.
+        of :func:`gamma_table`.
         """
         return self._gtab[table_positions(e, self.level)]
-
-    def gamma_fundamental(self):
-        """gamma on the fundamental indices in (-n..-1, 1..n) order."""
-        return self._gtab.copy()
 
     def phi0(self, x):
         x = np.asarray(x, dtype=float)
         n = self.level
         c = np.clip(np.floor(x * n).astype(np.int64), 0, n - 1)
         return self._p0node[c] + self.alpha[c] * (x - c / n)
-
-    def phi1(self, x):
-        x = np.asarray(x, dtype=float)
-        c = np.clip(np.floor(x * self.level).astype(np.int64), 0, self.level - 1)
-        return self.beta[c]
 
     def v_norm_sq(self):
         """Squared energy norm: L2 of phi0' plus L2 of phi1.
@@ -132,6 +114,35 @@ class PiecewiseInitialData:
     def G(self, v):
         """Left-moving profile, 2-periodic with G(0) = 0."""
         return self._profile(v, *self._profiles[1])
+
+
+def gamma_table(alpha, beta):
+    """gamma on the fundamental indices in the (-n..-1, 1..n) order, along the last axis.
+
+    gamma_i = alpha_i + beta_i and gamma_{-i} = alpha_i - beta_i for i = 1..n,
+    so position k holds gamma of the lattice cell k - n.
+    """
+    return np.concatenate([(alpha - beta)[..., ::-1], alpha + beta], axis=-1)
+
+
+def profile_tables(gtab):
+    """Node values and slopes of the profiles F and G, along the last axis.
+
+    On the 2n period cells e = 1..2n of u (or v) in [0, 2), F' = gamma_e / 2
+    and G' = gamma_{-e} / 2, and the node value at the left end of a cell is
+    the sum of gamma over the cells before it, over 2n.  ``gtab`` is a
+    :func:`gamma_table`; the result has shape (..., 2, 2, 2n): (F, G) by
+    (node values, slopes).
+    """
+    n2 = gtab.shape[-1]
+    e = np.arange(1, n2 + 1)
+    g = gtab[..., table_positions(np.stack([e, -e]), n2 // 2)]
+    out = np.empty(g.shape[:-1] + (2, n2))  # filled in place: the basis tables are large
+    out[..., 0, 0] = 0.0
+    np.cumsum(g[..., :-1], axis=-1, out=out[..., 0, 1:])
+    out[..., 0, :] /= n2
+    np.divide(g, 2.0, out=out[..., 1, :])
+    return out
 
 
 def project(phi0, phi1, level, breakpoints=()):
@@ -186,32 +197,6 @@ def eval_phi(data, x, t):
     return data.F(x + t) + data.G(x - t)
 
 
-def _cell_of(w, n):
-    """Extended cell index of coordinate w; lattice points go to the lower cell."""
-    k = np.floor(w * n).astype(np.int64)
-    return _index(k - (k == w * n))
-
-
-def eval_phi_t(data, x, t):
-    """Time derivative phi_t = (gamma(u-cell) - gamma(-(v-cell))) / 2.
-
-    Constant on each elementary square; points on the characteristic lattice
-    lines report the value of the square with the smaller index pair.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n = data.level
-    i = _cell_of(x + t, n)
-    j = _cell_of(x - t, n)
-    return 0.5 * (data.gamma_of(i) - data.gamma_of(-j))
-
-
-def phi_t_on_square(data, ij):
-    """phi_t on the square (i, j) of the data's own grid."""
-    i, j = ij[0], ij[1]
-    return float(0.5 * (data.gamma_of(i) - data.gamma_of(-j)))
-
-
 def l2_phit_on_squares(data, squares, n):
     """Integral of phi_t^2 over a union of level-n squares.
 
@@ -246,7 +231,7 @@ def _cover_positions(squares, p, L):
     the p indices -j of its v-interval (S = 0 for an empty cover).  The cached
     table is read-only, as every caller of one cover shares it.
     """
-    sq = np.asarray([(ij[0], ij[1]) for ij in sorted(squares)], dtype=np.int64).reshape(-1, 2)
+    sq = _square_array(sorted(squares))
     step = np.arange(p)
     # a v-row lists -j' for the j' refining j in increasing order, so its cells descend
     pos = p * table_positions(np.stack([sq[:, 0], -sq[:, 1]]), L // p)[..., None]
@@ -264,34 +249,6 @@ def check_discrete_observability(data, squares, n, c_obs):
     lhs = data.v_norm_sq()
     rhs = c_obs * l2_phit_on_squares(data, squares, n)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + 1e-10))}
-
-
-def energy(data, t):
-    """Exact wave energy (1/2) * integral of phi_t^2 + phi_x^2 at time t.
-
-    Both derivatives are piecewise constant in x at fixed t, with breaks
-    where x+t or x-t crosses a grid node; the integral is summed piece by
-    piece.
-    """
-    n = data.level
-    t = float(t)
-    pts = {0.0, 1.0}
-    for k in range(math.ceil(n * t) - 1, math.floor(n * (1 + t)) + 2):
-        x = k / n - t
-        if 0.0 < x < 1.0:
-            pts.add(x)
-    for k in range(math.ceil(n * (-t)) - 1, math.floor(n * (1 - t)) + 2):
-        x = k / n + t
-        if 0.0 < x < 1.0:
-            pts.add(x)
-    xs = np.array(sorted(pts))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    lens = np.diff(xs)
-    gu = data.gamma_of(_cell_of(mids + t, n))
-    gv = data.gamma_of(-_cell_of(mids - t, n))
-    phit = 0.5 * (gu - gv)
-    phix = 0.5 * (gu + gv)
-    return float(0.5 * lens @ (phit**2 + phix**2))
 
 
 def leapfrog_solve(m, T, y0, beta=None, forcing=None):

@@ -24,15 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import fold_index, squares_in_domain
+from .grid import _square_array, squares_in_domain, table_positions
 
 __all__ = [
     "ObsGraph",
     "GraphDisconnectedError",
-    "vertex_position",
     "build_graph",
     "laplacian",
-    "quadratic_form",
     "is_connected",
     "spectrum",
     "algebraic_connectivity",
@@ -44,13 +42,6 @@ __all__ = [
 
 class GraphDisconnectedError(ValueError):
     """Raised when an operation requires a connected observation graph."""
-
-
-def vertex_position(i, n):
-    """Row/column of folded index i in the (-n..-1, 1..n) matrix order."""
-    if i == 0 or abs(i) > n:
-        raise ValueError(f"index {i} outside the fundamental set for level {n}")
-    return i + n if i < 0 else n + i - 1
 
 
 @dataclass
@@ -73,71 +64,37 @@ class ObsGraph:
         """Vertex degrees d_i = sum_j w_ij, in matrix index order."""
         return self.weights.sum(axis=1)
 
-    def weight(self, i, j):
-        """Edge weight between folded indices i and j."""
-        return int(self.weights[vertex_position(i, self.n), vertex_position(j, self.n)])
-
-    def degree(self, i):
-        return int(self.degrees[vertex_position(i, self.n)])
-
-
-def _square_edge(ij, n):
-    """Folded endpoint pair (fold(i), -fold(j)) of a square's edge."""
-    i, j = ij[0], ij[1]
-    return fold_index(i, n), -fold_index(j, n)
-
 
 def build_graph(squares, n):
     """Accumulate the observation graph of a set of level-n squares.
 
-    Each square (i, j) adds one unit of weight between fold(i) and -fold(j).
-    Square tuples may carry an explicit third component (their level), which
-    must equal n.
+    Each square (i, j) adds one unit of weight between fold(i) and -fold(j),
+    whose matrix positions are those of the indices i and -j.
 
     Raises
     ------
     ValueError
-        On zero indices, mixed levels, or a square that would create a
-        self-loop (such squares lie outside the space-time strip).
+        On zero indices, or a square that would create a self-loop (such
+        squares lie outside the space-time strip).
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
-    w = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for sq in squares:
-        if len(sq) == 3 and sq[2] != n:
-            raise ValueError(f"square {sq} has level {sq[2]}, expected {n}")
-        a, b = _square_edge(sq, n)
-        if a == b:
-            raise ValueError(
-                f"square {tuple(sq[:2])} folds onto a self-loop; "
-                "its interior cannot lie inside the space-time strip"
-            )
-        pa, pb = vertex_position(a, n), vertex_position(b, n)
-        w[pa, pb] += 1
-        w[pb, pa] += 1
-    return ObsGraph(n=n, weights=w)
+    sq = _square_array(squares)
+    pa, pb = table_positions(sq * [1, -1], n).T
+    loop = pa == pb
+    if loop.any():
+        raise ValueError(
+            f"square {min(zip(*sq[loop].T.tolist()))} folds onto a self-loop; "
+            "its interior cannot lie inside the space-time strip"
+        )
+    m = 2 * n
+    edges = np.concatenate([pa * m + pb, pb * m + pa])
+    return ObsGraph(n=n, weights=np.bincount(edges, minlength=m * m).reshape(m, m))
 
 
 def laplacian(graph):
     """Dense Laplacian: degrees on the diagonal, minus weights elsewhere."""
     return np.diag(graph.degrees).astype(float) - graph.weights.astype(float)
-
-
-def quadratic_form(squares, n, eta):
-    """Direct evaluation of eta^T A eta as a sum over squares.
-
-    ``eta`` is indexed in the (-n..-1, 1..n) matrix order.  Equals the
-    Laplacian quadratic form of :func:`build_graph`'s output.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (2 * n,):
-        raise ValueError(f"eta must have length {2 * n}, got {eta.shape}")
-    total = 0.0
-    for sq in squares:
-        a, b = _square_edge(sq, n)
-        diff = eta[vertex_position(a, n)] - eta[vertex_position(b, n)]
-        total += diff * diff
-    return total
 
 
 def _connected(adjacency):

@@ -10,8 +10,8 @@ interval indices are reduced to the fundamental index set
     I_n = {-n, ..., -1, 1, ..., n}
 
 by the folding map induced by the odd 2-periodic extension of the initial
-data (see :func:`fold_index`).  Array code reaches this convention only
-through :func:`lattice_cells` and :func:`table_positions`.
+data.  The package reaches this convention only through
+:func:`lattice_cells` and :func:`table_positions`.
 
 Square covers run in integer lattice units: level-n cell k spans
 [k/n, (k+1)/n] in u or v, and square (i, j) is the cell pair (lo(i), lo(j)).
@@ -36,15 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "fold_index",
     "lattice_cells",
     "table_positions",
-    "interval_bounds",
-    "interval_midpoint",
-    "square_center",
-    "square_corners",
-    "square_area",
-    "subsquare_indices",
     "Curve",
     "SquareUnion",
     "CurveTube",
@@ -56,6 +49,15 @@ __all__ = [
     "domain_from_json",
     "domain_to_json",
 ]
+
+
+def _level(value):
+    """A subdivision level: an integer >= 1, or an integral float such as 4.0."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"level must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _as_fraction(x):
@@ -73,36 +75,6 @@ def _as_fraction(x):
     return Fraction(float(x))
 
 
-def fold_index(i, n):
-    """Reduce an extended interval index to the fundamental set I_n.
-
-    The odd 2-periodic extension of data on (0, 1) maps every extended
-    interval onto one of the 2n fundamental intervals; this returns that
-    index in {-n..-1, 1..n}.  For 1 <= i <= n it is the identity, and
-    fold_index(-i, n) == -fold_index(i, n).
-
-    Parameters
-    ----------
-    i : int
-        Nonzero extended interval index.
-    n : int
-        Subdivision level.
-
-    Returns
-    -------
-    int
-        Folded index in {-n, ..., -1, 1, ..., n}.
-    """
-    if i == 0:
-        raise ValueError("interval index 0 does not exist (indices are nonzero)")
-    if n < 1:
-        raise ValueError(f"subdivision level must be >= 1, got {n}")
-    sign = 1 if i > 0 else -1
-    r = (abs(i) - 1) % (2 * n)
-    folded = r + 1 if r < n else r - 2 * n
-    return sign * folded
-
-
 def lattice_cells(idx):
     """Lattice cells k of nonzero extended indices (vectorized): I_i = [k/n, (k+1)/n].
 
@@ -115,79 +87,23 @@ def lattice_cells(idx):
 
 
 def table_positions(idx, n):
-    """Positions of nonzero extended indices in the level-n (-n..-1, 1..n) order.
+    """Positions of the folds of nonzero extended indices in the level-n (-n..-1, 1..n) order.
 
-    Vectorized ``vertex_position(fold_index(i, n), n)``: the folding map is
-    2n-periodic in the lattice cell, so the position is the cell shifted by n,
-    mod 2n.  Under a p-fold refinement the level-(p n) positions of index i
-    are ``p * table_positions(i, n) + arange(p)``.
+    The folding map is odd and 2n-periodic in the lattice cell, so the
+    position is the cell shifted by n, mod 2n.  Under a p-fold refinement the
+    level-(p n) positions of index i are ``p * table_positions(i, n) + arange(p)``.
     """
     return (lattice_cells(idx) + n) % (2 * n)
 
 
-def interval_bounds(e, n):
-    """Endpoints of the extended interval I_e as exact rationals.
-
-    I_e = [x_{e-1}, x_e] for e > 0 and [x_e, x_{e+1}] for e < 0, so that
-    I_{-e} is the mirror image of I_e.
-    """
-    if e == 0:
-        raise ValueError("interval index 0 does not exist (indices are nonzero)")
-    if e > 0:
-        return Fraction(e - 1, n), Fraction(e, n)
-    return Fraction(e, n), Fraction(e + 1, n)
-
-
-def interval_midpoint(e, n):
-    """Midpoint m_e of the extended interval I_e."""
-    lo, hi = interval_bounds(e, n)
-    return (lo + hi) / 2
-
-
-def square_center(ij, n):
-    """Center (x, t) of the elementary square with u in I_i, v in I_j.
-
-    Returns exact rationals: x = (m_i + m_j)/2, t = (m_i - m_j)/2.
-    """
-    i, j = ij
-    mi, mj = interval_midpoint(i, n), interval_midpoint(j, n)
-    return (mi + mj) / 2, (mi - mj) / 2
-
-
-def square_corners(ij, n):
-    """The four (x, t) corners of an elementary square, exact rationals.
-
-    Order: (u_lo,v_lo), (u_hi,v_lo), (u_lo,v_hi), (u_hi,v_hi) mapped through
-    x = (u+v)/2, t = (u-v)/2.
-    """
-    i, j = ij
-    ulo, uhi = interval_bounds(i, n)
-    vlo, vhi = interval_bounds(j, n)
-    return [
-        ((u + v) / 2, (u - v) / 2)
-        for v in (vlo, vhi)
-        for u in (ulo, uhi)
-    ]
-
-
-def square_area(n):
-    """Area 1/(2 n^2) of every elementary square at level n."""
-    return Fraction(1, 2 * n * n)
-
-
-def _index_range(e, p):
-    """Subinterval indices of I_e under a p-fold refinement."""
-    if e > 0:
-        return range(p * (e - 1) + 1, p * e + 1)
-    return range(p * e, p * (e + 1))
-
-
-def subsquare_indices(ij, p):
-    """The p^2 level-(p n) squares whose union is the level-n square ``ij``."""
-    if p < 1:
-        raise ValueError(f"refinement factor must be >= 1, got {p}")
-    i, j = ij
-    return {(ii, jj) for ii in _index_range(i, p) for jj in _index_range(j, p)}
+def _square_array(squares):
+    """The (i, j) index pairs of a collection of squares as an (S, 2) int64 array."""
+    sq = np.array(list(squares), dtype=np.int64)
+    if sq.size == 0:
+        return sq.reshape(0, 2)
+    if sq.shape[1:] != (2,):
+        raise ValueError(f"squares must be (i, j) index pairs, got an array of shape {sq.shape}")
+    return sq
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +127,8 @@ class Curve:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("times and values must be 1d arrays of equal length >= 2")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("curve times and values must be finite")
         dt = np.diff(times)
         if np.any(dt <= 0):
             raise ValueError("curve times must be strictly increasing")
@@ -262,16 +180,22 @@ class SquareUnion:
     t_hi: Fraction = None  # defaults to T
 
     def __post_init__(self):
-        self.squares = frozenset((int(i), int(j)) for i, j in self.squares)
+        self.level = _level(self.level)
+        sq = _square_array(self.squares)
+        self.squares = frozenset(zip(*sq.T.tolist()))
+        self._keys = _pack_keys(sq[:, 0], sq[:, 1])  # for contains
         self.T = _as_fraction(self.T)
         self.t_lo = _as_fraction(self.t_lo)
         self.t_hi = self.T if self.t_hi is None else _as_fraction(self.t_hi)
-        for ij in self.squares:
-            if not square_in_time_slab(ij, self.level, self.T):
-                raise ValueError(
-                    f"square {ij} at level {self.level} lies outside the "
-                    f"space-time strip (0,1) x (0,{self.T})"
-                )
+        # every square at once, on its lattice cells: the slab test of squares_in_time_slab
+        a, b = lattice_cells(sq).T
+        d_lo, d_hi, s_lo, s_hi = _slab_bounds(self.level, self.T)
+        outside = (a - b < d_lo) | (a - b > d_hi) | (a + b < s_lo) | (a + b > s_hi)
+        if outside.any():
+            raise ValueError(
+                f"square {min(zip(*sq[outside].T.tolist()))} at level {self.level} lies "
+                f"outside the space-time strip (0,1) x (0,{self.T})"
+            )
 
     def is_empty(self):
         return not self.squares
@@ -285,18 +209,9 @@ class SquareUnion:
         ii = _index(np.floor(u * n).astype(np.int64))
         jj = _index(np.floor(v * n).astype(np.int64))
         keys = _pack_keys(ii, jj)
-        inside = np.isin(keys, self._key_array())
+        inside = np.isin(keys, self._keys)
         win = (t > float(self.t_lo)) & (t < float(self.t_hi))
         return inside & win
-
-    def _key_array(self):
-        if not hasattr(self, "_keys"):
-            if self.squares:
-                arr = np.array(sorted(self.squares), dtype=np.int64)
-                self._keys = _pack_keys(arr[:, 0], arr[:, 1])
-            else:
-                self._keys = np.empty(0, dtype=np.int64)
-        return self._keys
 
 
 @dataclass
@@ -389,20 +304,6 @@ def _index_pairs(a, b):
     return frozenset(zip(_index(a).tolist(), _index(b).tolist()))
 
 
-def square_in_time_slab(ij, n, T):
-    """Whether a level-n square's interior lies inside (0,1) x (0,T).
-
-    Exact integer test on the lattice cells a = lo(i), b = lo(j) (in units
-    of 1/n): the interior lies in the slab iff a+b >= 0, a+b+2 <= 2n, a > b
-    and a-b+1 <= floor(2nT).
-    """
-    i, j = ij[0], ij[1]
-    if i == 0 or j == 0:
-        raise ValueError(f"square index {tuple(ij)} contains a zero component")
-    a, b = i - (i > 0), j - (j > 0)  # lattice cells, as in lattice_cells
-    return 0 <= a + b <= 2 * n - 2 and b < a <= b - 1 + math.floor(2 * n * _as_fraction(T))
-
-
 def _slab_cells(d_lo, d_hi, s_lo, s_hi):
     """Lattice cells (a, b) with d_lo <= a-b <= d_hi and s_lo <= a+b <= s_hi.
 
@@ -414,9 +315,15 @@ def _slab_cells(d_lo, d_hi, s_lo, s_hi):
     return (s + d)[keep] // 2, (s - d)[keep] // 2
 
 
+def _slab_bounds(n, T):
+    """Bounds (d_lo, d_hi, s_lo, s_hi) on a-b and a+b of the level-n cells (a, b)
+    whose square's interior lies inside (0,1) x (0,T)."""
+    return 1, math.floor(2 * n * _as_fraction(T)) - 1, 0, 2 * n - 2
+
+
 def squares_in_time_slab(n, T):
     """All elementary squares at level n with interior inside (0,1) x (0,T)."""
-    return _index_pairs(*_slab_cells(1, math.floor(2 * n * _as_fraction(T)) - 1, 0, 2 * n - 2))
+    return _index_pairs(*_slab_cells(*_slab_bounds(n, T)))
 
 
 def _curve_abs_dev_max(curve, w, sign, t0, t1):
@@ -469,7 +376,7 @@ def _union_cover(domain, n, d_lo, d_hi):
     union's bounding box.
     """
     m = domain.level
-    cells = lattice_cells(np.array(list(domain.squares), dtype=np.int64))
+    cells = lattice_cells(_square_array(domain.squares))
     base = cells.min(axis=0)
     size = cells.max(axis=0) - base + 1
     table = np.zeros(size + 1, dtype=np.int64)
@@ -514,14 +421,14 @@ def cover_cells(domain, n):
     if isinstance(domain, SquareUnion):
         return _union_cover(domain, n, d_lo, d_hi)
     # moving domains: cells inside the slab and the time window
-    d_lo = max(d_lo, 1)
-    d_hi = min(d_hi, math.floor(2 * n * domain.T) - 1)
+    slab = _slab_bounds(n, domain.T)
+    d_lo, d_hi = max(d_lo, slab[0]), min(d_hi, slab[1])
     if isinstance(domain, Cylinder):
         # all four corners within delta0 of x0: the extreme ones sit at x = s/(2n), (s+2)/(2n)
         s_lo = math.ceil(2 * n * (domain.x0 - domain.delta0))
         s_hi = math.floor(2 * n * (domain.x0 + domain.delta0)) - 2
         return _slab_cells(d_lo, d_hi, s_lo, s_hi)
-    a, b = _slab_cells(d_lo, d_hi, 0, 2 * n - 2)
+    a, b = _slab_cells(d_lo, d_hi, *slab[2:])
     keep = _square_in_tube(a, b, n, domain)
     return a[keep], b[keep]
 
@@ -631,7 +538,7 @@ def domain_from_json(doc):
     window = {key: doc[key] for key in ("t_lo", "t_hi") if key in doc}
     if kind == "square_union":
         return SquareUnion(
-            level=int(doc["level"]),
+            level=doc["level"],
             squares=frozenset(tuple(ij) for ij in doc["squares"]),
             T=_as_fraction(doc["T"]),
             **window,

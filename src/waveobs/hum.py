@@ -34,11 +34,13 @@ from .dalembert import (
     _gauss8_pieces,
     _pair_on_pieces,
     eval_phi,
+    gamma_table,
     leapfrog_solve,
+    profile_tables,
     project,
     terminal_velocity,
 )
-from .grid import Curve, SquareUnion, cover_cells, table_positions
+from .grid import Curve, SquareUnion, cover_cells
 
 __all__ = [
     "WeightProfile",
@@ -133,27 +135,15 @@ class IndicatorRegion:
 def basis_tables(level):
     """Stacked per-period profile tables Phi of the 2L-1 basis waves.
 
-    Basis order: L-1 unit hats (position data), then L cell indicators
-    (velocity data).  Each row holds, on the 2L period cells, the node
-    values of F at the cells' left ends, the slopes of F, then the same for G.
+    Basis wave k is the datum of the unit coefficient vector e_k (see
+    :func:`datum_from_coefficients`): L-1 unit hats (position data), then L
+    cell indicators (velocity data).  Each row holds, on the 2L period cells,
+    the node values of F at the cells' left ends, the slopes of F, then the
+    same for G.
     """
     L = int(level)
-    nb = 2 * L - 1
-    alpha = np.zeros((nb, L))
-    beta = np.zeros((nb, L))
-    for k in range(1, L):  # hat at node k
-        alpha[k - 1, k - 1] = L
-        alpha[k - 1, k] = -L
-    for m in range(L):  # indicator of cell m+1
-        beta[L - 1 + m, m] = 1.0
-    gtab = np.hstack([(alpha - beta)[:, ::-1], alpha + beta])  # gamma in (-L..-1, 1..L) order
-    e = np.arange(1, 2 * L + 1)
-    fs = gtab[:, table_positions(e, L)] / 2.0  # F' = gamma_e / 2 on period cell e
-    gs = gtab[:, table_positions(-e, L)] / 2.0  # G' = gamma_{-e} / 2
-    h = 1.0 / L
-    fn = np.concatenate([np.zeros((nb, 1)), np.cumsum(fs[:, :-1], axis=1) * h], axis=1)
-    gn = np.concatenate([np.zeros((nb, 1)), np.cumsum(gs[:, :-1], axis=1) * h], axis=1)
-    return np.hstack([fn, fs, gn, gs])
+    gtab = gamma_table(*_coefficient_slopes(L, np.eye(2 * L - 1)))
+    return profile_tables(gtab).reshape(2 * L - 1, 8 * L)
 
 
 @functools.lru_cache(maxsize=16)
@@ -281,7 +271,8 @@ def assemble_gram(region, level, quad=4):
         idx.append((slots[:, :, None] * (4 * n) + slots[:, None, :]).ravel())
         val.append(np.broadcast_to(mom[:, _PAIR_MOMENT], (A.size, 4, 4)).ravel())
     M = np.bincount(np.concatenate(idx), np.concatenate(val), minlength=(4 * n) ** 2)
-    phi = basis_tables(L)
+    # the BLAS product rounds differently per memory layout; Phi is taken column-major
+    phi = np.asfortranarray(basis_tables(L))
     G = phi @ M.reshape(4 * n, 4 * n) @ phi.T
     return 0.5 * (G + G.T)
 
@@ -306,11 +297,16 @@ def hum_rhs(level, y0, y1=None, breakpoints=()):
     return b
 
 
+def _coefficient_slopes(L, z):
+    """Slopes (alpha, beta) of node values z[..., :L-1] and cell velocities z[..., L-1:]."""
+    z = np.asarray(z, dtype=float)
+    return L * np.diff(z[..., : L - 1], axis=-1, prepend=0.0, append=0.0), z[..., L - 1 :]
+
+
 def datum_from_coefficients(level, z):
     """Piecewise datum with node values z[:L-1] and cell velocities z[L-1:]."""
     L = int(level)
-    nodes = np.concatenate([[0.0], z[: L - 1], [0.0]])
-    return PiecewiseInitialData(L, L * np.diff(nodes), np.asarray(z[L - 1 :], dtype=float))
+    return PiecewiseInitialData(L, *_coefficient_slopes(L, z))
 
 
 @dataclass
@@ -323,9 +319,6 @@ class HumSolution:
     data: PiecewiseInitialData
     region: object
     level: int
-
-    def control(self, x, t):
-        return control_density(self, x, t)
 
 
 def solve_hum(G, b):

@@ -1,0 +1,205 @@
+"""Scalar reference versions of the characteristic-lattice convention.
+
+The package reaches the index folding only through the array maps
+``waveobs.grid.lattice_cells`` and ``table_positions``.  The functions here
+spell the same definitions out one index or one square at a time, in exact
+rationals where they can, so that the tests can check the array code against
+an independent copy.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+# ---------------------------------------------------------------- indices
+
+
+def fold_index(i, n):
+    """Reduce an extended interval index to the fundamental set I_n.
+
+    The odd 2-periodic extension of data on (0, 1) maps every extended
+    interval onto one of the 2n fundamental intervals; this returns that
+    index in {-n..-1, 1..n}.  For 1 <= i <= n it is the identity, and
+    fold_index(-i, n) == -fold_index(i, n).
+    """
+    if i == 0:
+        raise ValueError("interval index 0 does not exist (indices are nonzero)")
+    if n < 1:
+        raise ValueError(f"subdivision level must be >= 1, got {n}")
+    sign = 1 if i > 0 else -1
+    r = (abs(i) - 1) % (2 * n)
+    folded = r + 1 if r < n else r - 2 * n
+    return sign * folded
+
+
+def vertex_position(i, n):
+    """Row/column of folded index i in the (-n..-1, 1..n) matrix order."""
+    if i == 0 or abs(i) > n:
+        raise ValueError(f"index {i} outside the fundamental set for level {n}")
+    return i + n if i < 0 else n + i - 1
+
+
+def interval_bounds(e, n):
+    """Endpoints of the extended interval I_e as exact rationals.
+
+    I_e = [x_{e-1}, x_e] for e > 0 and [x_e, x_{e+1}] for e < 0, so that
+    I_{-e} is the mirror image of I_e.
+    """
+    if e == 0:
+        raise ValueError("interval index 0 does not exist (indices are nonzero)")
+    if e > 0:
+        return Fraction(e - 1, n), Fraction(e, n)
+    return Fraction(e, n), Fraction(e + 1, n)
+
+
+def interval_midpoint(e, n):
+    """Midpoint m_e of the extended interval I_e."""
+    lo, hi = interval_bounds(e, n)
+    return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------- squares
+
+
+def square_center(ij, n):
+    """Center (x, t) of the elementary square with u in I_i, v in I_j.
+
+    Returns exact rationals: x = (m_i + m_j)/2, t = (m_i - m_j)/2.
+    """
+    i, j = ij
+    mi, mj = interval_midpoint(i, n), interval_midpoint(j, n)
+    return (mi + mj) / 2, (mi - mj) / 2
+
+
+def square_corners(ij, n):
+    """The four (x, t) corners of an elementary square, exact rationals.
+
+    Order: (u_lo,v_lo), (u_hi,v_lo), (u_lo,v_hi), (u_hi,v_hi) mapped through
+    x = (u+v)/2, t = (u-v)/2.
+    """
+    i, j = ij
+    ulo, uhi = interval_bounds(i, n)
+    vlo, vhi = interval_bounds(j, n)
+    return [((u + v) / 2, (u - v) / 2) for v in (vlo, vhi) for u in (ulo, uhi)]
+
+
+def square_area(n):
+    """Area 1/(2 n^2) of every elementary square at level n."""
+    return Fraction(1, 2 * n * n)
+
+
+def _index_range(e, p):
+    """Subinterval indices of I_e under a p-fold refinement."""
+    if e > 0:
+        return range(p * (e - 1) + 1, p * e + 1)
+    return range(p * e, p * (e + 1))
+
+
+def subsquare_indices(ij, p):
+    """The p^2 level-(p n) squares whose union is the level-n square ``ij``."""
+    if p < 1:
+        raise ValueError(f"refinement factor must be >= 1, got {p}")
+    i, j = ij
+    return {(ii, jj) for ii in _index_range(i, p) for jj in _index_range(j, p)}
+
+
+# ------------------------------------------------------------------ graph
+
+
+def _square_edge(ij, n):
+    """Folded endpoint pair (fold(i), -fold(j)) of a square's edge."""
+    return fold_index(ij[0], n), -fold_index(ij[1], n)
+
+
+def graph_weights(squares, n):
+    """Observation-graph weights, one square at a time, or ValueError on a self-loop."""
+    w = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for ij in squares:
+        a, b = _square_edge(ij, n)
+        if a == b:
+            raise ValueError(f"square {tuple(ij)} folds onto a self-loop")
+        pa, pb = vertex_position(a, n), vertex_position(b, n)
+        w[pa, pb] += 1
+        w[pb, pa] += 1
+    return w
+
+
+def quadratic_form(squares, n, eta):
+    """eta^T A eta of the squares' graph Laplacian, as a sum over squares.
+
+    ``eta`` is indexed in the (-n..-1, 1..n) matrix order.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (2 * n,):
+        raise ValueError(f"eta must have length {2 * n}, got {eta.shape}")
+    total = 0.0
+    for ij in squares:
+        a, b = _square_edge(ij, n)
+        diff = eta[vertex_position(a, n)] - eta[vertex_position(b, n)]
+        total += diff * diff
+    return total
+
+
+# -------------------------------------------------------- wave solutions
+
+
+def gamma_fundamental(data):
+    """gamma on the fundamental indices in (-n..-1, 1..n) order."""
+    n = data.level
+    return data.gamma_of(np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)]))
+
+
+def _cell_of(w, n):
+    """Extended cell index of coordinate w; lattice points go to the lower cell."""
+    k = np.floor(w * n).astype(np.int64)
+    k = k - (k == w * n)
+    return np.where(k >= 0, k + 1, k)
+
+
+def eval_phi_t(data, x, t):
+    """Time derivative phi_t = (gamma(u-cell) - gamma(-(v-cell))) / 2.
+
+    Constant on each elementary square; points on the characteristic lattice
+    lines report the value of the square with the smaller index pair.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = data.level
+    i = _cell_of(x + t, n)
+    j = _cell_of(x - t, n)
+    return 0.5 * (data.gamma_of(i) - data.gamma_of(-j))
+
+
+def phi_t_on_square(data, ij):
+    """phi_t on the square (i, j) of the data's own grid."""
+    i, j = ij[0], ij[1]
+    return float(0.5 * (data.gamma_of(i) - data.gamma_of(-j)))
+
+
+def energy(data, t):
+    """Exact wave energy (1/2) * integral of phi_t^2 + phi_x^2 at time t.
+
+    Both derivatives are piecewise constant in x at fixed t, with breaks
+    where x+t or x-t crosses a grid node; the integral is summed piece by
+    piece.
+    """
+    n = data.level
+    t = float(t)
+    pts = {0.0, 1.0}
+    for k in range(math.ceil(n * t) - 1, math.floor(n * (1 + t)) + 2):
+        x = k / n - t
+        if 0.0 < x < 1.0:
+            pts.add(x)
+    for k in range(math.ceil(n * (-t)) - 1, math.floor(n * (1 - t)) + 2):
+        x = k / n + t
+        if 0.0 < x < 1.0:
+            pts.add(x)
+    xs = np.array(sorted(pts))
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    lens = np.diff(xs)
+    gu = data.gamma_of(_cell_of(mids + t, n))
+    gv = data.gamma_of(-_cell_of(mids - t, n))
+    phit = 0.5 * (gu - gv)
+    phix = 0.5 * (gu + gv)
+    return float(0.5 * lens @ (phit**2 + phix**2))

@@ -403,6 +403,31 @@ BAD_CONFIGS = [
     ("verify", {"domain": {"type": "curve_tube", "t_hi": 1.5, "delta0": 0.15,
                            "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
      "drop 't_lo'/'t_hi'"),
+    ("power-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
+     "power-cobs needs a square_union domain, got Cylinder"),
+    ("power-cobs", {"domain": {"type": "curve_tube", "delta0": 0.15,
+                               "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
+     "power-cobs needs a square_union domain, got CurveTube"),
+    ("graph-cobs", {"domain": {"level": 4.7, "type": "square_union", "T": 2, "squares": [[2, 1]]}},
+     "level must be an integer >= 1, got 4.7"),
+    ("graph-cobs", {"domain": {"level": True, "type": "square_union", "T": 2, "squares": [[2, 1]]}},
+     "level must be an integer >= 1, got True"),
+    ("power-cobs", {"domain": {"level": 0, "type": "square_union", "T": 2, "squares": []},
+                    "level": 8}, "level must be an integer >= 1, got 0"),
+    ("graph-cobs", {"domain": {"level": -4, "type": "square_union", "T": 2, "squares": []}},
+     "level must be an integer >= 1, got -4"),
+    ("graph-cobs", {"domain": {"level": 4, "type": "square_union", "T": 2,
+                               "squares": [[2**70, 1]]}}, "invalid domain"),
+    ("graph-cobs", {"domain": {"curve": {"times": [0, 1, 2], "values": [0.4, float("nan"), 0.4]},
+                               "type": "curve_tube", "delta0": 0.15}, "level": 8},
+     "curve times and values must be finite"),
+    ("hum", {"domain": {"type": "curve_tube", "delta0": 0.15,
+                        "curve": {"times": [0, 1, 2], "values": [0.4, float("nan"), 0.4]}}},
+     "curve times and values must be finite"),
+    ("optimize", {"gamma0": {"times": [0, 1, 2], "values": [0.4, float("nan"), 0.4]}},
+     "invalid gamma0 curve: curve times and values must be finite"),
+    ("optimize", {"gamma0": {"constant": float("nan")}},
+     "invalid gamma0 curve: curve times and values must be finite"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Observation graph: Laplacians, spectra, connectivity, refinement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,13 @@ from waveobs.graph import (
     laplacian,
     level_for_eps,
     observability_constant_graph,
-    quadratic_form,
     refined_laplacian,
     spectrum,
-    vertex_position,
 )
-from waveobs.grid import Cylinder, SquareUnion, squares_in_domain
+from waveobs.grid import Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
 from waveobs.testing import random_connected_square_domain
+
+from oracles import graph_weights, quadratic_form, vertex_position
 
 # Laplacian of the chevron graph in the fixed vertex order (-4..-1, 1..4)
 A4 = np.array(
@@ -53,8 +55,9 @@ def test_chevron_laplacian_exact(chevron):
 
 def test_single_square_graph():
     g = build_graph({(2, 1)}, 4)
-    assert g.weight(2, -1) == 1 and g.weight(-1, 2) == 1
-    assert g.degree(2) == 1 and g.degree(-1) == 1
+    p2, pm1 = vertex_position(2, 4), vertex_position(-1, 4)
+    assert g.weights[p2, pm1] == 1 and g.weights[pm1, p2] == 1
+    assert g.degrees[p2] == 1 and g.degrees[pm1] == 1
     assert g.degrees.sum() == 2
     assert not is_connected(g)
 
@@ -71,8 +74,30 @@ def test_build_graph_rejects_self_loop_and_mixed_levels():
     # the square (1, -1) would connect interval 1 to itself
     with pytest.raises(ValueError):
         build_graph({(1, -1)}, 4)
-    with pytest.raises(ValueError):
-        build_graph({(1, 1, 1)}, 4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_build_graph_is_the_scalar_square_loop(level, seed):
+    # random unions and their refined covers: the int64 weights of the
+    # one-call array map equal the per-square fold/position loop exactly
+    rng = np.random.default_rng(seed)
+    slab = sorted(squares_in_time_slab(level, 2))
+    pick = rng.choice(len(slab), int(rng.integers(1, len(slab) + 1)), replace=False)
+    union = SquareUnion(level=level, squares=frozenset(slab[k] for k in pick), T=2)
+    for p in (1, 2, 3):
+        cover = squares_in_domain(union, p * level)
+        w = build_graph(cover, p * level).weights
+        assert w.dtype == np.int64
+        assert np.array_equal(w, graph_weights(cover, p * level))
+    # a square whose -j lies on i's lattice cell mod 2n folds onto a self-loop, and is named
+    i = int(rng.choice([k for k in range(-3 * level, 3 * level + 1) if k]))
+    c = i - (i > 0) + 2 * level * int(rng.integers(-2, 3))
+    loop = (i, -(c + 1 if c >= 0 else c))
+    with pytest.raises(ValueError, match="folds onto a self-loop"):
+        graph_weights([loop], level)
+    with pytest.raises(ValueError, match=re.escape(f"square {loop} folds onto a self-loop")):
+        build_graph(union.squares | {loop}, level)
 
 
 def test_quadratic_form_examples(chevron, rng):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveobs.grid import (
@@ -20,20 +20,22 @@ from waveobs.grid import (
     domain_from_json,
     domain_to_json,
     epsilon_interior,
+    squares_in_domain,
+    squares_in_time_slab,
+    table_positions,
+)
+from waveobs.testing import random_connected_square_domain
+
+from oracles import (
     fold_index,
     interval_bounds,
     interval_midpoint,
     square_area,
     square_center,
     square_corners,
-    square_in_time_slab,
-    squares_in_domain,
-    squares_in_time_slab,
     subsquare_indices,
-    table_positions,
+    vertex_position,
 )
-from waveobs.graph import vertex_position
-from waveobs.testing import random_connected_square_domain
 
 nonzero_ints = st.integers(-200, 200).filter(lambda i: i != 0)
 levels = st.integers(1, 12)
@@ -182,15 +184,33 @@ def test_squares_in_time_slab_matches_brute_force():
 
 
 def test_square_in_time_slab_validation():
-    with pytest.raises(ValueError):
-        square_in_time_slab((0, 1), 4, 2)
-    assert square_in_time_slab((2, 1), 4, 2)
-    assert not square_in_time_slab((1, 2), 4, 2)  # t < 0 corner
+    with pytest.raises(ValueError, match="index 0"):
+        SquareUnion(level=4, squares=frozenset([(0, 1)]), T=2)
+    slab = squares_in_time_slab(4, 2)
+    assert (2, 1) in slab
+    assert (1, 2) not in slab  # t < 0 corner
 
 
 def test_square_union_rejects_out_of_strip_squares():
     with pytest.raises(ValueError, match="outside the space-time strip"):
         SquareUnion(level=2, squares=frozenset([(-1, 2)]), T=2)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 6), st.sampled_from([1, Fraction(3, 2), 2]), st.integers(0, 2**32 - 1))
+def test_square_union_names_its_first_out_of_strip_square(n, T, seed):
+    # the array check against the exact corner test, over a box of squares
+    rng = np.random.default_rng(seed)
+    box = [(i, j) for i in range(-3 * n, 3 * n + 1) for j in range(-3 * n, 3 * n + 1) if i and j]
+    inside = [ij for ij in box if _in_closed_strip(ij, n, T)]
+    outside = [ij for ij in box if not _in_closed_strip(ij, n, T)]
+    valid = [inside[k] for k in rng.choice(len(inside), min(len(inside), 6), replace=False)]
+    bad = [outside[k] for k in rng.choice(len(outside), int(rng.integers(1, 4)), replace=False)]
+    assert SquareUnion(level=n, squares=frozenset(valid), T=T).squares == frozenset(valid)
+    with pytest.raises(ValueError, match=re.escape(f"square {min(bad)} at level {n} lies outside")):
+        SquareUnion(level=n, squares=frozenset(valid + bad), T=T)
+    with pytest.raises(ValueError, match="index 0"):
+        SquareUnion(level=n, squares=frozenset(valid + [(0, int(rng.integers(1, n + 1)))]), T=T)
 
 
 def test_chevron_fixture_squares(chevron):
