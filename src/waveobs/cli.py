@@ -284,10 +284,20 @@ def _custom_data(data):
     return ControlPreset("custom", y0, y1, tuple(nodes[1:-1]), x0_init=None)
 
 
+def _weight_profile(delta0, delta):
+    """The smoothed weight's profile, or a UsageError for a bad 'delta' or 'delta0'."""
+    from waveobs.hum import WeightProfile
+
+    try:
+        return WeightProfile(delta0, delta)
+    except ValueError as exc:
+        raise UsageError(f"invalid weight: {exc}")
+
+
 def _resolve_region(config, T):
     """Observation region from a config 'domain' entry (weighted or sharp)."""
-    from waveobs.grid import Cylinder, CurveTube, SquareUnion
-    from waveobs.hum import IndicatorRegion, SmoothedTube, WeightProfile
+    from waveobs.grid import Curve, Cylinder, CurveTube, SquareUnion
+    from waveobs.hum import IndicatorRegion, SmoothedTube
 
     spec = config["domain"]
     if spec is None:
@@ -297,22 +307,16 @@ def _resolve_region(config, T):
         raise UsageError(
             f"domain horizon T={float(domain.T)} does not match config T={float(T)}"
         )
-    delta = config["delta"]
     if isinstance(domain, SquareUnion):
         return IndicatorRegion(domain)
     if domain.t_lo != 0 or domain.t_hi != domain.T:
         raise UsageError("the smoothed weight of a cylinder or curve_tube has no time "
                          "window: drop 't_lo'/'t_hi' or give a square_union domain")
+    profile = _weight_profile(float(domain.delta0), config["delta"])
     if isinstance(domain, Cylinder):
-        return SmoothedTube.around(
-            float(domain.x0),
-            float(domain.T),
-            float(domain.delta0),
-            delta,
-            n_nodes=config["curve_nodes"],
-        )
+        return SmoothedTube(Curve.constant(float(domain.x0), float(domain.T)), profile)
     if isinstance(domain, CurveTube):
-        return SmoothedTube(domain.curve, WeightProfile(float(domain.delta0), delta))
+        return SmoothedTube(domain.curve, profile)
     raise UsageError(f"cannot build an observation region from {type(domain).__name__}")
 
 
@@ -459,7 +463,6 @@ def _sweep(writer, config, data, x0s):
         breakpoints=data.data_breakpoints(),
         delta=config["delta"],
         x0s=x0s,
-        n_nodes=config["curve_nodes"],
     )
     writer.write_csv(
         "sweep.csv", ["x0", "J"], np.column_stack([sweep.x0s, sweep.costs])
@@ -473,6 +476,10 @@ def _cmd_optimize(config, writer, seed):
     from waveobs.shape import optimize, performance_index
 
     data = _resolve_data(config)
+    if config["delta0"] > 0.5:
+        raise UsageError(f"config key 'delta0' must be at most 0.5, so that the band "
+                         f"[delta0, 1 - delta0] holds the curve, got {config['delta0']!r}")
+    _weight_profile(config["delta0"], config["delta"])
     T = data.T
     eps = data.eps if config["eps_reg"] is None else config["eps_reg"]
     rho = data.rho if config["rho"] is None else config["rho"]
@@ -551,6 +558,7 @@ def _cmd_sweep(config, writer, seed):
     x0_min, x0_max = config["x0_min"], config["x0_max"]
     if not 0.0 < x0_min <= x0_max < 1.0:
         raise UsageError("need 0 < x0_min <= x0_max < 1")
+    _weight_profile(config["delta0"], config["delta"])
     sweep = _sweep(writer, config, data, np.linspace(x0_min, x0_max, config["count"]))
     result = {
         "data": data.name,
@@ -600,21 +608,18 @@ def _cmd_power_cobs(config, writer, seed):
 def _cmd_verify(config, writer, seed):
     import numpy as np
 
-    from waveobs.grid import SquareUnion
-    from waveobs.hum import forward_verify, hum_control
+    from waveobs.hum import IndicatorRegion, forward_verify, hum_control
 
     levels = config["levels"]
-    if not isinstance(levels, (list, tuple)) or not levels or not all(map(_integral, levels)):
+    if not isinstance(levels, list) or not levels:
         raise UsageError("'levels' must be a nonempty array of integers")
-    if not all(map(_finite, levels)):
-        raise UsageError("'levels' must be finite")
-    levels = [int(v) for v in levels]
-    if not all(1 <= v <= _INT_MAX for v in levels):
-        raise UsageError(f"'levels' must be positive and at most {_INT_MAX}")
+    levels = [_coerce("levels", v, _POS_INT) for v in levels]
     grid_factor, obs_samples = config["grid_factor"], config["obs_samples"]
     data = _resolve_data(config)
     breakpoints = data.data_breakpoints()
     region = _resolve_region(config, data.T)
+    if obs_samples and not isinstance(region, IndicatorRegion):
+        raise UsageError("'obs_samples' needs a square_union domain")
 
     rows = []
     ratios = []
@@ -649,15 +654,11 @@ def _cmd_verify(config, writer, seed):
         from waveobs.graph import observability_constant_graph
         from waveobs.testing import random_initial_data
 
-        spec = config["domain"]
-        domain = _resolve_domain(spec) if spec is not None else None
-        if not isinstance(domain, SquareUnion):
-            raise UsageError("'obs_samples' needs a square_union domain")
-        gc = observability_constant_graph(domain)
+        gc = observability_constant_graph(region.domain)
         rng = np.random.default_rng(seed)
         violations = 0
         for _ in range(obs_samples):
-            sample = random_initial_data(rng, domain.level)
+            sample = random_initial_data(rng, region.domain.level)
             out = check_discrete_observability(sample, gc.squares, gc.n, gc.c_obs)
             violations += 0 if out["holds"] else 1
         result["obs_samples"] = obs_samples
@@ -679,18 +680,17 @@ COMMAND_TABLE = {
     "spectrum": (_cmd_spectrum, {**_GRAPH_KEYS, "refine": (1, _POS_INT)}),
     "hum": (_cmd_hum, {
         **_DATA_KEYS, "domain": (None, None), "level": (64, _POS_INT), "quad": (4, _POS_INT),
-        "grid_m": (None, _POS_INT), "curve_nodes": (128, _POS_INT), "delta": (None, None),
+        "grid_m": (None, _POS_INT), "delta": (None, _POS_NUM),
         "raster_nx": (None, _POS_INT), "raster_nt": (None, _POS_INT),
     }),
     "optimize": (_cmd_optimize, {
         **_DATA_KEYS, "eps_reg": (None, _NUM_GE0), "rho": (None, _POS_NUM),
         "curve_nodes": (128, _POS_INT), "level": (64, _POS_INT), "gamma0": (None, None),
-        "max_iters": (500, _POS_INT), "delta0": (0.15, _POS_NUM), "delta": (None, None),
+        "max_iters": (500, _POS_INT), "delta0": (0.15, _POS_NUM), "delta": (None, _POS_NUM),
         "patience": (10, _POS_INT), "stop_tol": (1e-3, _POS_NUM), "sweep_count": (13, _POS_INT),
     }),
     "sweep": (_cmd_sweep, {
-        **_DATA_KEYS, "level": (64, _POS_INT), "curve_nodes": (128, _POS_INT),
-        "delta0": (0.15, _POS_NUM), "delta": (None, None),
+        **_DATA_KEYS, "level": (64, _POS_INT), "delta0": (0.15, _POS_NUM), "delta": (None, _POS_NUM),
         "x0_min": (0.2, _POS_NUM), "x0_max": (0.8, _POS_NUM), "count": (13, _POS_INT),
     }),
     "power-cobs": (_cmd_power_cobs, {
@@ -699,8 +699,8 @@ COMMAND_TABLE = {
     }),
     "verify": (_cmd_verify, {
         **_DATA_KEYS, "domain": (None, None), "levels": ([32, 64], None),
-        "grid_factor": (4, _POS_INT), "quad": (4, _POS_INT), "curve_nodes": (128, _POS_INT),
-        "delta": (None, None), "obs_samples": (0, _INT_GE0),
+        "grid_factor": (4, _POS_INT), "quad": (4, _POS_INT), "delta": (None, _POS_NUM),
+        "obs_samples": (0, _INT_GE0),
     }),
 }
 

@@ -308,11 +308,14 @@ def _slab_cells(d_lo, d_hi, s_lo, s_hi):
     """Lattice cells (a, b) with d_lo <= a-b <= d_hi and s_lo <= a+b <= s_hi.
 
     The time of a square's center is (a-b)/(2n) and its position
-    (a+b+1)/(2n); a+b and a-b have equal parity.
+    (a+b+1)/(2n).  Row a holds b from max(a-d_hi, s_lo-a) to min(a-d_lo, s_hi-a),
+    so the cells are emitted in (a, b) order, each row at its offset.
     """
-    d, s = np.meshgrid(np.arange(d_lo, d_hi + 1), np.arange(s_lo, s_hi + 1), indexing="ij")
-    keep = (d - s) % 2 == 0
-    return (s + d)[keep] // 2, (s - d)[keep] // 2
+    a = np.arange(-(-(s_lo + d_lo) // 2), (s_hi + d_hi) // 2 + 1)
+    lo = np.maximum(a - d_hi, s_lo - a)
+    count = np.maximum(np.minimum(a - d_lo, s_hi - a) - lo + 1, 0)
+    offset = np.cumsum(count) - count
+    return np.repeat(a, count), np.repeat(lo - offset, count) + np.arange(count.sum())
 
 
 def _slab_bounds(n, T):

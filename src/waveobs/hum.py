@@ -40,7 +40,7 @@ from .dalembert import (
     project,
     terminal_velocity,
 )
-from .grid import Curve, SquareUnion, cover_cells
+from .grid import Curve, SquareUnion, _slab_cells, cover_cells
 
 __all__ = [
     "WeightProfile",
@@ -102,9 +102,9 @@ class SmoothedTube:
     profile: WeightProfile
 
     @classmethod
-    def around(cls, x0, T, delta0, delta=None, n_nodes=128):
-        """Cylindrical tube at fixed center x0."""
-        return cls(Curve.constant(x0, T, n_nodes), WeightProfile(delta0, delta))
+    def around(cls, x0, T, delta0, delta=None):
+        """Cylindrical tube at fixed center x0 (a constant curve on 128 nodes)."""
+        return cls(Curve.constant(x0, T, 128), WeightProfile(delta0, delta))
 
     @property
     def T(self):
@@ -180,20 +180,15 @@ def _cell_rules(h, q=4):
 
 
 def _strip_cells(level, T):
-    """All (a, b) lattice cells meeting the strip, split by boundary cut."""
+    """All (a, b) lattice cells meeting the strip, in (a, b) order, split by boundary cut."""
     L = int(level)
     TLf = float(T) * L
     M = round(TLf)
     if abs(TLf - M) > 1e-9 or M < 1:
         raise ValueError(f"T*level must be a positive integer, got {TLf}")
-    a = np.arange(0, L + M)
-    b = np.arange(-M, L)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    A, B = A.ravel(), B.ravel()
+    A, B = _slab_cells(0, 2 * M, -1, 2 * L - 1)
     s = A + B
     d = A - B
-    keep = (s >= -1) & (s <= 2 * L - 1) & (d >= 0) & (d <= 2 * M)
-    A, B, s, d = A[keep], B[keep], s[keep], d[keep]
     cats = {
         "full": (s >= 0) & (s <= 2 * L - 2) & (d >= 1) & (d <= 2 * M - 1),
         "x0": s == -1,
@@ -209,6 +204,13 @@ def _strip_cells(level, T):
 # [i, j] indexes the weight moment (w, w du, w dv, w du^2, w dv^2, w du dv)
 # that multiplies factors i and j.
 _PAIR_MOMENT = np.array([[0, 1, 0, 2], [1, 3, 1, 5], [0, 1, 0, 2], [2, 5, 2, 4]])
+
+
+def _cell_moments(rule, w):
+    """Moments (w, w du, w dv, w du^2, w dv^2, w du dv) of each row of rule weights w."""
+    du, dv, _ = rule
+    powers = np.column_stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv])
+    return 0.5 * w @ powers  # 1/2: Jacobian of (u, v) -> (x, t)
 
 
 def _tube_bands(region, A, B, h):
@@ -239,7 +241,7 @@ def assemble_gram(region, level, quad=4):
     h = 1.0 / L
     n = 2 * L
     full_rule, tri_rules = _cell_rules(h, quad)
-    cells = []  # (A, B, rule, weight at the rule points of each cell)
+    cells = []  # (A, B, the six weight moments of each cell)
     if isinstance(region, IndicatorRegion):
         dom = region.domain
         if L % dom.level != 0:
@@ -247,7 +249,8 @@ def assemble_gram(region, level, quad=4):
                 f"level {L} must be a multiple of the domain level {dom.level}"
             )
         A, B = cover_cells(dom, L)
-        cells.append((A, B, full_rule, full_rule[2][None, :]))
+        mom = _cell_moments(full_rule, full_rule[2][None, :])  # one row: the weight is 1
+        cells.append((A, B, np.broadcast_to(mom, (A.size, 6))))
     elif isinstance(region, SmoothedTube):
         A, B, cats = _strip_cells(L, region.T)
         near, ramp = _tube_bands(region, A, B, h)
@@ -259,18 +262,22 @@ def assemble_gram(region, level, quad=4):
             u = A[sel][r][:, None] * h + rule[0]
             v = B[sel][r][:, None] * h + rule[1]
             chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
-            cells.append((A[sel], B[sel], rule, rule[2] * chi))
+            cells.append((A[sel], B[sel], _cell_moments(rule, rule[2] * chi)))
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
 
-    idx, val = [], []
-    for A, B, (du, dv, _), w in cells:
-        powers = np.column_stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv])
-        mom = 0.5 * w @ powers  # 1/2: Jacobian of (u, v) -> (x, t)
+    # one index and one value array, filled category by category, each live once
+    size = 16 * sum(cell[0].size for cell in cells)
+    idx, val = np.empty(size, dtype=np.int64), np.empty(size)
+    pos = 0
+    for A, B, mom in cells:
+        out = slice(pos, pos + 16 * A.size)
+        pos = out.stop
         slots = np.stack([A % n, A % n + n, B % n + 2 * n, B % n + 3 * n], axis=1)
-        idx.append((slots[:, :, None] * (4 * n) + slots[:, None, :]).ravel())
-        val.append(np.broadcast_to(mom[:, _PAIR_MOMENT], (A.size, 4, 4)).ravel())
-    M = np.bincount(np.concatenate(idx), np.concatenate(val), minlength=(4 * n) ** 2)
+        np.add(slots[:, :, None] * (4 * n), slots[:, None, :], out=idx[out].reshape(-1, 4, 4))
+        np.take(mom, _PAIR_MOMENT, axis=1, out=val[out].reshape(-1, 4, 4))
+    M = np.bincount(idx, val, minlength=(4 * n) ** 2)
+    del cells, idx, val  # freed before the dense product
     # the BLAS product rounds differently per memory layout; Phi is taken column-major
     phi = np.asfortranarray(basis_tables(L))
     G = phi @ M.reshape(4 * n, 4 * n) @ phi.T
@@ -403,10 +410,4 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), grid_m=None):
         + float(np.trapezoid(vT**2, dx=1.0 / m))
     )
     ratio = float(np.sqrt(eT / e0)) if e0 > 0 else 0.0
-    return {
-        "ratio": ratio,
-        "energy_initial": e0,
-        "energy_terminal": eT,
-        "terminal_position": Y[-1],
-        "terminal_velocity": vT,
-    }
+    return {"ratio": ratio, "energy_initial": e0, "energy_terminal": eT}

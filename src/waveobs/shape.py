@@ -63,37 +63,28 @@ def shape_derivative_density(solution):
     return j
 
 
+def _p1_tridiagonal(curve, end, off):
+    """A P1 matrix on the curve's nodes as (diagonal, off-diagonal): 2*end inside, end at the ends."""
+    diag = np.full(curve.times.size, 2.0 * end)
+    diag[0] = diag[-1] = end
+    return diag, np.full(curve.times.size - 1, off)
+
+
 def curve_mass_matrix(curve):
-    """P1 mass matrix on the curve's nodes in symmetric banded storage."""
-    N = curve.times.size - 1
-    dt = curve.dt
-    ab = np.zeros((2, N + 1))
-    ab[0, 1:] = dt / 6.0
-    ab[1, :] = 2.0 * dt / 3.0
-    ab[1, 0] = ab[1, N] = dt / 3.0
-    return ab
+    """P1 mass matrix on the curve's nodes as (diagonal, off-diagonal)."""
+    return _p1_tridiagonal(curve, curve.dt / 3.0, curve.dt / 6.0)
 
 
-def _stiffness_banded(curve):
-    N = curve.times.size - 1
-    dt = curve.dt
-    ab = np.zeros((2, N + 1))
-    ab[0, 1:] = -1.0 / dt
-    ab[1, :] = 2.0 / dt
-    ab[1, 0] = ab[1, N] = 1.0 / dt
-    return ab
-
-
-def _banded_matvec(ab, x):
-    y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[0, 1:] * x[:-1]
+def _tridiagonal_matvec(diag, off, x):
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
     return y
 
 
 def pair_with_density(curve, j, direction):
     """Discrete pairing integral of j * direction along the curve (P1 mass)."""
-    return float(direction @ _banded_matvec(curve_mass_matrix(curve), j))
+    return float(direction @ _tridiagonal_matvec(*curve_mass_matrix(curve), j))
 
 
 def h1_smooth(curve, j, eps):
@@ -104,11 +95,9 @@ def h1_smooth(curve, j, eps):
     """
     if eps == 0:
         return np.array(j, dtype=float, copy=True)
-    M = curve_mass_matrix(curve)
-    K = _stiffness_banded(curve)
-    rhs = _banded_matvec(M, j) + eps * _banded_matvec(K, curve.values)
-    off, diag = M + eps * K
-    return solve_tridiagonal(diag, off[1:], rhs)
+    M, K = curve_mass_matrix(curve), _p1_tridiagonal(curve, 1.0 / curve.dt, -1.0 / curve.dt)
+    rhs = _tridiagonal_matvec(*M, j) + eps * _tridiagonal_matvec(*K, curve.values)
+    return solve_tridiagonal(M[0] + eps * K[0], M[1] + eps * K[1], rhs)
 
 
 def descent_step(curve, grad, rho, delta0):
@@ -124,7 +113,6 @@ class DescentTrace:
     costs: np.ndarray  # regularized costs, length iterations + 1
     raw_costs: np.ndarray  # control costs without the curve penalty
     curves: list
-    solution: object  # minimal-control solution at the final curve
     converged: bool
 
     @property
@@ -163,7 +151,6 @@ def optimize(
     profile = WeightProfile(delta0, delta)
     curve = curve0
     costs, raw, curves = [], [], [curve]
-    sol = None
     converged = False
     p = int(patience)
     for it in range(int(max_iters) + 1):
@@ -192,7 +179,6 @@ def optimize(
         costs=np.asarray(costs),
         raw_costs=np.asarray(raw),
         curves=curves,
-        solution=sol,
         converged=converged,
     )
 
@@ -230,7 +216,6 @@ def cylindrical_sweep(
     breakpoints=(),
     delta=None,
     x0s=None,
-    n_nodes=128,
 ):
     """Control cost over a family of fixed-center tubes.
 
@@ -242,7 +227,7 @@ def cylindrical_sweep(
     x0s = np.asarray(x0s, dtype=float)
     costs = np.empty_like(x0s)
     for k, x0 in enumerate(x0s):
-        tube = SmoothedTube.around(x0, T, delta0, delta, n_nodes)
+        tube = SmoothedTube.around(x0, T, delta0, delta)
         costs[k] = hum_control(tube, level, y0, y1, breakpoints).cost
     return SweepResult(x0s=x0s, costs=costs)
 

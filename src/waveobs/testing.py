@@ -9,12 +9,11 @@ from .grid import SquareUnion, squares_in_time_slab
 __all__ = ["random_initial_data", "random_connected_square_domain"]
 
 
-def random_initial_data(rng, level, scale=1.0):
+def random_initial_data(rng, level):
     """Gaussian piecewise data at the given level (slopes re-centered)."""
     a = rng.standard_normal(level)
     a -= a.mean()
-    b = rng.standard_normal(level)
-    return PiecewiseInitialData(level, scale * a, scale * b)
+    return PiecewiseInitialData(level, a, rng.standard_normal(level))
 
 
 def random_connected_square_domain(rng, level, T=2, max_extra=None):

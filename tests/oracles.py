@@ -203,3 +203,38 @@ def energy(data, t):
     phit = 0.5 * (gu - gv)
     phix = 0.5 * (gu + gv)
     return float(0.5 * lens @ (phit**2 + phix**2))
+
+
+# ---------------------------------------------------------------- cells
+
+
+def slab_cells_meshgrid(d_lo, d_hi, s_lo, s_hi):
+    """Lattice cells (a, b) with d_lo <= a-b <= d_hi and s_lo <= a+b <= s_hi.
+
+    Filters a (d, s) meshgrid to the pairs of equal parity, in (d, s) order.
+    """
+    d, s = np.meshgrid(np.arange(d_lo, d_hi + 1), np.arange(s_lo, s_hi + 1), indexing="ij")
+    keep = (d - s) % 2 == 0
+    return (s + d)[keep] // 2, (s - d)[keep] // 2
+
+
+def strip_cells_meshgrid(level, T):
+    """Cells (a, b) meeting the strip (0,1) x (0,T) at level L, and their boundary cuts.
+
+    Filters the bounding box of (L + M)^2 cells, M = T L, in (a, b) order.
+    """
+    L = int(level)
+    M = round(float(T) * L)
+    A, B = np.meshgrid(np.arange(0, L + M), np.arange(-M, L), indexing="ij")
+    A, B = A.ravel(), B.ravel()
+    s, d = A + B, A - B
+    keep = (s >= -1) & (s <= 2 * L - 1) & (d >= 0) & (d <= 2 * M)
+    A, B, s, d = A[keep], B[keep], s[keep], d[keep]
+    cats = {
+        "full": (s >= 0) & (s <= 2 * L - 2) & (d >= 1) & (d <= 2 * M - 1),
+        "x0": s == -1,
+        "x1": s == 2 * L - 1,
+        "t0": d == 0,
+        "tT": d == 2 * M,
+    }
+    return A, B, cats

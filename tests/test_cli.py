@@ -376,12 +376,12 @@ def test_domain_file_with_a_huge_integer_exits_2(tmp_path, capsys):
 BAD_CONFIGS = [
     ("hum", {"level": 8.7}, "key 'level' must be an integer"),
     ("hum", {"level": True}, "key 'level' must be a number"),
-    ("verify", {"levels": [8.5, 16]}, "'levels' must be a nonempty array of integers"),
+    ("verify", {"levels": [8.5, 16]}, "key 'levels' must be an integer, got 8.5"),
     ("hum", {"T": 0}, "key 'T' must be positive"),
     ("hum", {"T": -1}, "key 'T' must be positive"),
     ("hum", {"T": "abc"}, "key 'T' must be a number"),
     ("sweep", {"x0_min": "a"}, "key 'x0_min' must be a number"),
-    ("verify", {"levels": ["a"]}, "'levels' must be a nonempty array of integers"),
+    ("verify", {"levels": ["a"]}, "key 'levels' must be a number, got 'a'"),
     ("hum", {"preset": "ex9"}, "unknown preset 'ex9'"),
     ("spectrum", {"level": 8, "eps": 0.25}, "either 'level' or 'eps'"),
     ("hum", {"level": "8"}, "key 'level' must be a number"),
@@ -393,11 +393,11 @@ BAD_CONFIGS = [
     ("hum", {"T": float("inf")}, "key 'T' must be a finite number"),
     ("hum", {"T": 10**400}, "key 'T' must be a finite number"),
     ("hum", {"level": 10**400}, "key 'level' must be a finite number"),
-    ("verify", {"levels": [16, 10**400]}, "'levels' must be finite"),
+    ("verify", {"levels": [16, 10**400]}, "key 'levels' must be a finite number"),
     ("hum", {"level": 10**20}, "key 'level' must be at most 2147483647"),
     ("hum", {"level": 1e20}, "key 'level' must be at most 2147483647"),
     ("hum", {"raster_nx": 2**31}, "key 'raster_nx' must be at most 2147483647"),
-    ("verify", {"levels": [16, 2**31]}, "'levels' must be positive and at most 2147483647"),
+    ("verify", {"levels": [16, 2**31]}, "key 'levels' must be at most 2147483647"),
     ("hum", {"domain": {"type": "cylinder", "t_lo": 0.5, "x0": 0.25, "delta0": 0.15, "T": 2}},
      "drop 't_lo'/'t_hi'"),
     ("verify", {"domain": {"type": "curve_tube", "t_hi": 1.5, "delta0": 0.15,
@@ -428,6 +428,18 @@ BAD_CONFIGS = [
      "invalid gamma0 curve: curve times and values must be finite"),
     ("optimize", {"gamma0": {"constant": float("nan")}},
      "invalid gamma0 curve: curve times and values must be finite"),
+    ("verify", {"levels": [8], "obs_samples": 3}, "'obs_samples' needs a square_union domain"),
+    ("hum", {"curve_nodes": 7}, "unknown config key for hum: 'curve_nodes'"),
+    ("hum", {"delta": "abc"}, "key 'delta' must be a number, got 'abc'"),
+    ("sweep", {"delta": True}, "key 'delta' must be a number, got True"),
+    ("optimize", {"delta": "abc"}, "key 'delta' must be a number, got 'abc'"),
+    ("hum", {"delta": 0.5}, "invalid weight: ramp width must satisfy 0 < delta < delta0"),
+    ("verify", {"delta": 0.5}, "invalid weight: ramp width must satisfy 0 < delta < delta0"),
+    ("sweep", {"delta": 0.5}, "invalid weight: ramp width must satisfy 0 < delta < delta0"),
+    ("optimize", {"delta": 0.5}, "invalid weight: ramp width must satisfy 0 < delta < delta0"),
+    ("hum", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0, "T": 2}},
+     "invalid weight: delta0 must be positive"),
+    ("optimize", {"delta0": 0.6}, "key 'delta0' must be at most 0.5"),
 ]
 
 
@@ -522,6 +534,19 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["c_obs"] == 4
     assert (out / "manifest.json").exists()
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    # main pins one BLAS thread only while numpy is not yet loaded
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, waveobs, waveobs.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_artifacts_do_not_depend_on_thread_count(tmp_path):

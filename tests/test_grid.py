@@ -30,6 +30,7 @@ from oracles import (
     fold_index,
     interval_bounds,
     interval_midpoint,
+    slab_cells_meshgrid,
     square_area,
     square_center,
     square_corners,
@@ -248,6 +249,18 @@ def test_squares_in_domain_returns_a_frozenset(chevron):
         for n in (1, 4, 8):
             assert type(squares_in_domain(domain, n)) is frozenset, (domain, n)
     assert squares_in_domain(chevron, chevron.level) is chevron.squares
+
+
+@given(st.integers(-8, 8), st.integers(-2, 10), st.integers(-8, 8), st.integers(-2, 10))
+def test_slab_cells_are_the_meshgrid_cells_in_a_b_order(d_lo, d_width, s_lo, s_width):
+    # negative widths give empty ranges
+    from waveobs.grid import _slab_cells
+
+    a, b = _slab_cells(d_lo, d_lo + d_width, s_lo, s_lo + s_width)
+    ra, rb = slab_cells_meshgrid(d_lo, d_lo + d_width, s_lo, s_lo + s_width)
+    order = np.lexsort((rb, ra))
+    assert a.dtype == ra.dtype and b.dtype == rb.dtype
+    assert np.array_equal(a, ra[order]) and np.array_equal(b, rb[order])
 
 
 def test_cover_cells_are_the_squares_in_domain(chevron):

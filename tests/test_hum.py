@@ -330,6 +330,24 @@ def test_plateau_cells_have_weight_one(values, delta0, frac, L):
         assert np.array_equal(G, assemble_gram(tube, L))
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 32, 64, 128])
+@pytest.mark.parametrize("T", [0.5, 1, 2, 3])
+def test_strip_cells_are_the_bounding_box_cells_bitwise(L, T):
+    # the tube Gram's bincount sums in this (a, b) order, so it must not change
+    from oracles import strip_cells_meshgrid
+    from waveobs.hum import _strip_cells
+
+    if (T * L) % 1:
+        with pytest.raises(ValueError, match="T\\*level must be a positive integer"):
+            _strip_cells(L, T)
+        return
+    A, B, cats = _strip_cells(L, T)
+    rA, rB, rcats = strip_cells_meshgrid(L, T)
+    assert A.dtype == rA.dtype and np.array_equal(A, rA) and np.array_equal(B, rB)
+    assert list(cats) == list(rcats)
+    assert all(np.array_equal(cats[name], rcats[name]) for name in cats)
+
+
 def test_plateau_cells_exist_on_the_reference_cylinder():
     from waveobs.hum import _strip_cells, _tube_bands
 

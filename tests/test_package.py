@@ -16,7 +16,6 @@ MODULES = ["waveobs"] + [
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
-    # the package's lazy exports resolve on attribute access, so a name
-    # deleted from its submodule but left in the export table shows here
+    # a name deleted from its module but left in __all__ shows here
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
