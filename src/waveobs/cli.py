@@ -83,14 +83,25 @@ class ArtifactWriter:
     def write_csv(self, name, header, rows):
         """Write the header line and the rows, with one ``%`` over all cells.
 
-        ``rows`` is a 2-D ndarray or a list of equal-length rows.  List columns
-        of Python ints (bools included) are written with ``%d``, all others with
-        ``%.17g``, which round-trips floats and writes ints below 2**53 verbatim.
+        ``rows`` is a 2-D ndarray or a list of equal-length rows.  An ndarray
+        is written at ``%.17g`` as float64, which round-trips floats and writes
+        ints below 2**53 verbatim; each column formats every distinct bit
+        pattern once (so -0.0 and 0.0 stay apart), which is what makes the
+        rasters cheap: their x, t and zero cells repeat.  List columns of
+        Python ints (bools included) are written with ``%d``, all others with
+        ``%.17g``.
         """
         if hasattr(rows, "ravel"):
+            import numpy as np
+
             width = rows.shape[1]
-            cells = rows.ravel().tolist()
-            fmts = ["%.17g"] * width
+            cells = [None] * rows.size
+            for j, col in enumerate(np.asarray(rows, dtype=np.float64).T):
+                bits, where = np.unique(col.view(np.int64), return_inverse=True)
+                values = bits.view(np.float64).tolist()
+                text = ("%.17g\n" * len(values) % tuple(values)).split("\n")
+                cells[j::width] = np.array(text, dtype=object)[where].tolist()
+            fmts = ["%s"] * width
         else:
             width = len(rows[0]) if rows else 0
             if any(len(row) != width for row in rows):
@@ -320,6 +331,27 @@ def _resolve_region(config, T):
     raise UsageError(f"cannot build an observation region from {type(domain).__name__}")
 
 
+def _check_grid(T, level, m=None, level_key="level", grid_key="grid_m"):
+    """A UsageError, before any solve, unless the level and the leapfrog grid fit T.
+
+    T*level must be a positive integer (the lattice the Gram lives on); the
+    leapfrog grid m, when given, must be a multiple of the level with at
+    least two time steps.
+    """
+    from waveobs.hum import time_cells
+
+    try:
+        time_cells(T, level)
+    except ValueError as exc:
+        raise UsageError(f"config keys 'T' and {level_key!r} do not fit: {exc}")
+    if m is not None and m % level:
+        raise UsageError(f"config key {grid_key!r} must be a multiple of {level_key!r} "
+                         f"({level}), got {m}")
+    if m is not None and time_cells(T, m) < 2:
+        raise UsageError(f"config keys 'T' and {grid_key!r} give a leapfrog grid of one "
+                         "time step; it needs at least two")
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -383,13 +415,14 @@ def _raster(writer, solution, nx, nt):
     import numpy as np
 
     from waveobs.dalembert import eval_phi
+    from waveobs.hum import control_density
 
     T = float(solution.region.T)
     xs = np.linspace(0.0, 1.0, nx)
     ts = np.linspace(0.0, T, nt)
     X, Tt = np.meshgrid(xs, ts)  # t-major rows
     phi = eval_phi(solution.data, X.ravel(), Tt.ravel())
-    v = phi * solution.region.chi(X.ravel(), Tt.ravel())  # the control density phi * chi
+    v = control_density(solution, X.ravel(), Tt.ravel())
     rows_phi = np.column_stack([X.ravel(), Tt.ravel(), phi])
     rows_v = np.column_stack([X.ravel(), Tt.ravel(), v])
     writer.write_csv("phi.csv", ["x", "t", "phi"], rows_phi)
@@ -401,6 +434,7 @@ def _cmd_hum(config, writer, seed):
 
     level = config["level"]
     data = _resolve_data(config)
+    _check_grid(data.T, level, config["grid_m"])  # the default grid, 4 * level, always fits
     breakpoints = data.data_breakpoints()
     region = _resolve_region(config, data.T)
     solution = hum_control(region, level, data.y0, data.y1, breakpoints, quad=config["quad"])
@@ -476,6 +510,7 @@ def _cmd_optimize(config, writer, seed):
     from waveobs.shape import optimize, performance_index
 
     data = _resolve_data(config)
+    _check_grid(data.T, config["level"])
     if config["delta0"] > 0.5:
         raise UsageError(f"config key 'delta0' must be at most 0.5, so that the band "
                          f"[delta0, 1 - delta0] holds the curve, got {config['delta0']!r}")
@@ -555,6 +590,7 @@ def _cmd_sweep(config, writer, seed):
     import numpy as np
 
     data = _resolve_data(config)
+    _check_grid(data.T, config["level"])
     x0_min, x0_max = config["x0_min"], config["x0_max"]
     if not 0.0 < x0_min <= x0_max < 1.0:
         raise UsageError("need 0 < x0_min <= x0_max < 1")
@@ -616,6 +652,8 @@ def _cmd_verify(config, writer, seed):
     levels = [_coerce("levels", v, _POS_INT) for v in levels]
     grid_factor, obs_samples = config["grid_factor"], config["obs_samples"]
     data = _resolve_data(config)
+    for level in levels:
+        _check_grid(data.T, level, grid_factor * level, "levels", "grid_factor")
     breakpoints = data.data_breakpoints()
     region = _resolve_region(config, data.T)
     if obs_samples and not isinstance(region, IndicatorRegion):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dalembert import (
     _GAUSS8_WEIGHTS,
@@ -51,6 +52,7 @@ __all__ = [
     "hum_rhs",
     "solve_hum",
     "solve_tridiagonal",
+    "time_cells",
     "hum_control",
     "HumSolution",
     "control_density",
@@ -179,13 +181,19 @@ def _cell_rules(h, q=4):
     return full, MappingProxyType(tri)
 
 
-def _strip_cells(level, T):
-    """All (a, b) lattice cells meeting the strip, in (a, b) order, split by boundary cut."""
-    L = int(level)
-    TLf = float(T) * L
+def time_cells(T, level):
+    """The number T*level of lattice time cells; a ValueError unless it is a positive integer."""
+    TLf = float(T) * int(level)
     M = round(TLf)
     if abs(TLf - M) > 1e-9 or M < 1:
         raise ValueError(f"T*level must be a positive integer, got {TLf}")
+    return M
+
+
+def _strip_cells(level, T):
+    """All (a, b) lattice cells meeting the strip, in (a, b) order, split by boundary cut."""
+    L = int(level)
+    M = time_cells(T, L)
     A, B = _slab_cells(0, 2 * M, -1, 2 * L - 1)
     s = A + B
     d = A - B
@@ -387,19 +395,46 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), grid_m=None):
     Solves y_tt = y_xx + phi*chi with the unit-CFL scheme on grid_m cells
     (a multiple of the control level; default four times) and reports the
     terminal-to-initial energy ratio sqrt(E(T)/E(0)).  Zero data gives
-    ratio 0 by convention.  The forcing is the control density, evaluated
-    once per block of time levels (see :func:`leapfrog_solve`).
+    ratio 0 by convention.
+
+    The forcing is the control density at the grid nodes, built once per
+    block of time levels (see :func:`leapfrog_solve`).  Every node
+    (i/m, k/m) lies on the level-m characteristic lattice, so phi there is
+    F((i+k)/m) + G((i-k)/m): each block gathers its rows from windows of the
+    2m node values of F and G.  A smoothed tube evaluates its weight only on
+    the columns within delta0 + 1/m of the curve over the block; elsewhere
+    the weight is exactly 0.  At power-of-two m the forcing is bitwise
+    :func:`control_density`; otherwise i/m + k/m may differ from (i+k)/m in
+    the last bit.
     """
     L = solution.level
     m = int(grid_m) if grid_m is not None else 4 * L
     if m % L != 0:
         raise ValueError(f"grid_m must be a multiple of the control level {L}")
-    T = solution.region.T
+    region = solution.region
+    T = region.T
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     data = project(y0, y1 if y1 is not None else zero, m, breakpoints)
 
+    j = np.arange(2 * m) / m
+    # row s holds the profile at the lattice nodes s .. s+m-2 (mod 2m); at time level k
+    # the interior nodes i = 1 .. m-1 sit at u-node i+k and v-node i-k
+    F_rows, G_rows = (
+        sliding_window_view(np.tile(tab, 2), m - 1)
+        for tab in (solution.data.F(j), solution.data.G(j))
+    )
+
     def forcing(x, t):
-        return control_density(solution, x, t)
+        k = np.rint(t[:, 0] * m).astype(np.int64)
+        phi = F_rows[(k + 1) % (2 * m)] + G_rows[(1 - k) % (2 * m)]
+        if not isinstance(region, SmoothedTube):
+            return phi * region.chi(x, t)
+        chi = np.zeros_like(phi)
+        g = region.curve(t)
+        reach = region.profile.delta0 + 1.0 / m
+        lo, hi = np.searchsorted(x[0], [g.min() - reach, g.max() + reach])
+        chi[:, lo:hi] = region.chi(x[:, lo:hi], t)
+        return phi * chi
 
     nodes = np.arange(m + 1) / m
     Y = leapfrog_solve(m, T, data.phi0(nodes), data.beta, forcing)

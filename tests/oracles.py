@@ -238,3 +238,17 @@ def strip_cells_meshgrid(level, T):
         "tT": d == 2 * M,
     }
     return A, B, cats
+
+
+# -------------------------------------------------------------- forcing
+
+
+def eval_phi_forcing(solution):
+    """The verification forcing evaluated pointwise: phi by ``eval_phi`` at
+    (x, t), times the region's weight, on whatever block the scheme asks for."""
+    from waveobs.dalembert import eval_phi
+
+    def forcing(x, t):
+        return eval_phi(solution.data, x, t) * solution.region.chi(x, t)
+
+    return forcing

@@ -74,6 +74,13 @@ CSV_CASES = {
         [np.linspace(0, 1, 7), np.linspace(0, 2, 7) ** 3, np.r_[SPECIALS, 0.2]]
     ),
     "int_ndarray": np.arange(12).reshape(4, 3) - 5,
+    # both zeros, repeats and two NaN payloads in one column: each bit pattern is one text
+    "repeats_ndarray": np.column_stack([
+        np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, np.nan, np.uint64(0x7FF8000000000001).view(np.float64)]),
+        np.r_[np.full(4, 0.1), np.full(4, 1e300)],
+    ]),
+    "bool_ndarray": np.array([[True, False], [False, False], [True, True]]),
+    "one_column_ndarray": np.linspace(-1, 1, 5)[:, None],
     "ndarray_row": [np.array([0.0, 1.0, 4.000000000000001, 1e-17])],
     "empty_list": [],
     "empty_ndarray": np.empty((0, 3)),
@@ -440,6 +447,14 @@ BAD_CONFIGS = [
     ("hum", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0, "T": 2}},
      "invalid weight: delta0 must be positive"),
     ("optimize", {"delta0": 0.6}, "key 'delta0' must be at most 0.5"),
+    ("hum", {"level": 64, "grid_m": 100}, "key 'grid_m' must be a multiple of 'level' (64)"),
+    ("hum", {"T": 0.1, "level": 8}, "keys 'T' and 'level' do not fit: T*level must be"),
+    ("sweep", {"T": 0.1, "level": 8}, "keys 'T' and 'level' do not fit: T*level must be"),
+    ("optimize", {"T": 0.1, "level": 8}, "keys 'T' and 'level' do not fit: T*level must be"),
+    ("verify", {"T": 0.1, "levels": [8]}, "keys 'T' and 'levels' do not fit: T*level must be"),
+    ("hum", {"T": 0.5, "level": 2, "grid_m": 2}, "keys 'T' and 'grid_m' give a leapfrog grid"),
+    ("verify", {"T": 0.5, "levels": [2], "grid_factor": 1},
+     "keys 'T' and 'grid_factor' give a leapfrog grid"),
 ]
 
 

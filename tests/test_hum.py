@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import eval_phi_forcing
 
 from waveobs.dalembert import _GAUSS8_NODES, _GAUSS8_WEIGHTS, eval_phi, leapfrog_solve
-from waveobs.grid import Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
+from waveobs.grid import Curve, Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
 from waveobs.hum import (
     HumSolution,
     IndicatorRegion,
@@ -537,6 +538,74 @@ def test_blocked_forcing_is_bitwise_per_step_forcing(chevron, rng):
             Y = leapfrog_solve(m, 2.0, y0, beta, forcing)
             assert np.array_equal(Y, _per_step_leapfrog(m, 2.0, y0, beta, forcing)), (name, m)
             assert np.any(Y != leapfrog_solve(m, 2.0, y0, beta)), (name, m)
+
+
+def _verify_run(solution, preset, m):
+    """forward_verify's leapfrog arguments, forcing callback and Y, captured from its call."""
+    seen = {}
+
+    def spy(*args):
+        seen["args"], seen["Y"] = args, leapfrog_solve(*args)
+        return seen["Y"]
+
+    with patch("waveobs.hum.leapfrog_solve", spy):
+        forward_verify(solution, preset.y0, preset.y1, preset.data_breakpoints(), m)
+    return seen
+
+
+def _wavy_tube():
+    times = np.linspace(0.0, 2.0, 33)
+    return SmoothedTube(Curve(times, 0.5 + 0.4 * np.sin(np.pi * times)), WeightProfile(0.15))
+
+
+def _forcing_regions(chevron):
+    return {
+        "cylinder": SmoothedTube.around(0.25, 2.0, 0.15),
+        "wavy_tube": _wavy_tube(),  # its band reaches both walls
+        "chevron": IndicatorRegion(chevron),
+    }
+
+
+def _node_forcing(seen, m):
+    """The captured forcing on the whole leapfrog grid, with the interior nodes x and times t."""
+    M = seen["Y"].shape[0] - 1
+    x = (np.arange(1, m) / m)[None, :]
+    t = np.arange(M)[:, None] * (1.0 / m)  # the times the scheme passes
+    return seen["args"][-1](x, t), x, t
+
+
+@pytest.mark.parametrize("preset", ["ex1", "ex2"])  # ex2 has a velocity datum
+@pytest.mark.parametrize("L,m", [(8, 32), (16, 16), (16, 128)])
+def test_forcing_is_bitwise_the_control_density_at_power_of_two_grids(chevron, preset, L, m):
+    data = get_preset(preset)
+    for name, region in _forcing_regions(chevron).items():
+        sol = hum_control(region, L, data.y0, data.y1, data.data_breakpoints())
+        f, x, t = _node_forcing(_verify_run(sol, data, m), m)
+        want = control_density(sol, x, t)
+        assert np.array_equal(f.view(np.int64), want.view(np.int64)), (name, preset, L, m)
+        assert np.any(f != 0.0) and np.any(f == 0.0), (name, preset, L, m)
+
+
+@pytest.mark.parametrize("preset", ["ex1", "ex2"])
+@pytest.mark.parametrize("L,m", [(4, 12), (12, 72), (24, 96)])
+def test_forcing_is_the_control_density_to_roundoff_off_powers_of_two(chevron, preset, L, m):
+    data = get_preset(preset)
+    for name, region in _forcing_regions(chevron).items():
+        sol = hum_control(region, L, data.y0, data.y1, data.data_breakpoints())
+        f, x, t = _node_forcing(_verify_run(sol, data, m), m)
+        scale = np.max(np.abs(eval_phi(sol.data, x, t)))
+        assert np.max(np.abs(f - control_density(sol, x, t))) <= 1e-14 * scale, (name, L, m)
+
+
+@pytest.mark.parametrize("L", [8, 32, 64])
+def test_forward_run_is_the_eval_phi_forcing_run(chevron, L):
+    for preset in ("ex1", "ex2"):
+        data = get_preset(preset)
+        for name, region in _forcing_regions(chevron).items():
+            sol = hum_control(region, L, data.y0, data.y1, data.data_breakpoints())
+            seen = _verify_run(sol, data, 4 * L)
+            Y = leapfrog_solve(*seen["args"][:-1], eval_phi_forcing(sol))
+            assert np.array_equal(seen["Y"], Y), (name, preset, L)
 
 
 def test_forward_grid_validation():
