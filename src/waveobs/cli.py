@@ -305,8 +305,16 @@ def _weight_profile(delta0, delta):
         raise UsageError(f"invalid weight: {exc}")
 
 
-def _resolve_region(config, T):
-    """Observation region from a config 'domain' entry (weighted or sharp)."""
+def _check_refines(domain, levels, key):
+    """A UsageError, before any solve, unless each level is a multiple of the domain's level."""
+    for level in levels:
+        if level % domain.level:
+            raise UsageError(f"config key {key!r} must be a multiple of the domain level "
+                             f"({domain.level}), got {level}")
+
+
+def _resolve_region(config, T, levels, key):
+    """Observation region from a config 'domain' entry (weighted or sharp), refined by ``levels``."""
     from waveobs.grid import Curve, Cylinder, CurveTube, SquareUnion
     from waveobs.hum import IndicatorRegion, SmoothedTube
 
@@ -319,6 +327,7 @@ def _resolve_region(config, T):
             f"domain horizon T={float(domain.T)} does not match config T={float(T)}"
         )
     if isinstance(domain, SquareUnion):
+        _check_refines(domain, levels, key)
         return IndicatorRegion(domain)
     if domain.t_lo != 0 or domain.t_hi != domain.T:
         raise UsageError("the smoothed weight of a cylinder or curve_tube has no time "
@@ -338,7 +347,7 @@ def _check_grid(T, level, m=None, level_key="level", grid_key="grid_m"):
     leapfrog grid m, when given, must be a multiple of the level with at
     least two time steps.
     """
-    from waveobs.hum import time_cells
+    from waveobs.dalembert import time_cells
 
     try:
         time_cells(T, level)
@@ -430,17 +439,18 @@ def _raster(writer, solution, nx, nt):
 
 
 def _cmd_hum(config, writer, seed):
+    from waveobs.dalembert import time_cells
     from waveobs.hum import forward_verify, hum_control
 
     level = config["level"]
     data = _resolve_data(config)
     _check_grid(data.T, level, config["grid_m"])  # the default grid, 4 * level, always fits
     breakpoints = data.data_breakpoints()
-    region = _resolve_region(config, data.T)
+    region = _resolve_region(config, data.T, [level], "level")
     solution = hum_control(region, level, data.y0, data.y1, breakpoints, quad=config["quad"])
     check = forward_verify(solution, data.y0, data.y1, breakpoints, config["grid_m"])
     nx = config["raster_nx"] or level + 1
-    nt = config["raster_nt"] or int(round(data.T * level)) + 1
+    nt = config["raster_nt"] or time_cells(data.T, level) + 1
     _raster(writer, solution, nx, nt)
     result = {
         "cost": solution.cost,
@@ -618,6 +628,7 @@ def _cmd_power_cobs(config, writer, seed):
     domain = _resolve_domain(config["domain"])
     if not isinstance(domain, SquareUnion):
         raise UsageError(f"power-cobs needs a square_union domain, got {type(domain).__name__}")
+    _check_refines(domain, [config["level"]], "level")
     res = power_iterate(domain, config["level"], tol=config["tol"], max_iters=config["max_iters"])
     writer.write_csv(
         "estimates.csv",
@@ -655,7 +666,7 @@ def _cmd_verify(config, writer, seed):
     for level in levels:
         _check_grid(data.T, level, grid_factor * level, "levels", "grid_factor")
     breakpoints = data.data_breakpoints()
-    region = _resolve_region(config, data.T)
+    region = _resolve_region(config, data.T, levels, "levels")
     if obs_samples and not isinstance(region, IndicatorRegion):
         raise UsageError("'obs_samples' needs a square_union domain")
 

@@ -31,6 +31,7 @@ __all__ = [
     "eval_phi",
     "l2_phit_on_squares",
     "check_discrete_observability",
+    "time_cells",
     "leapfrog_solve",
     "terminal_velocity",
 ]
@@ -251,6 +252,15 @@ def check_discrete_observability(data, squares, n, c_obs):
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + 1e-10))}
 
 
+def time_cells(T, level):
+    """The number T*level of lattice time cells; a ValueError unless it is a positive integer."""
+    TLf = float(T) * int(level)
+    M = round(TLf)
+    if abs(TLf - M) > 1e-9 or M < 1:
+        raise ValueError(f"T*level must be a positive integer, got {TLf}")
+    return M
+
+
 def leapfrog_solve(m, T, y0, beta=None, forcing=None):
     """Explicit three-level scheme for y_tt = y_xx + f at unit CFL.
 
@@ -280,10 +290,9 @@ def leapfrog_solve(m, T, y0, beta=None, forcing=None):
     ndarray of shape (m*T + 1, m + 1) with one row per time level.
     """
     m = int(m)
-    steps_f = float(T) * m
-    M = round(steps_f)
-    if abs(steps_f - M) > 1e-9 or M < 2:
-        raise ValueError(f"m*T must be an integer >= 2, got {steps_f}")
+    M = time_cells(T, m)
+    if M < 2:
+        raise ValueError(f"m*T must be at least 2, got {M}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (m + 1,):
         raise ValueError(f"y0 must have length {m + 1}, got {y0.shape}")

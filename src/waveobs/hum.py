@@ -40,6 +40,7 @@ from .dalembert import (
     profile_tables,
     project,
     terminal_velocity,
+    time_cells,
 )
 from .grid import Curve, SquareUnion, _slab_cells, cover_cells
 
@@ -52,7 +53,6 @@ __all__ = [
     "hum_rhs",
     "solve_hum",
     "solve_tridiagonal",
-    "time_cells",
     "hum_control",
     "HumSolution",
     "control_density",
@@ -179,15 +179,6 @@ def _cell_rules(h, q=4):
     for arr in (*full, *(a for rule in tri.values() for a in rule)):
         arr.flags.writeable = False
     return full, MappingProxyType(tri)
-
-
-def time_cells(T, level):
-    """The number T*level of lattice time cells; a ValueError unless it is a positive integer."""
-    TLf = float(T) * int(level)
-    M = round(TLf)
-    if abs(TLf - M) > 1e-9 or M < 1:
-        raise ValueError(f"T*level must be a positive integer, got {TLf}")
-    return M
 
 
 def _strip_cells(level, T):

@@ -9,11 +9,10 @@ with L_q the control map of the domain and R the duality map from L2 x H-1
 back to the energy space.  The composition is self-adjoint and positive, so
 Rayleigh quotients of a power iteration converge to the constant from below.
 
-Discretely, one conjugate-system Gram per domain is assembled and inverted
-once; each iteration applies the inverse to a new right-hand side, applies the
-duality map (a tridiagonal Poisson solve for the first component, a sign flip
-for the second), and renormalizes.  Iterates are stored as node values of
-piecewise-affine pairs, for which every pairing used here is exact.
+Discretely the map is linear on the node values of piecewise-affine pairs,
+for which every pairing used here is exact, so it is built once per run as
+one dense matrix (see :func:`_operator`) and each iteration is a product, a
+norm and a sign fix.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hum import IndicatorRegion, assemble_gram, datum_from_coefficients
-from .hum import solve_hum, solve_tridiagonal
+from .hum import IndicatorRegion, assemble_gram, solve_hum
 
-__all__ = ["StatePair", "poisson_solve", "power_iterate", "PowerResult"]
+__all__ = ["StatePair", "power_iterate", "PowerResult"]
 
 
 @dataclass
@@ -59,47 +57,30 @@ class StatePair:
         return StatePair(self.y0 * factor, self.y1 * factor)
 
 
-def poisson_solve(rhs_node_integrals):
-    """Dirichlet Poisson solve on the unit interval, P1 elements.
+def _operator(G, L):
+    """Matrix K of y -> R L_q y on the stacked node values (y0, y1), each of length L+1.
 
-    Input: the load integrals against the interior hat functions (length
-    m-1).  Output: interior node values of the solution, by elimination on
-    the tridiagonal stiffness matrix.
+    P pairs the basis data with y: hat rows -(1, 4, 1)/(6L) on y1 (exact P1
+    mass), cell rows (1, 1)/(2L) on y0 (exact cell integrals).  Z = G^-1 P
+    maps y to the coefficients of the adjoint datum (phi0 at the interior
+    nodes, then the cell velocities phi1).  R sends it to (w, -phi0), where
+    -w'' = phi1: the hat loads of phi1 times the Green matrix
+    min(i, j)(L - max(i, j))/L^2, the exact inverse of the stiffness
+    L tridiag(-1, 2, -1).
     """
-    f = np.asarray(rhs_node_integrals, dtype=float)
-    m = f.size + 1
-    return solve_tridiagonal([2.0 * m] * (m - 1), [-float(m)] * (m - 2), f)
-
-
-def _rhs_from_pair(level, y):
-    """Duality pairings of the basis data against a piecewise-affine pair.
-
-    Cell entries are trapezoid-exact integrals of y0; hat entries are exact
-    P1 mass pairings against y1 (with a sign flip).
-    """
-    L = level
-    if y.m != L:
-        raise ValueError(f"state grid {y.m} must match the control level {L}")
-    b = np.empty(2 * L - 1)
-    y1 = y.y1
-    b[: L - 1] = -(y1[:-2] + 4.0 * y1[1:-1] + y1[2:]) / (6.0 * L)
-    b[L - 1 :] = (y.y0[:-1] + y.y0[1:]) / (2.0 * L)
-    return b
-
-
-def _apply_duality(level, data):
-    """Energy-space representative of a piecewise datum (phi0, phi1).
-
-    First component solves -w'' = phi1 (hat loads of a piecewise-constant
-    right side are exact); second component is -phi0 at the nodes.
-    """
-    L = level
-    beta = data.beta
-    loads = (beta[:-1] + beta[1:]) / (2.0 * L)
-    w = np.zeros(L + 1)
-    w[1:-1] = poisson_solve(loads)
-    nodes = np.arange(L + 1) / L
-    return StatePair(y0=w, y1=-data.phi0(nodes))
+    n = L + 1
+    hats, cells = np.arange(L - 1), np.arange(L)
+    P = np.zeros((2 * L - 1, 2 * n))
+    for shift, weight in enumerate((1.0, 4.0, 1.0)):
+        P[hats, n + hats + shift] = -weight / (6.0 * L)
+    P[L - 1 + cells, cells] = P[L - 1 + cells, cells + 1] = 1.0 / (2.0 * L)
+    Z, _ = solve_hum(G, P)
+    i = hats + 1
+    green = np.minimum.outer(i, i) * (L - np.maximum.outer(i, i)) / L**2
+    K = np.zeros((2 * n, 2 * n))
+    K[1:L] = green @ (Z[L - 1 : -1] + Z[L:]) / (2.0 * L)
+    K[n + 1 : n + L] = -Z[: L - 1]
+    return K
 
 
 @dataclass
@@ -121,45 +102,45 @@ def default_start(m):
 def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
     """Estimate the observability constant of a square-aligned domain.
 
-    Assembles and inverts (``solve_hum`` on the identity) the level-L Gram of
-    the domain's indicator weight once, then iterates y -> R L_q y with
+    Assembles the level-L Gram of the domain's indicator weight and builds
+    the operator matrix once, then iterates y -> R L_q y with
     Rayleigh-quotient estimates.
     Stops when the relative change of the estimate drops below ``tol``.
     """
     L = int(level)
-    G = assemble_gram(IndicatorRegion(domain), L)
-    Ginv, _ = solve_hum(G, np.eye(G.shape[0]))
-    y = default_start(L) if start is None else start.scaled(1.0)
+    if L < 2:
+        raise ValueError(f"power iteration needs level >= 2, got {level}: at level 1 no "
+                         "interior node exists, so the parabolic start and the operator are zero")
+    if int(max_iters) != max_iters or max_iters < 1:
+        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
+    y = default_start(L) if start is None else start
+    if y.m != L:
+        raise ValueError(f"state grid {y.m} must match the control level {L}")
     nrm = np.sqrt(y.norm_sq())
     if nrm == 0:
         raise ValueError("initial datum orthogonal to dominant eigenspace")
-    y = y.scaled(1.0 / nrm)
+    K = _operator(assemble_gram(IndicatorRegion(domain), L), L)
+    v = np.concatenate([y.y0, y.y1]) * (1.0 / nrm)
     estimates = []
     converged = False
-    for it in range(int(max_iters)):
-        b = _rhs_from_pair(L, y)
-        z = Ginv @ b
-        w = _apply_duality(L, datum_from_coefficients(L, z))
-        wn = float(np.sqrt(w.norm_sq()))
-        if wn == 0:
+    for _ in range(int(max_iters)):
+        w = K @ v
+        est = float(np.sqrt(StatePair(w[: L + 1], w[L + 1 :]).norm_sq()))  # |R L y| at unit |y|
+        if est == 0:
             raise ValueError("initial datum orthogonal to dominant eigenspace")
-        est = wn  # |R L y| at unit |y|
         estimates.append(est)
-        y = w.scaled(1.0 / wn)
+        v = w * (1.0 / est)
         # fix the sign: first nonzero component positive
-        flat = np.concatenate([y.y0, y.y1])
-        nz = flat[np.abs(flat) > 0]
+        nz = v[v != 0]
         if nz.size and nz[0] < 0:
-            y = y.scaled(-1.0)
-        if len(estimates) >= 2:
-            prev = estimates[-2]
-            if abs(est - prev) / abs(est) < tol:
-                converged = True
-                break
+            v = -v
+        if len(estimates) >= 2 and abs(est - estimates[-2]) / est < tol:
+            converged = True
+            break
     return PowerResult(
         constant=estimates[-1],
         estimates=np.asarray(estimates),
         iterations=len(estimates),
         converged=converged,
-        vector=y,
+        vector=StatePair(v[: L + 1], v[L + 1 :]),
     )

@@ -4,7 +4,9 @@ The package reaches the index folding only through the array maps
 ``waveobs.grid.lattice_cells`` and ``table_positions``.  The functions here
 spell the same definitions out one index or one square at a time, in exact
 rationals where they can, so that the tests can check the array code against
-an independent copy.
+an independent copy.  Likewise the power operator, one matrix in
+``waveobs.power``, is applied here step by step: pairings, a Gram solve, the
+piecewise datum and a tridiagonal Poisson solve.
 """
 
 import math
@@ -252,3 +254,76 @@ def eval_phi_forcing(solution):
         return eval_phi(solution.data, x, t) * solution.region.chi(x, t)
 
     return forcing
+
+
+# -------------------------------------------------------------- power operator
+
+
+def poisson_solve(rhs_node_integrals):
+    """Dirichlet Poisson solve on the unit interval, P1 elements.
+
+    Input: the load integrals against the interior hat functions (length
+    m-1).  Output: interior node values of the solution, by elimination on
+    the tridiagonal stiffness matrix m tridiag(-1, 2, -1).
+    """
+    from waveobs.hum import solve_tridiagonal
+
+    f = np.asarray(rhs_node_integrals, dtype=float)
+    m = f.size + 1
+    return solve_tridiagonal([2.0 * m] * (m - 1), [-float(m)] * (m - 2), f)
+
+
+def rhs_from_pair(level, y):
+    """Duality pairings of the basis data against a piecewise-affine pair.
+
+    Cell entries are trapezoid-exact integrals of y0; hat entries are exact
+    P1 mass pairings against y1 (with a sign flip).
+    """
+    L = level
+    b = np.empty(2 * L - 1)
+    y1 = y.y1
+    b[: L - 1] = -(y1[:-2] + 4.0 * y1[1:-1] + y1[2:]) / (6.0 * L)
+    b[L - 1 :] = (y.y0[:-1] + y.y0[1:]) / (2.0 * L)
+    return b
+
+
+def apply_duality(level, data):
+    """Energy-space representative of a piecewise datum (phi0, phi1).
+
+    First component solves -w'' = phi1 (hat loads of a piecewise-constant
+    right side are exact); second component is -phi0 at the nodes.
+    """
+    from waveobs.power import StatePair
+
+    L = level
+    beta = data.beta
+    loads = (beta[:-1] + beta[1:]) / (2.0 * L)
+    w = np.zeros(L + 1)
+    w[1:-1] = poisson_solve(loads)
+    nodes = np.arange(L + 1) / L
+    return StatePair(y0=w, y1=-data.phi0(nodes))
+
+
+def apply_operator(G, level, y):
+    """y -> R L_q y step by step: the pairings, a Gram solve, the datum, the duality map."""
+    from waveobs.hum import datum_from_coefficients, solve_hum
+
+    z, _ = solve_hum(G, rhs_from_pair(level, y))
+    return apply_duality(level, datum_from_coefficients(level, z))
+
+
+def power_estimates(G, level, y, tol=1e-4, max_iters=50):
+    """Estimates of the power iteration from the unit-norm start y, one application per step."""
+    estimates = []
+    for _ in range(max_iters):
+        w = apply_operator(G, level, y)
+        est = float(np.sqrt(w.norm_sq()))
+        estimates.append(est)
+        y = w.scaled(1.0 / est)
+        flat = np.concatenate([y.y0, y.y1])
+        nz = flat[np.abs(flat) > 0]
+        if nz.size and nz[0] < 0:
+            y = y.scaled(-1.0)
+        if len(estimates) >= 2 and abs(est - estimates[-2]) / est < tol:
+            break
+    return np.asarray(estimates)

@@ -436,6 +436,11 @@ BAD_CONFIGS = [
     ("optimize", {"gamma0": {"constant": float("nan")}},
      "invalid gamma0 curve: curve times and values must be finite"),
     ("verify", {"levels": [8], "obs_samples": 3}, "'obs_samples' needs a square_union domain"),
+    ("hum", {"level": 6, "domain": {"fixture": "chevron_l4"}},
+     "key 'level' must be a multiple of the domain level (4), got 6"),
+    ("power-cobs", {"level": 6}, "key 'level' must be a multiple of the domain level (4), got 6"),
+    ("verify", {"levels": [8, 6], "domain": {"fixture": "chevron_l4"}},
+     "key 'levels' must be a multiple of the domain level (4), got 6"),
     ("hum", {"curve_nodes": 7}, "unknown config key for hum: 'curve_nodes'"),
     ("hum", {"delta": "abc"}, "key 'delta' must be a number, got 'abc'"),
     ("sweep", {"delta": True}, "key 'delta' must be a number, got True"),
@@ -523,6 +528,17 @@ def test_singular_gram_exits_1_with_error_json(tmp_path, capsys):
     err = read_json(out / "error.json")
     assert err["command"] == "hum"
     assert "ill-conditioned" in err["error"]["message"]
+    capsys.readouterr()
+    assert not (out / "manifest.json").exists()
+
+
+def test_power_cobs_at_level_1_exits_1_naming_the_level(tmp_path, capsys):
+    domain = {"type": "square_union", "level": 1, "T": 2, "squares": [[2, -1]]}
+    code, out = run_cli(tmp_path, "power-cobs", {"domain": domain, "level": 1})
+    assert code == 1
+    err = read_json(out / "error.json")["error"]
+    assert err["type"] == "ValueError"
+    assert "needs level >= 2, got 1" in err["message"]
     capsys.readouterr()
     assert not (out / "manifest.json").exists()
 

@@ -372,6 +372,8 @@ def test_leapfrog_forced_manufactured_solution():
 def test_leapfrog_validation():
     with pytest.raises(ValueError):
         leapfrog_solve(8, 0.3, np.zeros(9))  # m*T not an integer
+    with pytest.raises(ValueError, match="m\\*T must be at least 2, got 1"):
+        leapfrog_solve(4, 0.25, np.zeros(5))  # one time step
     with pytest.raises(ValueError):
         leapfrog_solve(8, 2.0, np.zeros(7))
 

@@ -4,23 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from oracles import apply_duality, apply_operator, poisson_solve, power_estimates
 from waveobs.dalembert import project
 from waveobs.graph import observability_constant_graph
 from waveobs.grid import SquareUnion
-from waveobs.hum import (
-    IndicatorRegion,
-    assemble_gram,
-    datum_from_coefficients,
-    solve_hum,
-)
-from waveobs.power import (
-    StatePair,
-    _apply_duality,
-    _rhs_from_pair,
-    default_start,
-    poisson_solve,
-    power_iterate,
-)
+from waveobs.hum import IndicatorRegion, assemble_gram
+from waveobs.power import StatePair, _operator, default_start, power_iterate
 from waveobs.testing import random_connected_square_domain
 
 PRINTED_ESTIMATES = [2.6895, 3.829, 3.981, 3.994, 3.997]
@@ -32,7 +21,7 @@ def _fd_loads(f, m):
     return f(x) / m
 
 
-# --------------------------------------------------------------- poisson solve
+# ------------------------------------------------- poisson solve (the oracle's)
 
 
 def test_poisson_constant_load_exact():
@@ -95,7 +84,7 @@ def test_riesz_map_is_isometric_to_second_order():
             lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
             m,
         )
-        w = _apply_duality(m, data)
+        w = apply_duality(m, data)
         grad = m * float(np.sum(np.diff(w.y0) ** 2))
         errs.append(abs(grad - exact) / exact)
     assert errs[0] < 1e-2
@@ -106,28 +95,22 @@ def test_riesz_map_is_isometric_to_second_order():
 # ------------------------------------------------------------ operator algebra
 
 
-def _apply_op(G, L, y):
-    b = _rhs_from_pair(L, y)
-    z, _ = solve_hum(G, b)
-    return _apply_duality(L, datum_from_coefficients(L, z))
-
-
 def test_operator_zero_linear_self_adjoint(chevron, rng):
     L = 8
     G = assemble_gram(IndicatorRegion(chevron), L)
-    zero = _apply_op(G, L, StatePair(np.zeros(L + 1), np.zeros(L + 1)))
+    zero = apply_operator(G, L, StatePair(np.zeros(L + 1), np.zeros(L + 1)))
     assert zero.norm_sq() == 0.0
     y = StatePair(np.concatenate([[0], rng.standard_normal(L - 1), [0]]),
                   rng.standard_normal(L + 1))
-    ay = _apply_op(G, L, y)
-    ay3 = _apply_op(G, L, y.scaled(3.0))
+    ay = apply_operator(G, L, y)
+    ay3 = apply_operator(G, L, y.scaled(3.0))
     assert ay3.y0 == pytest.approx(3.0 * ay.y0, abs=1e-9)
     assert ay3.y1 == pytest.approx(3.0 * ay.y1, abs=1e-9)
     for _ in range(5):
         z = StatePair(np.concatenate([[0], rng.standard_normal(L - 1), [0]]),
                       rng.standard_normal(L + 1))
-        lhs = _apply_op(G, L, y).inner(z)
-        rhs = y.inner(_apply_op(G, L, z))
+        lhs = apply_operator(G, L, y).inner(z)
+        rhs = y.inner(apply_operator(G, L, z))
         scale = np.sqrt(y.norm_sq() * z.norm_sq())
         assert abs(lhs - rhs) <= 1e-6 * scale
 
@@ -171,12 +154,38 @@ def _dense_constant(G, L):
         y1[k] = 1.0
         basis.append(StatePair(np.zeros(L + 1), y1))
     B = np.array([[u.inner(v) for v in basis] for u in basis])
-    images = [_apply_op(G, L, e) for e in basis]
+    images = [apply_operator(G, L, e) for e in basis]
     A = np.array([[u.inner(w) for w in images] for u in basis])
     return eigh(0.5 * (A + A.T), B, eigvals_only=True)[-1]
 
 
 LEVEL2_UNION = SquareUnion(level=2, squares=frozenset([(4, -2), (5, -3), (5, -2)]), T=2)
+LEVEL1_UNION = SquareUnion(level=1, squares=frozenset([(2, -1)]), T=2)
+
+
+def _oracle_cases(chevron):
+    # the L = 2 runs have one Poisson unknown, so a 1 x 1 Green block
+    return [(LEVEL1_UNION, 2), (LEVEL2_UNION, 2), (chevron, 8), (chevron, 32)]
+
+
+def test_operator_matrix_is_the_oracle_on_each_unit_vector(chevron):
+    for dom, L in _oracle_cases(chevron):
+        G = assemble_gram(IndicatorRegion(dom), L)
+        K = _operator(G, L)
+        n = L + 1
+        assert K.shape == (2 * n, 2 * n)
+        for j, e in enumerate(np.eye(2 * n)):
+            w = apply_operator(G, L, StatePair(e[:n], e[n:]))
+            assert np.concatenate([w.y0, w.y1]) == pytest.approx(K[:, j], abs=1e-12)
+
+
+def test_power_iterate_follows_the_oracle_iteration(chevron):
+    for dom, L in _oracle_cases(chevron):
+        G = assemble_gram(IndicatorRegion(dom), L)
+        ref = power_estimates(G, L, default_start(L))
+        res = power_iterate(dom, L)
+        assert res.iterations == ref.size
+        assert res.estimates == pytest.approx(ref, rel=1e-10)
 
 
 def test_matches_dense_eigensolve_and_grows(rng):
@@ -216,6 +225,24 @@ def test_default_start_reaches_the_constant_at_level_2():
     G = assemble_gram(IndicatorRegion(LEVEL2_UNION), 2)
     res = power_iterate(LEVEL2_UNION, 2)
     assert res.constant == pytest.approx(_dense_constant(G, 2), rel=1e-4)
+
+
+def test_level_1_is_rejected_before_the_start_is_scaled():
+    # at level 1 the parabolic start is the zero pair and the operator is zero
+    for start in (None, StatePair(np.zeros(2), np.ones(2))):
+        with pytest.raises(ValueError, match="needs level >= 2, got 1"):
+            power_iterate(LEVEL1_UNION, 1, start=start)
+
+
+@pytest.mark.parametrize("max_iters", [0, 0.5, -2])
+def test_max_iters_must_be_a_positive_integer(chevron, max_iters):
+    with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+        power_iterate(chevron, 8, max_iters=max_iters)
+
+
+def test_start_on_another_grid_is_rejected(chevron):
+    with pytest.raises(ValueError, match="state grid 16 must match the control level 8"):
+        power_iterate(chevron, 8, start=default_start(16))
 
 
 def test_zero_start_is_rejected(chevron):
