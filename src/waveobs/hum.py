@@ -10,10 +10,9 @@ the free wave whose initial datum minimizes the conjugate functional
 Restricted to piecewise data at level L (hat positions, cell-indicator
 velocities) this is a finite quadratic minimization G z = b with Gram matrix
 G_kl = integral of phi_k phi_l chi over the space-time strip.  Basis waves
-are affine on every characteristic lattice cell, so the Gram is assembled
-cell by cell in characteristic coordinates with tensor Gauss rules; cells
-cut by the strip boundary are exact half-square triangles handled by a
-collapsed (Duffy) tensor rule.
+are affine on every characteristic lattice cell, so six weight moments per
+cell (tensor Gauss rules, collapsed on the strip boundary's half-square
+cells) fill a moment table whose F-F and G-G blocks are diagonal per cell.
 
 The weight is either a smoothed tube around a curve (quintic ramp of width
 delta from 1 to 0, reaching 0 at distance delta0) or the sharp indicator of
@@ -198,13 +197,6 @@ def _strip_cells(level, T):
     return A, B, cats
 
 
-# On a cell a basis wave is fn + fs du + gn + gs dv, so a product of two
-# waves pairs the cell factors (1, du, 1, dv) of (fn, fs, gn, gs).  Entry
-# [i, j] indexes the weight moment (w, w du, w dv, w du^2, w dv^2, w du dv)
-# that multiplies factors i and j.
-_PAIR_MOMENT = np.array([[0, 1, 0, 2], [1, 3, 1, 5], [0, 1, 0, 2], [2, 5, 2, 4]])
-
-
 def _cell_moments(rule, w):
     """Moments (w, w du, w dv, w du^2, w dv^2, w du dv) of each row of rule weights w."""
     du, dv, _ = rule
@@ -217,30 +209,22 @@ def _tube_bands(region, A, B, h):
     xc = (A + B + 1) * (h / 2.0)
     tc = (A - B) * (h / 2.0)
     dist = np.abs(xc - region.curve(np.clip(tc, 0.0, region.T)))
-    slack = (1.0 + region.curve.lipschitz_estimate()) * h
+    # |x - xc| + |t - tc| <= h/2 on a cell, so |x - gamma(t)| moves by <= max(1, Lip) h/2
+    slack = max(1.0, region.curve.lipschitz_estimate()) * h / 2.0 + 1e-6 * h
     delta0, delta = region.profile.delta0, region.profile.delta
     return dist <= delta0 + slack, dist > delta0 - delta - slack
 
 
-def assemble_gram(region, level, quad=4):
-    """Gram matrix of the basis waves under the region's weight.
+def _gram_cells(region, L, quad):
+    """Period cells (a, b) of the cells the weight meets and their moments (q x q Gauss rule).
 
-    Every basis wave is F(u) + G(v) with F and G affine on each lattice
-    cell, so the Gram needs only six moments of the weight per cell, taken
-    with a q x q Gauss rule (collapsed rule on boundary triangles).  A
-    smoothed tube keeps the cells where its weight can be nonzero and
-    evaluates it only on those that can meet its ramp (plateau cells have
-    weight 1); an indicator region keeps the level-L cells of its domain's
-    cover (time window included), where the weight is 1 and the result is
-    exact.  The moments, folded onto the 2L period cells of u and v, form one
-    8L x 8L table M over the node values and slopes of F and G, and
-    G = Phi M Phi^T with Phi the stacked basis tables.
+    A smoothed tube keeps the cells where its weight can be nonzero and evaluates
+    it only where it can meet its ramp (elsewhere it is 1); an indicator region
+    keeps the level-L cells of its domain's cover (time window included), where
+    the weight is 1 and the result is exact.
     """
-    L = int(level)
     h = 1.0 / L
-    n = 2 * L
     full_rule, tri_rules = _cell_rules(h, quad)
-    cells = []  # (A, B, the six weight moments of each cell)
     if isinstance(region, IndicatorRegion):
         dom = region.domain
         if L % dom.level != 0:
@@ -249,37 +233,50 @@ def assemble_gram(region, level, quad=4):
             )
         A, B = cover_cells(dom, L)
         mom = _cell_moments(full_rule, full_rule[2][None, :])  # one row: the weight is 1
-        cells.append((A, B, np.broadcast_to(mom, (A.size, 6))))
-    elif isinstance(region, SmoothedTube):
-        A, B, cats = _strip_cells(L, region.T)
-        near, ramp = _tube_bands(region, A, B, h)
-        for name, mask in cats.items():
-            sel = mask & near
-            rule = full_rule if name == "full" else tri_rules[name]
-            r = ramp[sel]  # the other rows lie in the plateau: chi = 1
-            chi = np.ones((r.size, rule[2].size))
-            u = A[sel][r][:, None] * h + rule[0]
-            v = B[sel][r][:, None] * h + rule[1]
-            chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
-            cells.append((A[sel], B[sel], _cell_moments(rule, rule[2] * chi)))
-    else:
+        return A % (2 * L), B % (2 * L), np.broadcast_to(mom, (A.size, 6))
+    if not isinstance(region, SmoothedTube):
         raise TypeError(f"unsupported region type {type(region).__name__}")
+    A, B, cats = _strip_cells(L, region.T)
+    near, ramp = _tube_bands(region, A, B, h)
+    cells = []
+    for name, mask in cats.items():
+        sel = mask & near
+        rule = full_rule if name == "full" else tri_rules[name]
+        r = ramp[sel]  # the other rows lie in the plateau: chi = 1
+        chi = np.ones((r.size, rule[2].size))
+        u = A[sel][r][:, None] * h + rule[0]
+        v = B[sel][r][:, None] * h + rule[1]
+        chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
+        cells.append((A[sel], B[sel], _cell_moments(rule, rule[2] * chi)))
+    A, B, mom = (np.concatenate(c) for c in zip(*cells))
+    return A % (2 * L), B % (2 * L), mom
 
-    # one index and one value array, filled category by category, each live once
-    size = 16 * sum(cell[0].size for cell in cells)
-    idx, val = np.empty(size, dtype=np.int64), np.empty(size)
-    pos = 0
-    for A, B, mom in cells:
-        out = slice(pos, pos + 16 * A.size)
-        pos = out.stop
-        slots = np.stack([A % n, A % n + n, B % n + 2 * n, B % n + 3 * n], axis=1)
-        np.add(slots[:, :, None] * (4 * n), slots[:, None, :], out=idx[out].reshape(-1, 4, 4))
-        np.take(mom, _PAIR_MOMENT, axis=1, out=val[out].reshape(-1, 4, 4))
-    M = np.bincount(idx, val, minlength=(4 * n) ** 2)
-    del cells, idx, val  # freed before the dense product
-    # the BLAS product rounds differently per memory layout; Phi is taken column-major
-    phi = np.asfortranarray(basis_tables(L))
-    G = phi @ M.reshape(4 * n, 4 * n) @ phi.T
+
+def assemble_gram(region, level, quad=4):
+    """Gram matrix of the basis waves under the region's weight.
+
+    A basis wave is fn + fs du + gn + gs dv on a cell whose u and v fold onto the
+    period cells a and b, so a product of two waves pairs F's node value and
+    slope on a (moments w, w du, w du^2 of :func:`_gram_cells`), G's on b (w,
+    w dv, w dv^2), and F's with G's (w, w dv, w du, w du dv).  Summed over the
+    cells, the F-F and G-G blocks of the moment table are four diagonals each
+    (D_F, D_G) and the cross block M_FG is 4L x 4L; with Phi = [Phi_F | Phi_G]
+    the basis tables, G is the symmetric part of [Phi_F D_F | Phi_G D_G + 2 Phi_F M_FG] Phi^T.
+    """
+    L = int(level)
+    n = 2 * L
+    a, b, mom = _gram_cells(region, L, quad)
+    f0, f1, f3 = (np.bincount(a, mom[:, k], minlength=n) for k in (0, 1, 3))
+    g0, g1, g4 = (np.bincount(b, mom[:, k], minlength=n) for k in (0, 2, 4))
+    ab = a * n + b
+    fg = [np.bincount(ab, mom[:, k], minlength=n * n).reshape(n, n) for k in (0, 2, 1, 5)]
+    m_fg = np.block([fg[:2], fg[2:]])  # rows: F nodes, F slopes; columns: G nodes, G slopes
+    del a, b, ab, mom, fg  # freed before the products
+    phi = basis_tables(L)
+    nf, sf, ng, sg = np.split(phi, 4, axis=1)
+    x = np.hstack([nf * f0 + sf * f1, nf * f1 + sf * f3, ng * g0 + sg * g1, ng * g1 + sg * g4])
+    x[:, 2 * n :] += 2.0 * (phi[:, : 2 * n] @ m_fg)
+    G = x @ phi.T
     return 0.5 * (G + G.T)
 
 
@@ -330,18 +327,20 @@ class HumSolution:
 def solve_hum(G, b):
     """Solve G z = b for a vector or matrix b: (z, relative residual).
 
-    Cholesky only checks definiteness and LU solves; either failing is an error.
+    Cholesky only checks definiteness and LU solves; either failing is an error,
+    and so is a relative residual above 1e-6 (a singular G with roundoff pivots).
     """
     try:
         np.linalg.cholesky(G)
         z = np.linalg.solve(G, b)
+        res = float(np.linalg.norm(G @ z - b) / (np.linalg.norm(b) or 1.0))
+        if not res <= 1e-6:
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise RuntimeError(
             "ill-conditioned conjugate system - the region may fail to "
             "observe every characteristic or the level is too coarse"
         ) from None
-    bn = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(G @ z - b)) / bn if bn > 0 else 0.0
     return z, res
 
 

@@ -6,7 +6,8 @@ spell the same definitions out one index or one square at a time, in exact
 rationals where they can, so that the tests can check the array code against
 an independent copy.  Likewise the power operator, one matrix in
 ``waveobs.power``, is applied here step by step: pairings, a Gram solve, the
-piecewise datum and a tridiagonal Poisson solve.
+piecewise datum and a tridiagonal Poisson solve; and the Gram, assembled in
+``waveobs.hum`` block by block, is formed here with its whole moment table.
 """
 
 import math
@@ -240,6 +241,36 @@ def strip_cells_meshgrid(level, T):
         "tT": d == 2 * M,
     }
     return A, B, cats
+
+
+# ---------------------------------------------------------------- Gram
+
+# On a cell a basis wave is fn + fs du + gn + gs dv, so a product of two
+# waves pairs the cell factors (1, du, 1, dv) of (fn, fs, gn, gs).  Entry
+# [i, j] indexes the weight moment (w, w du, w dv, w du^2, w dv^2, w du dv)
+# that multiplies factors i and j.
+PAIR_MOMENT = np.array([[0, 1, 0, 2], [1, 3, 1, 5], [0, 1, 0, 2], [2, 5, 2, 4]])
+
+
+def gram_dense(region, level, quad=4):
+    """The Gram as Phi M Phi^T with the dense 8L x 8L moment table M, and |Phi| M |Phi|^T.
+
+    Every cell adds its moments to the 16 slot pairs of F's node value and
+    slope on its u period cell and G's on its v period cell; M is never split
+    into blocks.  The moments are nonnegative, so |Phi| M |Phi|^T is the size
+    of the terms summed into each entry, the scale of its rounding error.
+    """
+    from waveobs.hum import _gram_cells, basis_tables
+
+    n = 2 * level
+    a, b, mom = _gram_cells(region, level, quad)
+    slots = np.stack([a, a + n, b + 2 * n, b + 3 * n], axis=1)
+    idx = slots[:, :, None] * (4 * n) + slots[:, None, :]
+    val = np.take(mom, PAIR_MOMENT, axis=1)
+    M = np.bincount(idx.ravel(), val.ravel(), minlength=(4 * n) ** 2).reshape(4 * n, 4 * n)
+    phi = basis_tables(level)
+    G = phi @ M @ phi.T
+    return 0.5 * (G + G.T), np.abs(phi) @ M @ np.abs(phi).T
 
 
 # -------------------------------------------------------------- forcing
