@@ -13,6 +13,9 @@ G_kl = integral of phi_k phi_l chi over the space-time strip.  Basis waves
 are affine on every characteristic lattice cell, so six weight moments per
 cell (tensor Gauss rules, collapsed on the strip boundary's half-square
 cells) fill a moment table whose F-F and G-G blocks are diagonal per cell.
+The strip's cells and the basis tables depend only on (L, T): a descent builds
+their :func:`lattice_plan` once.  A tube's weight is evaluated in one call on
+every cell that can meet its ramp, its moments in one product per category.
 
 The weight is either a smoothed tube around a curve (quintic ramp of width
 delta from 1 to 0, reaching 0 at distance delta0) or the sharp indicator of
@@ -22,8 +25,8 @@ a square-aligned domain, in which case the quadrature is exact.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,6 +51,7 @@ __all__ = [
     "SmoothedTube",
     "IndicatorRegion",
     "basis_tables",
+    "lattice_plan",
     "assemble_gram",
     "hum_rhs",
     "solve_hum",
@@ -151,55 +155,51 @@ def basis_tables(level):
 def _cell_rules(h, q=4):
     """Quadrature offsets/weights on one lattice cell and its cut triangles.
 
-    Returns the full-cell tensor rule and the four half-cell triangle rules
-    (strip boundary cuts at x=0, x=1, t=0, t=T), each as (du, dv, w) with
-    weights including the cell Jacobian but not the (u,v)->(x,t) factor 1/2.
-    The rules are cached per (h, q), so they are read-only.
+    Returns (du, dv, w), each a (5, q^2) table: row 0 is the full-cell tensor
+    rule, rows 1-4 the half-cell triangle rules of the strip boundary cuts at
+    x=0, x=1, t=0, t=T (the category order of :class:`LatticePlan`).  Weights
+    include the cell Jacobian but not the (u,v)->(x,t) factor 1/2.  The rules
+    are cached per (h, q), so they are read-only.
     """
     g, w = np.polynomial.legendre.leggauss(q)
-    x1 = (g + 1.0) * h / 2.0
-    w1 = w * h / 2.0
-    full = (
-        np.repeat(x1, q),
-        np.tile(x1, q),
-        np.repeat(w1, q) * np.tile(w1, q),
-    )
-    s01 = (g + 1.0) / 2.0
-    ws = w / 2.0
-    S = np.repeat(s01, q)
-    R = np.tile(s01, q)
+    x1, w1 = (g + 1.0) * h / 2.0, w * h / 2.0
+    s01, ws = (g + 1.0) / 2.0, w / 2.0
+    S, R = np.repeat(s01, q), np.tile(s01, q)
     W = np.repeat(ws, q) * np.tile(ws, q) * (h * h * S)
-    tri = {
-        "x0": (h * (1.0 - S * R), h * (1.0 - S * (1.0 - R)), W),  # keep du+dv >= h
-        "x1": (h * S * R, h * S * (1.0 - R), W),  # keep du+dv <= h
-        "t0": (h * S, h * S * R, W),  # keep du >= dv
-        "tT": (h * S * R, h * S, W),  # keep du <= dv
-    }
-    for arr in (*full, *(a for rule in tri.values() for a in rule)):
+    # x0 keeps du+dv >= h, x1 du+dv <= h, t0 du >= dv, tT du <= dv
+    du = np.stack([np.repeat(x1, q), h * (1.0 - S * R), h * S * R, h * S, h * S * R])
+    dv = np.stack([np.tile(x1, q), h * (1.0 - S * (1.0 - R)), h * S * (1.0 - R), h * S * R, h * S])
+    w = np.stack([np.repeat(w1, q) * np.tile(w1, q), W, W, W, W])
+    for arr in (du, dv, w):
         arr.flags.writeable = False
-    return full, MappingProxyType(tri)
+    return du, dv, w
 
 
-def _strip_cells(level, T):
-    """All (a, b) lattice cells meeting the strip, in (a, b) order, split by boundary cut."""
+LatticePlan = namedtuple("LatticePlan", "level M A B offsets phi")
+
+
+def lattice_plan(level, T):
+    """What every Gram at level L on (0,1) x (0,T) shares, as a read-only :class:`LatticePlan`.
+
+    It holds L, the M = T*L time cells, the cells (A, B) meeting the strip and the
+    basis tables phi.  The cells form five slabs, each in (a, b) order: full cells
+    (1 <= a-b <= 2M-1, 0 <= a+b <= 2L-2), then those cut by x=0 (a+b = -1), x=1
+    (a+b = 2L-1), t=0 (a-b = 0) and t=T (a-b = 2M); slab c is A[offsets[c]:offsets[c+1]].
+    """
     L = int(level)
     M = time_cells(T, L)
-    A, B = _slab_cells(0, 2 * M, -1, 2 * L - 1)
-    s = A + B
-    d = A - B
-    cats = {
-        "full": (s >= 0) & (s <= 2 * L - 2) & (d >= 1) & (d <= 2 * M - 1),
-        "x0": s == -1,
-        "x1": s == 2 * L - 1,
-        "t0": d == 0,
-        "tT": d == 2 * M,
-    }
-    return A, B, cats
+    n, m = 2 * L - 1, 2 * M
+    slabs = ((1, m - 1, 0, n - 1), (0, m, -1, -1), (0, m, n, n), (0, 0, -1, n), (m, m, -1, n))
+    cells = [_slab_cells(*slab) for slab in slabs]
+    A, B = (np.concatenate(c) for c in zip(*cells))
+    offsets = np.cumsum([0] + [a.size for a, _ in cells])
+    for arr in (A, B, offsets, phi := basis_tables(L)):
+        arr.flags.writeable = False
+    return LatticePlan(L, M, A, B, offsets, phi)
 
 
-def _cell_moments(rule, w):
+def _cell_moments(du, dv, w):
     """Moments (w, w du, w dv, w du^2, w dv^2, w du dv) of each row of rule weights w."""
-    du, dv, _ = rule
     powers = np.column_stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv])
     return 0.5 * w @ powers  # 1/2: Jacobian of (u, v) -> (x, t)
 
@@ -215,16 +215,18 @@ def _tube_bands(region, A, B, h):
     return dist <= delta0 + slack, dist > delta0 - delta - slack
 
 
-def _gram_cells(region, L, quad):
+def _gram_cells(region, L, plan, quad):
     """Period cells (a, b) of the cells the weight meets and their moments (q x q Gauss rule).
 
-    A smoothed tube keeps the cells where its weight can be nonzero and evaluates
-    it only where it can meet its ramp (elsewhere it is 1); an indicator region
-    keeps the level-L cells of its domain's cover (time window included), where
-    the weight is 1 and the result is exact.
+    A smoothed tube keeps the plan's cells where its weight can be nonzero and
+    evaluates it, in one call, only on those that can meet its ramp (elsewhere
+    it is 1); the moments come from one product per category, since a row's
+    rounding depends on its product's row count.  An indicator region keeps
+    the level-L cells of its domain's cover (time window included), where the
+    weight is 1 and the result is exact.
     """
     h = 1.0 / L
-    full_rule, tri_rules = _cell_rules(h, quad)
+    du, dv, w = _cell_rules(h, quad)
     if isinstance(region, IndicatorRegion):
         dom = region.domain
         if L % dom.level != 0:
@@ -232,28 +234,29 @@ def _gram_cells(region, L, quad):
                 f"level {L} must be a multiple of the domain level {dom.level}"
             )
         A, B = cover_cells(dom, L)
-        mom = _cell_moments(full_rule, full_rule[2][None, :])  # one row: the weight is 1
+        mom = _cell_moments(du[0], dv[0], w[:1])  # one row: the weight is 1
         return A % (2 * L), B % (2 * L), np.broadcast_to(mom, (A.size, 6))
     if not isinstance(region, SmoothedTube):
         raise TypeError(f"unsupported region type {type(region).__name__}")
-    A, B, cats = _strip_cells(L, region.T)
-    near, ramp = _tube_bands(region, A, B, h)
-    cells = []
-    for name, mask in cats.items():
-        sel = mask & near
-        rule = full_rule if name == "full" else tri_rules[name]
-        r = ramp[sel]  # the other rows lie in the plateau: chi = 1
-        chi = np.ones((r.size, rule[2].size))
-        u = A[sel][r][:, None] * h + rule[0]
-        v = B[sel][r][:, None] * h + rule[1]
-        chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
-        cells.append((A[sel], B[sel], _cell_moments(rule, rule[2] * chi)))
-    A, B, mom = (np.concatenate(c) for c in zip(*cells))
-    return A % (2 * L), B % (2 * L), mom
+    near, ramp = _tube_bands(region, plan.A, plan.B, h)
+    cat = np.repeat(np.arange(5), np.diff(plan.offsets))[near]
+    A, B, r = plan.A[near], plan.B[near], ramp[near]
+    u = A[r][:, None] * h + du[cat[r]]
+    v = B[r][:, None] * h + dv[cat[r]]
+    wchi = w[cat]  # rule weights times chi; the plateau rows keep chi = 1
+    wchi[r] *= region.chi((u + v) / 2.0, (u - v) / 2.0)
+    off = np.searchsorted(cat, np.arange(6))
+    mom = [_cell_moments(du[c], dv[c], wchi[off[c] : off[c + 1]]) for c in range(5)]
+    return A % (2 * L), B % (2 * L), np.concatenate(mom)
 
 
-def assemble_gram(region, level, quad=4):
+def assemble_gram(region, level, quad=4, plan=None):
     """Gram matrix of the basis waves under the region's weight.
+
+    ``plan`` is the :func:`lattice_plan` of (level, region.T); a caller that
+    assembles many Grams at one level passes one.  Without it a tube builds
+    one here and an indicator region, which needs no strip cells, only the
+    basis tables.
 
     A basis wave is fn + fs du + gn + gs dv on a cell whose u and v fold onto the
     period cells a and b, so a product of two waves pairs F's node value and
@@ -264,15 +267,20 @@ def assemble_gram(region, level, quad=4):
     the basis tables, G is the symmetric part of [Phi_F D_F | Phi_G D_G + 2 Phi_F M_FG] Phi^T.
     """
     L = int(level)
+    if plan is None and isinstance(region, SmoothedTube):
+        plan = lattice_plan(L, region.T)
+    elif plan is not None and (plan.level, plan.M) != (L, time_cells(region.T, L)):
+        raise ValueError(f"the lattice plan is for level {plan.level} and T = "
+                         f"{plan.M / plan.level}, not level {L} and T = {region.T}")
     n = 2 * L
-    a, b, mom = _gram_cells(region, L, quad)
+    a, b, mom = _gram_cells(region, L, plan, quad)
     f0, f1, f3 = (np.bincount(a, mom[:, k], minlength=n) for k in (0, 1, 3))
     g0, g1, g4 = (np.bincount(b, mom[:, k], minlength=n) for k in (0, 2, 4))
     ab = a * n + b
     fg = [np.bincount(ab, mom[:, k], minlength=n * n).reshape(n, n) for k in (0, 2, 1, 5)]
     m_fg = np.block([fg[:2], fg[2:]])  # rows: F nodes, F slopes; columns: G nodes, G slopes
-    del a, b, ab, mom, fg  # freed before the products
-    phi = basis_tables(L)
+    phi = basis_tables(L) if plan is None else plan.phi
+    del a, b, ab, mom, fg, plan  # freed before the products (so is a plan built here)
     nf, sf, ng, sg = np.split(phi, 4, axis=1)
     x = np.hstack([nf * f0 + sf * f1, nf * f1 + sf * f3, ng * g0 + sg * g1, ng * g1 + sg * g4])
     x[:, 2 * n :] += 2.0 * (phi[:, : 2 * n] @ m_fg)
@@ -358,10 +366,10 @@ def solve_tridiagonal(diag, off, rhs):
     return np.array(x, dtype=float)
 
 
-def hum_control(region, level, y0, y1=None, breakpoints=(), quad=4):
-    """Assemble and solve the conjugate system; return the full solution."""
+def hum_control(region, level, y0, y1=None, breakpoints=(), quad=4, plan=None):
+    """Assemble and solve the conjugate system (``plan`` as in :func:`assemble_gram`)."""
     L = int(level)
-    G = assemble_gram(region, L, quad=quad)
+    G = assemble_gram(region, L, quad=quad, plan=plan)
     b = hum_rhs(L, y0, y1, breakpoints)
     z, res = solve_hum(G, b)
     return HumSolution(

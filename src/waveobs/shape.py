@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dalembert import eval_phi
-from .hum import SmoothedTube, WeightProfile, hum_control, solve_tridiagonal
+from .hum import SmoothedTube, WeightProfile, hum_control, lattice_plan, solve_tridiagonal
 
 __all__ = [
     "shape_derivative_density",
@@ -149,12 +149,13 @@ def optimize(
     at once, converged.
     """
     profile = WeightProfile(delta0, delta)
+    plan = lattice_plan(level, curve0.T)  # every step's Gram lives on this lattice
     curve = curve0
     costs, raw, curves = [], [], [curve]
     converged = False
     p = int(patience)
     for it in range(int(max_iters) + 1):
-        sol = hum_control(SmoothedTube(curve, profile), level, y0, y1, breakpoints)
+        sol = hum_control(SmoothedTube(curve, profile), level, y0, y1, breakpoints, plan=plan)
         jeps_cost = sol.cost + 0.5 * eps * curve.h1_seminorm_sq()
         costs.append(jeps_cost)
         raw.append(sol.cost)
@@ -226,9 +227,10 @@ def cylindrical_sweep(
         x0s = np.linspace(0.2, 0.8, 13)
     x0s = np.asarray(x0s, dtype=float)
     costs = np.empty_like(x0s)
+    plan = lattice_plan(level, T)
     for k, x0 in enumerate(x0s):
         tube = SmoothedTube.around(x0, T, delta0, delta)
-        costs[k] = hum_control(tube, level, y0, y1, breakpoints).cost
+        costs[k] = hum_control(tube, level, y0, y1, breakpoints, plan=plan).cost
     return SweepResult(x0s=x0s, costs=costs)
 
 

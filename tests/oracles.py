@@ -245,6 +245,33 @@ def strip_cells_meshgrid(level, T):
 
 # ---------------------------------------------------------------- Gram
 
+
+def tube_cells_per_category(region, level, quad=4):
+    """A tube's kept cells (a, b) and their moments, one boundary category at a time.
+
+    Each category is a mask on :func:`strip_cells_meshgrid`'s cells and gets its
+    own weight evaluation and its own moment product, in the category order of
+    the rules (full, x0, x1, t0, tT).
+    """
+    from waveobs.hum import _cell_moments, _cell_rules, _tube_bands
+
+    h = 1.0 / level
+    du, dv, w = _cell_rules(h, quad)
+    A, B, cats = strip_cells_meshgrid(level, region.T)
+    near, ramp = _tube_bands(region, A, B, h)
+    cells = []
+    for c, mask in enumerate(cats.values()):
+        sel = mask & near
+        r = ramp[sel]
+        chi = np.ones((r.size, w.shape[1]))
+        u = A[sel][r][:, None] * h + du[c]
+        v = B[sel][r][:, None] * h + dv[c]
+        chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
+        cells.append((A[sel], B[sel], _cell_moments(du[c], dv[c], w[c] * chi)))
+    A, B, mom = (np.concatenate(c) for c in zip(*cells))
+    return A % (2 * level), B % (2 * level), mom
+
+
 # On a cell a basis wave is fn + fs du + gn + gs dv, so a product of two
 # waves pairs the cell factors (1, du, 1, dv) of (fn, fs, gn, gs).  Entry
 # [i, j] indexes the weight moment (w, w du, w dv, w du^2, w dv^2, w du dv)
@@ -260,10 +287,11 @@ def gram_dense(region, level, quad=4):
     into blocks.  The moments are nonnegative, so |Phi| M |Phi|^T is the size
     of the terms summed into each entry, the scale of its rounding error.
     """
-    from waveobs.hum import _gram_cells, basis_tables
+    from waveobs.hum import SmoothedTube, _gram_cells, basis_tables, lattice_plan
 
     n = 2 * level
-    a, b, mom = _gram_cells(region, level, quad)
+    plan = lattice_plan(level, region.T) if isinstance(region, SmoothedTube) else None
+    a, b, mom = _gram_cells(region, level, plan, quad)
     slots = np.stack([a, a + n, b + 2 * n, b + 3 * n], axis=1)
     idx = slots[:, :, None] * (4 * n) + slots[:, None, :]
     val = np.take(mom, PAIR_MOMENT, axis=1)

@@ -266,7 +266,7 @@ def test_gram_psd_on_random_tubes(rng):
 
 def test_tube_gram_matches_pointwise_quadrature(rng):
     from waveobs.grid import Curve
-    from waveobs.hum import _cell_rules, _strip_cells
+    from waveobs.hum import _cell_rules, lattice_plan
 
     # the tube reaches past both ends of the interval, so it weights the cut
     # triangles at x = 0 and x = 1 as well as those at t = 0 and t = T
@@ -275,17 +275,18 @@ def test_tube_gram_matches_pointwise_quadrature(rng):
     for L in (8, 16):
         h = 1.0 / L
         G = assemble_gram(tube, L)
-        full, tri = _cell_rules(h)
-        A, B, cats = _strip_cells(L, tube.T)
+        rules = _cell_rules(h)
+        plan = lattice_plan(L, tube.T)
         xs, ts, ws = [], [], []
-        for name, mask in cats.items():
-            du, dv, wq = full if name == "full" else tri[name]
-            u = (A[mask][:, None] * h + du).ravel()
-            v = (B[mask][:, None] * h + dv).ravel()
+        for c in range(5):
+            du, dv, wq = (r[c] for r in rules)
+            A, B = (X[plan.offsets[c] : plan.offsets[c + 1]] for X in (plan.A, plan.B))
+            u = (A[:, None] * h + du).ravel()
+            v = (B[:, None] * h + dv).ravel()
             xs.append((u + v) / 2)
             ts.append((u - v) / 2)
-            ws.append(np.tile(0.5 * wq, int(mask.sum())) * tube.chi(xs[-1], ts[-1]))
-            assert np.any(ws[-1] > 0), name
+            ws.append(np.tile(0.5 * wq, A.size) * tube.chi(xs[-1], ts[-1]))
+            assert np.any(ws[-1] > 0), c
         x, t, wts = np.concatenate(xs), np.concatenate(ts), np.concatenate(ws)
         for _ in range(3):
             z = rng.standard_normal(2 * L - 1)
@@ -303,24 +304,26 @@ def test_tube_gram_matches_pointwise_quadrature(rng):
 def test_plateau_cells_have_weight_one(values, delta0, frac, L):
     # random curves, steep ones included (33 nodes over T = 2 reach slope 16)
     from waveobs.grid import Curve
-    from waveobs.hum import _cell_rules, _strip_cells, _tube_bands
+    from waveobs.hum import _cell_rules, _tube_bands, lattice_plan
 
     tube = SmoothedTube(
         Curve(np.linspace(0.0, 2.0, len(values)), values), WeightProfile(delta0, frac * delta0)
     )
     h = 1.0 / L
-    full, tri = _cell_rules(h)
-    A, B, cats = _strip_cells(L, tube.T)
+    du, dv, _ = _cell_rules(h)
+    plan = lattice_plan(L, tube.T)
+    A, B = plan.A, plan.B
     near, ramp = _tube_bands(tube, A, B, h)
     plateau = near & ~ramp
     prof = tube.profile
     if prof.delta0 - prof.delta < max(1.0, tube.curve.lipschitz_estimate()) * h / 2 + 1e-6 * h:
         assert not plateau.any()
-    for name, mask in cats.items():
-        du, dv, _ = full if name == "full" else tri[name]
+    for c in range(5):
+        mask = np.zeros(A.size, dtype=bool)
+        mask[plan.offsets[c] : plan.offsets[c + 1]] = True
         for cells, value in ((mask & plateau, 1.0), (mask & ~near, 0.0)):
-            u = A[cells][:, None] * h + du
-            v = B[cells][:, None] * h + dv
+            u = A[cells][:, None] * h + du[c]
+            v = B[cells][:, None] * h + dv[c]
             assert np.all(tube.chi((u + v) / 2, (u - v) / 2) == value)
     # evaluating the weight on every kept cell gives the same Gram, bitwise
     def all_ramp(*args):
@@ -366,48 +369,150 @@ def test_block_gram_matches_the_dense_moment_table(chevron, data, L):
     assert np.all(np.abs(G - ref) <= 2e-15 * size)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=33),
+    st.floats(0.05, 0.4),
+    st.floats(0.01, 0.99),
+    st.sampled_from([*range(1, 10), 16, 64]),
+    st.sampled_from([2, 4]),
+)
+def test_tube_cells_match_the_per_category_reference_bitwise(values, delta0, frac, L, quad):
+    # one weight call over every ramp cell and one moment product per category
+    # slice: a moment row's rounding depends on its product's row count
+    from oracles import tube_cells_per_category
+    from waveobs.hum import _gram_cells, lattice_plan
+
+    curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
+    tube = SmoothedTube(curve, WeightProfile(delta0, frac * delta0))
+    got = _gram_cells(tube, L, lattice_plan(L, tube.T), quad)
+    ref = tube_cells_per_category(tube, L, quad)
+    assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data(), st.sampled_from([*range(1, 10), 16, 64]))
+def test_hum_control_is_bitwise_the_same_with_a_lattice_plan(chevron, data, L):
+    # steep random tubes (33 nodes over T = 2 reach slope 16), the cylinder and the chevron
+    from waveobs.hum import lattice_plan
+
+    kind = data.draw(st.sampled_from(["tube", "cylinder", "chevron"]))
+    if kind == "tube":
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=33))
+        delta0 = data.draw(st.floats(0.05, 0.4))
+        frac = data.draw(st.floats(0.01, 0.99))
+        curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
+        region = SmoothedTube(curve, WeightProfile(delta0, frac * delta0))
+    elif kind == "cylinder":
+        region = SmoothedTube.around(0.25, 2.0, 0.15)
+    else:
+        if L % chevron.level:
+            return
+        region = IndicatorRegion(chevron)
+    plan = lattice_plan(L, region.T)
+    assert np.array_equal(assemble_gram(region, L, plan=plan), assemble_gram(region, L))
+    try:
+        ref = hum_control(region, L, EX1.y0, EX1.y1)
+    except RuntimeError:  # a singular Gram: the planned solve must fail the same way
+        with pytest.raises(RuntimeError, match="ill-conditioned"):
+            hum_control(region, L, EX1.y0, EX1.y1, plan=plan)
+        return
+    sol = hum_control(region, L, EX1.y0, EX1.y1, plan=plan)
+    assert np.array_equal(sol.z, ref.z)
+    assert (sol.cost, sol.residual) == (ref.cost, ref.residual)
+
+
+@pytest.mark.parametrize("kind", ["tube", "indicator"])
+def test_a_lattice_plan_for_another_level_or_horizon_is_refused(chevron, kind):
+    from waveobs.hum import lattice_plan
+
+    region = SmoothedTube.around(0.25, 2.0, 0.15) if kind == "tube" else IndicatorRegion(chevron)
+    assert region.T == 2.0
+    for plan in (lattice_plan(16, 2.0), lattice_plan(8, 3.0), lattice_plan(8, 1.5)):
+        with pytest.raises(ValueError, match="lattice plan"):
+            assemble_gram(region, 8, plan=plan)
+        with pytest.raises(ValueError, match="lattice plan"):
+            hum_control(region, 8, EX1.y0, plan=plan)
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 32, 64, 128])
 @pytest.mark.parametrize("T", [0.5, 1, 2, 3])
 def test_strip_cells_are_the_bounding_box_cells_bitwise(L, T):
-    # the tube Gram's bincount sums in this (a, b) order, so it must not change
+    # the tube Gram's bincount sums in this order (category by category, each
+    # in (a, b) order), so it must not change
     from oracles import strip_cells_meshgrid
-    from waveobs.hum import _strip_cells
+    from waveobs.hum import lattice_plan
 
     if (T * L) % 1:
         with pytest.raises(ValueError, match="T\\*level must be a positive integer"):
-            _strip_cells(L, T)
+            lattice_plan(L, T)
         return
-    A, B, cats = _strip_cells(L, T)
+    plan = lattice_plan(L, T)
     rA, rB, rcats = strip_cells_meshgrid(L, T)
-    assert A.dtype == rA.dtype and np.array_equal(A, rA) and np.array_equal(B, rB)
-    assert list(cats) == list(rcats)
-    assert all(np.array_equal(cats[name], rcats[name]) for name in cats)
+    assert plan.offsets[0] == 0 and plan.offsets[-1] == plan.A.size == plan.B.size
+    assert np.all(np.diff(plan.offsets) >= 0) and len(plan.offsets) == len(rcats) + 1
+    for c, name in enumerate(rcats):
+        A, B = (X[plan.offsets[c] : plan.offsets[c + 1]] for X in (plan.A, plan.B))
+        rA_c, rB_c = rA[rcats[name]], rB[rcats[name]]
+        assert A.dtype == rA_c.dtype and B.dtype == rB_c.dtype, name
+        assert np.array_equal(A, rA_c) and np.array_equal(B, rB_c), name
+    assert (plan.level, plan.M) == (L, round(T * L))
+    assert np.array_equal(plan.phi, basis_tables(L))
+
+
+def test_lattice_plan_is_read_only():
+    from waveobs.hum import lattice_plan
+
+    plan = lattice_plan(4, 2.0)
+    for arr in (plan.A, plan.B, plan.offsets, plan.phi):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(AttributeError):
+        plan.level = 8
 
 
 def test_plateau_cells_exist_on_the_reference_cylinder():
-    from waveobs.hum import _strip_cells, _tube_bands
+    from waveobs.hum import _tube_bands, lattice_plan
 
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
-    A, B, _ = _strip_cells(32, 2.0)
-    near, ramp = _tube_bands(tube, A, B, 1.0 / 32)
+    plan = lattice_plan(32, 2.0)
+    near, ramp = _tube_bands(tube, plan.A, plan.B, 1.0 / 32)
     assert 0 < np.sum(near & ~ramp) < np.sum(near)
 
 
 def test_cell_rules_are_cached_and_read_only():
     from waveobs.hum import _cell_rules
 
-    full, tri = _cell_rules(1.0 / 8)
-    assert _cell_rules(1.0 / 8) is _cell_rules(1.0 / 8)
-    for arr in (*full, *(a for rule in tri.values() for a in rule)):
+    h = 1.0 / 8
+    rules = _cell_rules(h)
+    assert _cell_rules(h) is rules
+    for arr in rules:
+        assert arr.shape == (5, 16)
         with pytest.raises(ValueError):
-            arr[0] = 1.0
+            arr[0, 0] = 1.0
     with pytest.raises(TypeError):
-        tri["x0"] = full
+        rules[0] = rules[1]
+    # row 0 is the full cell, rows 1-4 the half-cell triangles
+    du, dv, w = rules
+    assert w.sum(axis=1) == pytest.approx([h * h] + [h * h / 2] * 4, rel=1e-14)
+    assert np.all((du[1] + dv[1] >= h) & (du[2] + dv[2] <= h) & (du[3] >= dv[3]) & (du[4] <= dv[4]))
 
 
 def test_gram_level_must_refine_indicator_domain(chevron):
     with pytest.raises(ValueError):
         assemble_gram(IndicatorRegion(chevron), 6)
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_indicator_gram_needs_no_integer_time_cells(L):
+    # an indicator Gram uses no strip cells, so T*level = 5/2 or 15/2 is no error
+    from oracles import gram_dense
+
+    T = Fraction(5, 2)
+    region = IndicatorRegion(SquareUnion(1, squares_in_time_slab(1, T), T))
+    G = assemble_gram(region, L)
+    ref, size = gram_dense(region, L)
+    assert np.all(np.abs(G - ref) <= 2e-15 * size) and np.linalg.eigvalsh(G).min() > 0
 
 
 def test_gram_requires_integer_time_cells():

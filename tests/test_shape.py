@@ -280,6 +280,42 @@ def test_smoothed_directions_stay_bounded_along_run():
 # --------------------------------------------------------------------- sweeps
 
 
+def _count_plans(monkeypatch):
+    """Count the lattice plans that shape builds, and fail if the Gram builds its own."""
+    import waveobs.hum
+    import waveobs.shape
+
+    built, build = [], waveobs.hum.lattice_plan
+
+    def counting(level, T):
+        built.append((level, T))
+        return build(level, T)
+
+    def refused(level, T):
+        raise AssertionError("assemble_gram built a plan of its own")
+
+    monkeypatch.setattr(waveobs.shape, "lattice_plan", counting)
+    monkeypatch.setattr(waveobs.hum, "lattice_plan", refused)
+    return built
+
+
+@pytest.mark.parametrize("T", [2.0, 3.0])
+def test_optimize_builds_one_lattice_plan(monkeypatch, T):
+    built = _count_plans(monkeypatch)
+    curve0 = Curve.constant(0.4, T, 32)
+    trace = optimize(EX1.y0, curve0, 0.15, 8, rho=1e-3, max_iters=4, patience=100)
+    assert trace.iterations == 4
+    assert built == [(8, T)]
+
+
+@pytest.mark.parametrize("T", [1.5, 2.0])
+def test_cylindrical_sweep_builds_one_lattice_plan(monkeypatch, T):
+    built = _count_plans(monkeypatch)
+    sw = cylindrical_sweep(EX1.y0, 0.15, 8, T)
+    assert sw.costs.size == 13
+    assert built == [(8, T)]
+
+
 def test_sweep_single_point():
     sw = cylindrical_sweep(EX1.y0, 0.15, 8, 2.0, x0s=[0.3])
     assert sw.best_x0 == 0.3
