@@ -178,13 +178,13 @@ def _cell_rules(h, q=4):
 LatticePlan = namedtuple("LatticePlan", "level M A B offsets phi")
 
 
-def lattice_plan(level, T):
+def lattice_plan(level, T, tables=True):
     """What every Gram at level L on (0,1) x (0,T) shares, as a read-only :class:`LatticePlan`.
 
-    It holds L, the M = T*L time cells, the cells (A, B) meeting the strip and the
-    basis tables phi.  The cells form five slabs, each in (a, b) order: full cells
-    (1 <= a-b <= 2M-1, 0 <= a+b <= 2L-2), then those cut by x=0 (a+b = -1), x=1
-    (a+b = 2L-1), t=0 (a-b = 0) and t=T (a-b = 2M); slab c is A[offsets[c]:offsets[c+1]].
+    It holds L, the M = T*L time cells, the cells (A, B) meeting the strip and, if
+    ``tables``, the basis tables phi (else None).  The cells form five slabs, each in (a, b)
+    order: full cells (1 <= a-b <= 2M-1, 0 <= a+b <= 2L-2), then those cut by x=0 (a+b = -1),
+    x=1 (a+b = 2L-1), t=0 (a-b = 0) and t=T (a-b = 2M); slab c is A[offsets[c]:offsets[c+1]].
     """
     L = int(level)
     M = time_cells(T, L)
@@ -193,7 +193,8 @@ def lattice_plan(level, T):
     cells = [_slab_cells(*slab) for slab in slabs]
     A, B = (np.concatenate(c) for c in zip(*cells))
     offsets = np.cumsum([0] + [a.size for a, _ in cells])
-    for arr in (A, B, offsets, phi := basis_tables(L)):
+    phi = basis_tables(L) if tables else None
+    for arr in (A, B, offsets) + ((phi,) if tables else ()):
         arr.flags.writeable = False
     return LatticePlan(L, M, A, B, offsets, phi)
 
@@ -241,10 +242,10 @@ def _gram_cells(region, L, plan, quad):
     near, ramp = _tube_bands(region, plan.A, plan.B, h)
     cat = np.repeat(np.arange(5), np.diff(plan.offsets))[near]
     A, B, r = plan.A[near], plan.B[near], ramp[near]
-    u = A[r][:, None] * h + du[cat[r]]
-    v = B[r][:, None] * h + dv[cat[r]]
+    u, v = A[r][:, None] * h + du[cat[r]], B[r][:, None] * h + dv[cat[r]]
+    chi = region.chi((u + v) / 2.0, (u - v) / 2.0)  # before wchi, which would raise the peak
     wchi = w[cat]  # rule weights times chi; the plateau rows keep chi = 1
-    wchi[r] *= region.chi((u + v) / 2.0, (u - v) / 2.0)
+    wchi[r] *= chi
     off = np.searchsorted(cat, np.arange(6))
     mom = [_cell_moments(du[c], dv[c], wchi[off[c] : off[c + 1]]) for c in range(5)]
     return A % (2 * L), B % (2 * L), np.concatenate(mom)
@@ -254,9 +255,9 @@ def assemble_gram(region, level, quad=4, plan=None):
     """Gram matrix of the basis waves under the region's weight.
 
     ``plan`` is the :func:`lattice_plan` of (level, region.T); a caller that
-    assembles many Grams at one level passes one.  Without it a tube builds
-    one here and an indicator region, which needs no strip cells, only the
-    basis tables.
+    assembles many Grams at one level passes one.  Without it (or its tables)
+    the basis tables are built once the cell moments are freed, which keeps
+    them out of the peak; a tube builds the plan's cells first.
 
     A basis wave is fn + fs du + gn + gs dv on a cell whose u and v fold onto the
     period cells a and b, so a product of two waves pairs F's node value and
@@ -268,7 +269,7 @@ def assemble_gram(region, level, quad=4, plan=None):
     """
     L = int(level)
     if plan is None and isinstance(region, SmoothedTube):
-        plan = lattice_plan(L, region.T)
+        plan = lattice_plan(L, region.T, tables=False)
     elif plan is not None and (plan.level, plan.M) != (L, time_cells(region.T, L)):
         raise ValueError(f"the lattice plan is for level {plan.level} and T = "
                          f"{plan.M / plan.level}, not level {L} and T = {region.T}")
@@ -279,7 +280,7 @@ def assemble_gram(region, level, quad=4, plan=None):
     ab = a * n + b
     fg = [np.bincount(ab, mom[:, k], minlength=n * n).reshape(n, n) for k in (0, 2, 1, 5)]
     m_fg = np.block([fg[:2], fg[2:]])  # rows: F nodes, F slopes; columns: G nodes, G slopes
-    phi = basis_tables(L) if plan is None else plan.phi
+    phi = basis_tables(L) if plan is None or plan.phi is None else plan.phi
     del a, b, ab, mom, fg, plan  # freed before the products (so is a plan built here)
     nf, sf, ng, sg = np.split(phi, 4, axis=1)
     x = np.hstack([nf * f0 + sf * f1, nf * f1 + sf * f3, ng * g0 + sg * g1, ng * g1 + sg * g4])

@@ -409,8 +409,10 @@ def test_hum_control_is_bitwise_the_same_with_a_lattice_plan(chevron, data, L):
         if L % chevron.level:
             return
         region = IndicatorRegion(chevron)
-    plan = lattice_plan(L, region.T)
+    plan, cells = lattice_plan(L, region.T), lattice_plan(L, region.T, tables=False)
+    assert cells.phi is None and all(np.array_equal(x, y) for x, y in zip(cells[:5], plan[:5]))
     assert np.array_equal(assemble_gram(region, L, plan=plan), assemble_gram(region, L))
+    assert np.array_equal(assemble_gram(region, L, plan=cells), assemble_gram(region, L))
     try:
         ref = hum_control(region, L, EX1.y0, EX1.y1)
     except RuntimeError:  # a singular Gram: the planned solve must fail the same way
@@ -458,6 +460,19 @@ def test_strip_cells_are_the_bounding_box_cells_bitwise(L, T):
         assert np.array_equal(A, rA_c) and np.array_equal(B, rB_c), name
     assert (plan.level, plan.M) == (L, round(T * L))
     assert np.array_equal(plan.phi, basis_tables(L))
+
+
+def test_a_single_gram_builds_its_basis_tables_after_the_cell_moments(monkeypatch, chevron):
+    # the tables then stay out of the cell moments' peak memory
+    import waveobs.hum as hum
+
+    events, gram_cells, tables = [], hum._gram_cells, hum.basis_tables
+    monkeypatch.setattr(hum, "_gram_cells", lambda *a: events.append("cells") or gram_cells(*a))
+    monkeypatch.setattr(hum, "basis_tables", lambda L: events.append("tables") or tables(L))
+    for region in (SmoothedTube.around(0.25, 2.0, 0.15), IndicatorRegion(chevron)):
+        events.clear()
+        hum.assemble_gram(region, 8)
+        assert events == ["cells", "tables"]
 
 
 def test_lattice_plan_is_read_only():

@@ -291,7 +291,7 @@ def _count_plans(monkeypatch):
         built.append((level, T))
         return build(level, T)
 
-    def refused(level, T):
+    def refused(*args, **kwargs):
         raise AssertionError("assemble_gram built a plan of its own")
 
     monkeypatch.setattr(waveobs.shape, "lattice_plan", counting)
