@@ -83,33 +83,24 @@ class ArtifactWriter:
     def write_csv(self, name, header, rows):
         """Write the header line and the rows, with one ``%`` over all cells.
 
-        ``rows`` is a 2-D ndarray or a list of equal-length rows.  An ndarray
-        is written at ``%.17g`` as float64, which round-trips floats and writes
-        ints below 2**53 verbatim; each column formats every distinct bit
-        pattern once (so -0.0 and 0.0 stay apart), which is what makes the
-        rasters cheap: their x, t and zero cells repeat.  List columns of
-        Python ints (bools included) are written with ``%d``, all others with
-        ``%.17g``.
+        ``rows`` (a 2-D ndarray or a list of rows, each as wide as ``header``,
+        else ``ValueError``) is written at ``%.17g`` as float64, which
+        round-trips floats and writes ints below 2**53 (bools as 0 and 1)
+        verbatim.  Each column formats every distinct bit pattern once (so -0.0
+        and 0.0 stay apart), which is what makes the rasters cheap: their x, t
+        and zero cells repeat.
         """
-        if hasattr(rows, "ravel"):
-            import numpy as np
+        import numpy as np
 
-            width = rows.shape[1]
-            cells = [None] * rows.size
-            for j, col in enumerate(np.asarray(rows, dtype=np.float64).T):
-                bits, where = np.unique(col.view(np.int64), return_inverse=True)
-                values = bits.view(np.float64).tolist()
-                text = ("%.17g\n" * len(values) % tuple(values)).split("\n")
-                cells[j::width] = np.array(text, dtype=object)[where].tolist()
-            fmts = ["%s"] * width
-        else:
-            width = len(rows[0]) if rows else 0
-            if any(len(row) != width for row in rows):
-                raise ValueError(f"{name}: rows differ in length")
-            cells = [c for row in rows for c in row]
-            ints = [all(isinstance(c, int) for c in cells[j::width]) for j in range(width)]
-            fmts = ["%d" if is_int else "%.17g" for is_int in ints]
-        body = ((",".join(fmts) + "\n") * len(rows)) % tuple(cells)
+        width = len(header)
+        rows = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+        cells = [None] * rows.size
+        for j, col in enumerate(rows.T):
+            bits, where = np.unique(col.view(np.int64), return_inverse=True)
+            values = bits.view(np.float64).tolist()
+            text = ("%.17g\n" * len(values) % tuple(values)).split("\n")
+            cells[j::width] = np.array(text, dtype=object)[where].tolist()
+        body = ((",".join(["%s"] * width) + "\n") * len(rows)) % tuple(cells)
         self._write_bytes(name, (",".join(header) + "\n" + body).encode("ascii"))
 
     def write_json(self, name, obj):

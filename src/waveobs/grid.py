@@ -60,21 +60,6 @@ def _level(value):
     return int(value)
 
 
-def _as_fraction(x):
-    """Exact rational from ints, Fractions, floats and numeric strings.
-
-    Strings and integers convert exactly; floats are taken at their exact
-    binary value (deterministic, no decimal guessing).
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(float(x))
-
-
 def lattice_cells(idx):
     """Lattice cells k of nonzero extended indices (vectorized): I_i = [k/n, (k+1)/n].
 
@@ -184,9 +169,9 @@ class SquareUnion:
         sq = _square_array(self.squares)
         self.squares = frozenset(zip(*sq.T.tolist()))
         self._keys = _pack_keys(sq[:, 0], sq[:, 1])  # for contains
-        self.T = _as_fraction(self.T)
-        self.t_lo = _as_fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else _as_fraction(self.t_hi)
+        self.T = Fraction(self.T)
+        self.t_lo = Fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else Fraction(self.t_hi)
         # every square at once, on its lattice cells: the slab test of squares_in_time_slab
         a, b = lattice_cells(sq).T
         d_lo, d_hi, s_lo, s_hi = _slab_bounds(self.level, self.T)
@@ -225,11 +210,11 @@ class Cylinder:
     t_hi: Fraction = None
 
     def __post_init__(self):
-        self.x0 = _as_fraction(self.x0)
-        self.delta0 = _as_fraction(self.delta0)
-        self.T = _as_fraction(self.T)
-        self.t_lo = _as_fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else _as_fraction(self.t_hi)
+        self.x0 = Fraction(self.x0)
+        self.delta0 = Fraction(self.delta0)
+        self.T = Fraction(self.T)
+        self.t_lo = Fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else Fraction(self.t_hi)
         if not (self.delta0 <= self.x0 <= 1 - self.delta0):
             raise ValueError(
                 f"cylinder must satisfy delta0 <= x0 <= 1 - delta0, "
@@ -259,9 +244,9 @@ class CurveTube:
     t_hi: Fraction = None  # defaults to T
 
     def __post_init__(self):
-        self.delta0 = _as_fraction(self.delta0)
-        self.t_lo = _as_fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else _as_fraction(self.t_hi)
+        self.delta0 = Fraction(self.delta0)
+        self.t_lo = Fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else Fraction(self.t_hi)
         d0 = float(self.delta0)
         vals = self.curve.values
         if np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
@@ -269,7 +254,7 @@ class CurveTube:
 
     @property
     def T(self):
-        return _as_fraction(self.curve.times[-1])
+        return Fraction(self.curve.times[-1])
 
     def is_empty(self):
         return self.delta0 <= 0 or self.t_hi <= self.t_lo
@@ -321,7 +306,7 @@ def _slab_cells(d_lo, d_hi, s_lo, s_hi):
 def _slab_bounds(n, T):
     """Bounds (d_lo, d_hi, s_lo, s_hi) on a-b and a+b of the level-n cells (a, b)
     whose square's interior lies inside (0,1) x (0,T)."""
-    return 1, math.floor(2 * n * _as_fraction(T)) - 1, 0, 2 * n - 2
+    return 1, math.floor(2 * n * Fraction(T)) - 1, 0, 2 * n - 2
 
 
 def squares_in_time_slab(n, T):
@@ -459,10 +444,10 @@ def epsilon_interior(domain, eps):
     Square unions are unsupported (``TypeError``) unless empty.  An empty
     result is returned as an empty :class:`SquareUnion`, not an error.
     """
-    eps = _as_fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {float(eps)}")
-    T = _as_fraction(domain.T)
+    T = Fraction(domain.T)
     empty = SquareUnion(level=1, squares=frozenset(), T=T)
     if domain.is_empty():
         return empty
@@ -543,17 +528,12 @@ def domain_from_json(doc):
         return SquareUnion(
             level=doc["level"],
             squares=frozenset(tuple(ij) for ij in doc["squares"]),
-            T=_as_fraction(doc["T"]),
+            T=doc["T"],
             **window,
         )
     if kind == "cylinder":
-        return Cylinder(
-            x0=_as_fraction(doc["x0"]),
-            delta0=_as_fraction(doc["delta0"]),
-            T=_as_fraction(doc["T"]),
-            **window,
-        )
+        return Cylinder(x0=doc["x0"], delta0=doc["delta0"], T=doc["T"], **window)
     if kind == "curve_tube":
         curve = Curve(doc["curve"]["times"], doc["curve"]["values"])
-        return CurveTube(curve=curve, delta0=_as_fraction(doc["delta0"]), **window)
+        return CurveTube(curve=curve, delta0=doc["delta0"], **window)
     raise ValueError(f"unknown domain type {kind!r}")

@@ -155,11 +155,14 @@ def basis_tables(level):
 def _cell_rules(h, q=4):
     """Quadrature offsets/weights on one lattice cell and its cut triangles.
 
-    Returns (du, dv, w), each a (5, q^2) table: row 0 is the full-cell tensor
-    rule, rows 1-4 the half-cell triangle rules of the strip boundary cuts at
-    x=0, x=1, t=0, t=T (the category order of :class:`LatticePlan`).  Weights
-    include the cell Jacobian but not the (u,v)->(x,t) factor 1/2.  The rules
-    are cached per (h, q), so they are read-only.
+    Returns (du, dv, w, powers): du, dv and w are (5, q^2) tables, row 0 the
+    full-cell tensor rule, rows 1-4 the half-cell triangle rules of the strip
+    boundary cuts at x=0, x=1, t=0, t=T (the category order of
+    :class:`LatticePlan`).  Weights include the cell Jacobian but not the
+    (u,v)->(x,t) factor 1/2.  powers[c] is the (q^2, 6) table (1, du, dv, du^2,
+    dv^2, du dv) of rule c, so ``0.5 * w @ powers[c]`` gives the six moments of
+    each row of weights w on it.  The tables are cached per (h, q), so they are
+    read-only.
     """
     g, w = np.polynomial.legendre.leggauss(q)
     x1, w1 = (g + 1.0) * h / 2.0, w * h / 2.0
@@ -170,9 +173,10 @@ def _cell_rules(h, q=4):
     du = np.stack([np.repeat(x1, q), h * (1.0 - S * R), h * S * R, h * S, h * S * R])
     dv = np.stack([np.tile(x1, q), h * (1.0 - S * (1.0 - R)), h * S * (1.0 - R), h * S * R, h * S])
     w = np.stack([np.repeat(w1, q) * np.tile(w1, q), W, W, W, W])
-    for arr in (du, dv, w):
+    powers = np.stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv], axis=-1)
+    for arr in (du, dv, w, powers):
         arr.flags.writeable = False
-    return du, dv, w
+    return du, dv, w, powers
 
 
 LatticePlan = namedtuple("LatticePlan", "level M A B offsets phi")
@@ -199,12 +203,6 @@ def lattice_plan(level, T, tables=True):
     return LatticePlan(L, M, A, B, offsets, phi)
 
 
-def _cell_moments(du, dv, w):
-    """Moments (w, w du, w dv, w du^2, w dv^2, w du dv) of each row of rule weights w."""
-    powers = np.column_stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv])
-    return 0.5 * w @ powers  # 1/2: Jacobian of (u, v) -> (x, t)
-
-
 def _tube_bands(region, A, B, h):
     """Masks of the cells (A, B) that can meet the tube's weight or its ramp."""
     xc = (A + B + 1) * (h / 2.0)
@@ -227,7 +225,7 @@ def _gram_cells(region, L, plan, quad):
     weight is 1 and the result is exact.
     """
     h = 1.0 / L
-    du, dv, w = _cell_rules(h, quad)
+    du, dv, w, powers = _cell_rules(h, quad)
     if isinstance(region, IndicatorRegion):
         dom = region.domain
         if L % dom.level != 0:
@@ -235,7 +233,7 @@ def _gram_cells(region, L, plan, quad):
                 f"level {L} must be a multiple of the domain level {dom.level}"
             )
         A, B = cover_cells(dom, L)
-        mom = _cell_moments(du[0], dv[0], w[:1])  # one row: the weight is 1
+        mom = 0.5 * w[:1] @ powers[0]  # one row: the weight is 1
         return A % (2 * L), B % (2 * L), np.broadcast_to(mom, (A.size, 6))
     if not isinstance(region, SmoothedTube):
         raise TypeError(f"unsupported region type {type(region).__name__}")
@@ -247,7 +245,7 @@ def _gram_cells(region, L, plan, quad):
     wchi = w[cat]  # rule weights times chi; the plateau rows keep chi = 1
     wchi[r] *= chi
     off = np.searchsorted(cat, np.arange(6))
-    mom = [_cell_moments(du[c], dv[c], wchi[off[c] : off[c + 1]]) for c in range(5)]
+    mom = [0.5 * wchi[off[c] : off[c + 1]] @ powers[c] for c in range(5)]
     return A % (2 * L), B % (2 * L), np.concatenate(mom)
 
 

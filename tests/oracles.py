@@ -15,6 +15,24 @@ from fractions import Fraction
 
 import numpy as np
 
+# ------------------------------------------------------------- parameters
+
+
+def as_fraction(x):
+    """Exact rational from ints, Fractions, floats and numeric strings.
+
+    Strings and integers convert exactly; floats are taken at their exact
+    binary value (deterministic, no decimal guessing).
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    if isinstance(x, str):
+        return Fraction(x)
+    return Fraction(float(x))
+
+
 # ---------------------------------------------------------------- indices
 
 
@@ -246,17 +264,23 @@ def strip_cells_meshgrid(level, T):
 # ---------------------------------------------------------------- Gram
 
 
+def cell_moments(du, dv, w):
+    """Moments (w, w du, w dv, w du^2, w dv^2, w du dv) of each row of rule weights w."""
+    powers = np.column_stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv])
+    return 0.5 * w @ powers  # 1/2: Jacobian of (u, v) -> (x, t)
+
+
 def tube_cells_per_category(region, level, quad=4):
     """A tube's kept cells (a, b) and their moments, one boundary category at a time.
 
     Each category is a mask on :func:`strip_cells_meshgrid`'s cells and gets its
     own weight evaluation and its own moment product, in the category order of
-    the rules (full, x0, x1, t0, tT).
+    the rules (full, x0, x1, t0, tT), on a moment table built per call.
     """
-    from waveobs.hum import _cell_moments, _cell_rules, _tube_bands
+    from waveobs.hum import _cell_rules, _tube_bands
 
     h = 1.0 / level
-    du, dv, w = _cell_rules(h, quad)
+    du, dv, w, _ = _cell_rules(h, quad)
     A, B, cats = strip_cells_meshgrid(level, region.T)
     near, ramp = _tube_bands(region, A, B, h)
     cells = []
@@ -267,7 +291,7 @@ def tube_cells_per_category(region, level, quad=4):
         u = A[sel][r][:, None] * h + du[c]
         v = B[sel][r][:, None] * h + dv[c]
         chi[r] = region.chi((u + v) / 2.0, (u - v) / 2.0)
-        cells.append((A[sel], B[sel], _cell_moments(du[c], dv[c], w[c] * chi)))
+        cells.append((A[sel], B[sel], cell_moments(du[c], dv[c], w[c] * chi)))
     A, B, mom = (np.concatenate(c) for c in zip(*cells))
     return A % (2 * level), B % (2 * level), mom
 

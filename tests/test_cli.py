@@ -67,7 +67,7 @@ def _oracle_csv(header, rows):
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]
 CSV_CASES = {
-    "mixed_python": [[0, True, 0.1], [7, False, -2.5], [10**20, True, 1.0]],
+    "mixed_python": [[0, True, 0.1], [7, False, -2.5], [2**53 - 1, True, 1.0]],
     "numpy_scalars": [[np.int64(3), np.float64(0.1)], [np.int64(-9), np.float64(1 / 3)]],
     "specials": [SPECIALS, SPECIALS[::-1]],
     "float_ndarray": np.column_stack(
@@ -100,8 +100,15 @@ def test_write_csv_matches_per_cell_oracle(tmp_path, case):
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError, match="rows differ in length"):
+    with pytest.raises(ValueError, match="inhomogeneous shape"):
         ArtifactWriter(str(tmp_path)).write_csv("t.csv", ["a", "b"], [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4]], np.ones((3, 2)), [[1.0, 2.0, 3.0, 4.0]]])
+def test_write_csv_rejects_rows_not_as_wide_as_the_header(tmp_path, rows):
+    with pytest.raises(ValueError, match="cannot reshape"):
+        ArtifactWriter(str(tmp_path)).write_csv("t.csv", ["a", "b", "c"], rows)
+    assert not (tmp_path / "t.csv").exists()
 
 
 # --------------------------------------------------------------- golden runs

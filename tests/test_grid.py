@@ -27,6 +27,7 @@ from waveobs.grid import (
 from waveobs.testing import random_connected_square_domain
 
 from oracles import (
+    as_fraction,
     fold_index,
     interval_bounds,
     interval_midpoint,
@@ -593,6 +594,67 @@ def test_readme_domain_examples_parse():
         kinds.add(type(domain))
         assert float(domain.T) == 2.0
     assert kinds == {SquareUnion, Cylinder, CurveTube}
+
+
+PARAMETERS = [3, np.int64(3), True, 0.1, np.float64(0.1), "1/4", "0.1", " 0.5 ",
+              Fraction(3, 7), -0.0, 2**70, 1e300]
+BAD_PARAMETERS = [None, [1], {}, "abc", math.inf, math.nan]
+
+
+def _build_domains(value):
+    """Every constructor, and domain_from_json, with ``value`` for each Fraction parameter it
+    can take: the time parameters everywhere, the widths where ``value`` keeps them valid."""
+    curve = Curve.constant(0.5, 2.0, 4)
+    window = {"t_lo": value, "t_hi": value}
+    yield SquareUnion(level=1, squares=frozenset(), T=value, **window), ("T", "t_lo", "t_hi")
+    yield Cylinder(x0=0.5, delta0=0.25, T=value, **window), ("T", "t_lo", "t_hi")
+    yield CurveTube(curve=curve, delta0=0.25, **window), ("t_lo", "t_hi")
+    doc = {"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value, **window}
+    yield domain_from_json(doc), ("T", "t_lo", "t_hi")
+    if 0 <= as_fraction(value) <= Fraction(1, 2):
+        yield Cylinder(x0=0.5, delta0=value, T=2), ("delta0",)
+        yield CurveTube(curve=curve, delta0=value), ("delta0",)
+        yield domain_from_json({"type": "curve_tube", "delta0": value, "curve": {
+            "times": curve.times.tolist(), "values": curve.values.tolist()}}), ("delta0",)
+    if 0 <= as_fraction(value) <= 1:
+        yield Cylinder(x0=value, delta0=0, T=2), ("x0",)
+
+
+@pytest.mark.parametrize("value", PARAMETERS, ids=repr)
+def test_domain_parameters_are_the_exact_rationals_of_the_reference(value):
+    ref = as_fraction(value)
+    built = 0
+    for domain, keys in _build_domains(value):
+        for key in keys:
+            got = getattr(domain, key)
+            assert type(got) is Fraction and got == ref and hash(got) == hash(ref), key
+            built += 1
+    assert built >= 11
+
+
+@pytest.mark.parametrize("value", BAD_PARAMETERS, ids=repr)
+def test_bad_domain_parameters_raise_the_reference_exception(value):
+    with pytest.raises(Exception) as ref:
+        as_fraction(value)
+    curve = Curve.constant(0.5, 2.0, 4)
+    tube_doc = {"type": "curve_tube", "delta0": value,
+                "curve": {"times": curve.times.tolist(), "values": curve.values.tolist()}}
+    builders = [
+        lambda: SquareUnion(level=1, squares=frozenset(), T=value),
+        lambda: SquareUnion(level=1, squares=frozenset(), T=2, t_lo=value),
+        lambda: Cylinder(x0=value, delta0=0.25, T=2),
+        lambda: Cylinder(x0=0.5, delta0=value, T=2),
+        lambda: Cylinder(x0=0.5, delta0=0.25, T=2, t_lo=value),
+        lambda: CurveTube(curve=curve, delta0=value),
+        lambda: CurveTube(curve=curve, delta0=0.25, t_lo=value),
+        lambda: domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value}),
+        lambda: domain_from_json({"type": "square_union", "level": 1, "squares": [], "T": value}),
+        lambda: domain_from_json(tube_doc),
+    ]
+    for build in builders:
+        with pytest.raises(Exception) as got:
+            build()
+        assert got.type is ref.type
 
 
 def test_domain_json_rejects_garbage():

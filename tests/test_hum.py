@@ -279,7 +279,7 @@ def test_tube_gram_matches_pointwise_quadrature(rng):
         plan = lattice_plan(L, tube.T)
         xs, ts, ws = [], [], []
         for c in range(5):
-            du, dv, wq = (r[c] for r in rules)
+            du, dv, wq, _ = (r[c] for r in rules)
             A, B = (X[plan.offsets[c] : plan.offsets[c + 1]] for X in (plan.A, plan.B))
             u = (A[:, None] * h + du).ravel()
             v = (B[:, None] * h + dv).ravel()
@@ -310,7 +310,7 @@ def test_plateau_cells_have_weight_one(values, delta0, frac, L):
         Curve(np.linspace(0.0, 2.0, len(values)), values), WeightProfile(delta0, frac * delta0)
     )
     h = 1.0 / L
-    du, dv, _ = _cell_rules(h)
+    du, dv, _, _ = _cell_rules(h)
     plan = lattice_plan(L, tube.T)
     A, B = plan.A, plan.B
     near, ramp = _tube_bands(tube, A, B, h)
@@ -501,14 +501,18 @@ def test_cell_rules_are_cached_and_read_only():
     h = 1.0 / 8
     rules = _cell_rules(h)
     assert _cell_rules(h) is rules
-    for arr in rules:
-        assert arr.shape == (5, 16)
+    for arr, shape in zip(rules, [(5, 16)] * 3 + [(5, 16, 6)]):
+        assert arr.shape == shape
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
     with pytest.raises(TypeError):
         rules[0] = rules[1]
     # row 0 is the full cell, rows 1-4 the half-cell triangles
-    du, dv, w = rules
+    du, dv, w, powers = rules
+    for c in range(5):  # each moment table is bitwise, and laid out as, the one built per call
+        u, v = du[c], dv[c]
+        ref = np.column_stack([np.ones_like(u), u, v, u * u, v * v, u * v])
+        assert np.array_equal(powers[c], ref) and powers[c].flags.c_contiguous
     assert w.sum(axis=1) == pytest.approx([h * h] + [h * h / 2] * 4, rel=1e-14)
     assert np.all((du[1] + dv[1] >= h) & (du[2] + dv[2] <= h) & (du[3] >= dv[3]) & (du[4] <= dv[4]))
 
