@@ -117,10 +117,7 @@ class ArtifactWriter:
             ],
         }
         text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "wb") as f:
-            f.write(text.encode("ascii"))
-        log.info("wrote %s", path)
+        self._write_bytes("manifest.json", text.encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +379,13 @@ def _cmd_graph_cobs(config, writer, seed):
 
 
 def _cmd_spectrum(config, writer, seed):
-    from waveobs.graph import laplacian, refined_laplacian, spectrum
+    from waveobs.graph import refined_laplacian, spectrum
 
     gc = _graph_constant(config)
     n, p = gc.n, config["refine"]
     order = [*range(-n, 0), *range(1, n + 1)]  # the matrix order
-    if p == 1:
-        matrix = laplacian(gc.graph)
-        names = [f"v{i}" for i in order]
-    else:
-        matrix = refined_laplacian(gc.graph, p)
-        names = [f"v{i}s{s}" for i in order for s in range(p)]
+    matrix = refined_laplacian(gc.graph, p)
+    names = [f"v{i}" if p == 1 else f"v{i}s{s}" for i in order for s in range(p)]
     eigenvalues = [_snap(v) for v in spectrum(matrix / p)]
     writer.write_csv("laplacian.csv", names, matrix.tolist())
     writer.write_csv(
@@ -431,14 +424,15 @@ def _raster(writer, solution, nx, nt):
 
 def _cmd_hum(config, writer, seed):
     from waveobs.dalembert import time_cells
-    from waveobs.hum import forward_verify, hum_control
+    from waveobs.hum import forward_verify, hum_control, hum_rhs
 
     level = config["level"]
     data = _resolve_data(config)
     _check_grid(data.T, level, config["grid_m"])  # the default grid, 4 * level, always fits
     breakpoints = data.data_breakpoints()
     region = _resolve_region(config, data.T, [level], "level")
-    solution = hum_control(region, level, data.y0, data.y1, breakpoints, quad=config["quad"])
+    b = hum_rhs(level, data.y0, data.y1, breakpoints)
+    solution = hum_control(region, b, quad=config["quad"])
     check = forward_verify(solution, data.y0, data.y1, breakpoints, config["grid_m"])
     nx = config["raster_nx"] or level + 1
     nt = config["raster_nt"] or time_cells(data.T, level) + 1
@@ -472,15 +466,6 @@ def _gamma0_curve(spec, T, n_nodes):
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid gamma0 curve: {exc}")
     raise UsageError("'gamma0' needs 'constant' or 'times'+'values'")
-
-
-def _snapshot_indices(count, limit=12):
-    if count <= limit:
-        return list(range(count))
-    step = (count - 1) / (limit - 1)
-    idx = sorted({int(round(k * step)) for k in range(limit)})
-    idx[-1] = count - 1
-    return idx
 
 
 def _sweep(writer, config, data, x0s):
@@ -551,8 +536,8 @@ def _cmd_optimize(config, writer, seed):
         "iterations.csv", ["n", "J_eps", "delta_J", "lipschitz_estimate"], rows
     )
 
-    snap_rows = []
-    for n in _snapshot_indices(len(trace.curves)):
+    snap_rows = []  # at most 12 curves, evenly spread, the first and the last included
+    for n in np.unique(np.rint(np.linspace(0, len(trace.curves) - 1, 12)).astype(int)):
         c = trace.curves[n]
         for t, g in zip(c.times, c.values):
             snap_rows.append([n, t, g])
@@ -646,7 +631,7 @@ def _cmd_power_cobs(config, writer, seed):
 def _cmd_verify(config, writer, seed):
     import numpy as np
 
-    from waveobs.hum import IndicatorRegion, forward_verify, hum_control
+    from waveobs.hum import IndicatorRegion, forward_verify, hum_control, hum_rhs
 
     levels = config["levels"]
     if not isinstance(levels, list) or not levels:
@@ -664,7 +649,8 @@ def _cmd_verify(config, writer, seed):
     rows = []
     ratios = []
     for level in levels:
-        solution = hum_control(region, level, data.y0, data.y1, breakpoints, quad=config["quad"])
+        b = hum_rhs(level, data.y0, data.y1, breakpoints)
+        solution = hum_control(region, b, quad=config["quad"])
         check = forward_verify(solution, data.y0, data.y1, breakpoints, grid_factor * level)
         rows.append(
             [

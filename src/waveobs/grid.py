@@ -60,6 +60,11 @@ def _level(value):
     return int(value)
 
 
+def _fraction(x):
+    """``Fraction(x)``, with a numpy scalar taken at its Python value (an int numerator)."""
+    return Fraction(x.item() if isinstance(x, np.generic) else x)
+
+
 def lattice_cells(idx):
     """Lattice cells k of nonzero extended indices (vectorized): I_i = [k/n, (k+1)/n].
 
@@ -169,9 +174,9 @@ class SquareUnion:
         sq = _square_array(self.squares)
         self.squares = frozenset(zip(*sq.T.tolist()))
         self._keys = _pack_keys(sq[:, 0], sq[:, 1])  # for contains
-        self.T = Fraction(self.T)
-        self.t_lo = Fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else Fraction(self.t_hi)
+        self.T = _fraction(self.T)
+        self.t_lo = _fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
         # every square at once, on its lattice cells: the slab test of squares_in_time_slab
         a, b = lattice_cells(sq).T
         d_lo, d_hi, s_lo, s_hi = _slab_bounds(self.level, self.T)
@@ -210,11 +215,11 @@ class Cylinder:
     t_hi: Fraction = None
 
     def __post_init__(self):
-        self.x0 = Fraction(self.x0)
-        self.delta0 = Fraction(self.delta0)
-        self.T = Fraction(self.T)
-        self.t_lo = Fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else Fraction(self.t_hi)
+        self.x0 = _fraction(self.x0)
+        self.delta0 = _fraction(self.delta0)
+        self.T = _fraction(self.T)
+        self.t_lo = _fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
         if not (self.delta0 <= self.x0 <= 1 - self.delta0):
             raise ValueError(
                 f"cylinder must satisfy delta0 <= x0 <= 1 - delta0, "
@@ -244,9 +249,9 @@ class CurveTube:
     t_hi: Fraction = None  # defaults to T
 
     def __post_init__(self):
-        self.delta0 = Fraction(self.delta0)
-        self.t_lo = Fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else Fraction(self.t_hi)
+        self.delta0 = _fraction(self.delta0)
+        self.t_lo = _fraction(self.t_lo)
+        self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
         d0 = float(self.delta0)
         vals = self.curve.values
         if np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
@@ -254,7 +259,7 @@ class CurveTube:
 
     @property
     def T(self):
-        return Fraction(self.curve.times[-1])
+        return _fraction(self.curve.times[-1])
 
     def is_empty(self):
         return self.delta0 <= 0 or self.t_hi <= self.t_lo
@@ -444,10 +449,10 @@ def epsilon_interior(domain, eps):
     Square unions are unsupported (``TypeError``) unless empty.  An empty
     result is returned as an empty :class:`SquareUnion`, not an error.
     """
-    eps = Fraction(eps)
+    eps = _fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {float(eps)}")
-    T = Fraction(domain.T)
+    T = _fraction(domain.T)
     empty = SquareUnion(level=1, squares=frozenset(), T=T)
     if domain.is_empty():
         return empty

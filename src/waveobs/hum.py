@@ -119,7 +119,7 @@ class SmoothedTube:
         return self.profile.eta(np.asarray(x, dtype=float) - self.curve(t))
 
     def chi_x(self, x, t):
-        """Spatial derivative of the weight (used by the shape gradient)."""
+        """Spatial derivative of the weight; no caller until ROADMAP item 2's covector."""
         return self.profile.eta_prime(np.asarray(x, dtype=float) - self.curve(t))
 
 
@@ -365,12 +365,15 @@ def solve_tridiagonal(diag, off, rhs):
     return np.array(x, dtype=float)
 
 
-def hum_control(region, level, y0, y1=None, breakpoints=(), quad=4, plan=None):
-    """Assemble and solve the conjugate system (``plan`` as in :func:`assemble_gram`)."""
-    L = int(level)
-    G = assemble_gram(region, L, quad=quad, plan=plan)
-    b = hum_rhs(L, y0, y1, breakpoints)
-    z, res = solve_hum(G, b)
+def hum_control(region, b, quad=4, plan=None):
+    """Solve the conjugate system G z = b (``plan`` as in :func:`assemble_gram`).
+
+    ``b`` is a :func:`hum_rhs` vector, so the level is (len(b) + 1) // 2.
+    """
+    if len(b) % 2 == 0:
+        raise ValueError(f"a right-hand side has 2L - 1 entries, got {len(b)}")
+    L = (len(b) + 1) // 2
+    z, res = solve_hum(assemble_gram(region, L, quad=quad, plan=plan), b)
     return HumSolution(
         z=z,
         cost=float(b @ z),

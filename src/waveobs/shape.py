@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dalembert import eval_phi
-from .hum import SmoothedTube, WeightProfile, hum_control, lattice_plan, solve_tridiagonal
+from .hum import SmoothedTube, WeightProfile, hum_control, hum_rhs, lattice_plan, solve_tridiagonal
 
 __all__ = [
     "shape_derivative_density",
@@ -150,12 +150,13 @@ def optimize(
     """
     profile = WeightProfile(delta0, delta)
     plan = lattice_plan(level, curve0.T)  # every step's Gram lives on this lattice
+    b = hum_rhs(level, y0, y1, breakpoints)  # and pairs with the same datum
     curve = curve0
     costs, raw, curves = [], [], [curve]
     converged = False
     p = int(patience)
     for it in range(int(max_iters) + 1):
-        sol = hum_control(SmoothedTube(curve, profile), level, y0, y1, breakpoints, plan=plan)
+        sol = hum_control(SmoothedTube(curve, profile), b, plan=plan)
         jeps_cost = sol.cost + 0.5 * eps * curve.h1_seminorm_sq()
         costs.append(jeps_cost)
         raw.append(sol.cost)
@@ -227,10 +228,9 @@ def cylindrical_sweep(
         x0s = np.linspace(0.2, 0.8, 13)
     x0s = np.asarray(x0s, dtype=float)
     costs = np.empty_like(x0s)
-    plan = lattice_plan(level, T)
+    plan, b = lattice_plan(level, T), hum_rhs(level, y0, y1, breakpoints)
     for k, x0 in enumerate(x0s):
-        tube = SmoothedTube.around(x0, T, delta0, delta)
-        costs[k] = hum_control(tube, level, y0, y1, breakpoints, plan=plan).cost
+        costs[k] = hum_control(SmoothedTube.around(x0, T, delta0, delta), b, plan=plan).cost
     return SweepResult(x0s=x0s, costs=costs)
 
 

@@ -410,3 +410,16 @@ def power_estimates(G, level, y, tol=1e-4, max_iters=50):
         if len(estimates) >= 2 and abs(est - estimates[-2]) / est < tol:
             break
     return np.asarray(estimates)
+
+
+# -------------------------------------------------------------- artifacts
+
+
+def snapshot_indices(count, limit=12):
+    """At most ``limit`` evenly spread indices of ``count`` curves, first and last included."""
+    if count <= limit:
+        return list(range(count))
+    step = (count - 1) / (limit - 1)
+    idx = sorted({int(round(k * step)) for k in range(limit)})
+    idx[-1] = count - 1
+    return idx

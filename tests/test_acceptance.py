@@ -21,7 +21,7 @@ from waveobs.graph import (
     spectrum,
 )
 from waveobs.grid import Curve, squares_in_domain, squares_in_time_slab
-from waveobs.hum import SmoothedTube, WeightProfile, forward_verify, hum_control
+from waveobs.hum import SmoothedTube, WeightProfile, forward_verify, hum_control, hum_rhs
 from waveobs.power import power_iterate
 from waveobs.presets import get_preset
 from waveobs.shape import (
@@ -181,7 +181,7 @@ def test_criterion_06_null_control_terminal_ratio():
     ratios = {}
     for level in (64, 128):
         tube = SmoothedTube.around(0.25, EX1.T, DELTA0)
-        sol = hum_control(tube, level, EX1.y0)
+        sol = hum_control(tube, hum_rhs(level, EX1.y0))
         ratios[level] = forward_verify(sol, EX1.y0)["ratio"]
     assert ratios[64] <= 5e-2
     # doubling the level should halve the ratio, within 25%
@@ -190,7 +190,7 @@ def test_criterion_06_null_control_terminal_ratio():
 
 def test_criterion_07_gradient_matches_finite_differences():
     N, L = 256, 64
-    prof = WeightProfile(DELTA0)
+    prof, b = WeightProfile(DELTA0), hum_rhs(L, EX1.y0)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         curve = _smooth_random_curve(rng, N)
@@ -200,18 +200,14 @@ def test_criterion_07_gradient_matches_finite_differences():
             bar += rng.standard_normal() / k * np.sin(np.pi * k * times / 2.0)
             bar += rng.standard_normal() / k * np.cos(np.pi * k * times / 2.0)
         bar /= np.max(np.abs(bar))
-        sol = hum_control(SmoothedTube(curve, prof), L, EX1.y0)
+        sol = hum_control(SmoothedTube(curve, prof), b)
         pairing = pair_with_density(curve, shape_derivative_density(sol), bar)
         for eta in (1e-3, 1e-4):
             up = hum_control(
-                SmoothedTube(curve.with_values(curve.values + eta * bar), prof),
-                L,
-                EX1.y0,
+                SmoothedTube(curve.with_values(curve.values + eta * bar), prof), b
             ).cost
             dn = hum_control(
-                SmoothedTube(curve.with_values(curve.values - eta * bar), prof),
-                L,
-                EX1.y0,
+                SmoothedTube(curve.with_values(curve.values - eta * bar), prof), b
             ).cost
             fd = (up - dn) / (2 * eta)
             assert abs(fd - pairing) <= 1e-2 * abs(fd)

@@ -14,6 +14,7 @@ import waveobs
 from waveobs.cli import ArtifactWriter, main
 
 from conftest import CHEVRON_SQUARES
+from oracles import snapshot_indices
 
 A4_ROWS = [
     [4, 0, 0, -2, -2, 0, 0, 0],
@@ -228,11 +229,21 @@ def test_optimize_artifacts(tmp_path):
     snaps = csv_lines(out / "curve_snapshots.csv")
     assert snaps[0] == "iteration,t,value"
     snap_iters = sorted({int(line.split(",")[0]) for line in snaps[1:]})
-    assert snap_iters[0] == 0
-    assert snap_iters[-1] == summary["iterations"]
+    assert snap_iters == snapshot_indices(summary["iterations"] + 1)
     sweep = csv_lines(out / "sweep.csv")
     assert sweep[0] == "x0,J"
     assert len(sweep) == 1 + 3
+
+
+@pytest.mark.parametrize("max_iters", [11, 20, 45])
+def test_optimize_snapshots_the_reference_iterations(tmp_path, max_iters):
+    config = {"level": 8, "curve_nodes": 8, "max_iters": max_iters, "patience": 100,
+              "sweep_count": 1}
+    code, out = run_cli(tmp_path, "optimize", config)
+    assert code == 0 and read_json(out / "summary.json")["iterations"] == max_iters
+    snaps = csv_lines(out / "curve_snapshots.csv")[1:]
+    assert len(snaps) == 9 * len(snapshot_indices(max_iters + 1))
+    assert sorted({int(line.split(",")[0]) for line in snaps}) == snapshot_indices(max_iters + 1)
 
 
 def test_sweep_artifacts(tmp_path):

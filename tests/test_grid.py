@@ -596,9 +596,10 @@ def test_readme_domain_examples_parse():
     assert kinds == {SquareUnion, Cylinder, CurveTube}
 
 
-PARAMETERS = [3, np.int64(3), True, 0.1, np.float64(0.1), "1/4", "0.1", " 0.5 ",
-              Fraction(3, 7), -0.0, 2**70, 1e300]
-BAD_PARAMETERS = [None, [1], {}, "abc", math.inf, math.nan]
+PARAMETERS = [3, np.int64(3), np.uint8(2), True, 0.1, np.float64(0.1), np.float32(0.1), "1/4",
+              "0.1", " 0.5 ", Fraction(3, 7), -0.0, 2**70, 1e300]
+BAD_PARAMETERS = [None, [1], {}, "abc", math.inf, math.nan, np.float64(math.inf),
+                  np.float32(math.nan)]
 
 
 def _build_domains(value):
@@ -628,8 +629,34 @@ def test_domain_parameters_are_the_exact_rationals_of_the_reference(value):
         for key in keys:
             got = getattr(domain, key)
             assert type(got) is Fraction and got == ref and hash(got) == hash(ref), key
+            assert type(got.numerator) is int and type(got.denominator) is int, key
             built += 1
     assert built >= 11
+
+
+@pytest.mark.parametrize("scalar", [np.int64, np.uint8, np.float32, np.float64])
+def test_numpy_scalar_parameters_give_the_cover_of_their_python_value(chevron, scalar):
+    # a uint8 horizon overflowed in the slab bounds, a float32 one raised TypeError
+    keys = ("x0", "delta0", "T", "t_lo", "t_hi")
+    cylinder = {"x0": 0.5, "delta0": 0.25, "T": 2, "t_lo": 0.125}
+    tube = {"curve": Curve.constant(0.5, 2.0, 4), "delta0": 0.25, "t_lo": 0.125}
+    union = {"level": chevron.level, "squares": chevron.squares, "T": 2}
+
+    def as_scalars(kind, given):  # each parameter the type holds exactly: ints hold T alone
+        return kind(**{k: scalar(v) if k in keys and scalar(v) == v else v
+                       for k, v in given.items()})
+
+    for kind, given in ((Cylinder, cylinder), (CurveTube, tube), (SquareUnion, union)):
+        ref, domain = kind(**given), as_scalars(kind, given)
+        for key in keys:
+            if hasattr(ref, key):
+                got = getattr(domain, key)
+                assert got == getattr(ref, key) and type(got.numerator) is int, (kind, key)
+        got, want = cover_cells(domain, 128), cover_cells(ref, 128)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want)), kind
+    eps = scalar(0.0625) if scalar(0.0625) == 0.0625 else 0.0625
+    inner = epsilon_interior(as_scalars(Cylinder, cylinder), eps)
+    assert inner == epsilon_interior(Cylinder(**cylinder), 0.0625)
 
 
 @pytest.mark.parametrize("value", BAD_PARAMETERS, ids=repr)

@@ -414,14 +414,36 @@ def test_hum_control_is_bitwise_the_same_with_a_lattice_plan(chevron, data, L):
     assert np.array_equal(assemble_gram(region, L, plan=plan), assemble_gram(region, L))
     assert np.array_equal(assemble_gram(region, L, plan=cells), assemble_gram(region, L))
     try:
-        ref = hum_control(region, L, EX1.y0, EX1.y1)
+        ref = hum_control(region, hum_rhs(L, EX1.y0, EX1.y1))
     except RuntimeError:  # a singular Gram: the planned solve must fail the same way
         with pytest.raises(RuntimeError, match="ill-conditioned"):
-            hum_control(region, L, EX1.y0, EX1.y1, plan=plan)
+            hum_control(region, hum_rhs(L, EX1.y0, EX1.y1), plan=plan)
         return
-    sol = hum_control(region, L, EX1.y0, EX1.y1, plan=plan)
+    sol = hum_control(region, hum_rhs(L, EX1.y0, EX1.y1), plan=plan)
     assert np.array_equal(sol.z, ref.z)
     assert (sol.cost, sol.residual) == (ref.cost, ref.residual)
+
+
+@pytest.mark.parametrize("L", [4, 8, 32])
+def test_hum_control_solves_the_gram_against_its_right_hand_side(chevron, L):
+    from waveobs.hum import lattice_plan
+
+    data = get_preset("ex2")  # a velocity datum with breakpoints
+    b, plan = hum_rhs(L, data.y0, data.y1, data.data_breakpoints()), lattice_plan(L, 2.0)
+    for region in (SmoothedTube.around(0.25, 2.0, 0.15), IndicatorRegion(chevron)):
+        sol = hum_control(region, b, plan=plan)
+        z, res = solve_hum(assemble_gram(region, L, plan=plan), b)
+        assert sol.level == (len(b) + 1) // 2 == L
+        assert np.array_equal(sol.z, z) and (sol.residual, sol.cost) == (res, float(b @ z))
+        ref = datum_from_coefficients(L, z)
+        assert np.array_equal(sol.data.alpha, ref.alpha) and np.array_equal(sol.data.beta, ref.beta)
+
+
+def test_hum_control_refuses_a_right_hand_side_of_even_length():
+    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    for b in (np.zeros(0), np.ones(16), hum_rhs(8, EX1.y0)[1:]):
+        with pytest.raises(ValueError, match="2L - 1 entries"):
+            hum_control(tube, b)
 
 
 @pytest.mark.parametrize("kind", ["tube", "indicator"])
@@ -434,7 +456,7 @@ def test_a_lattice_plan_for_another_level_or_horizon_is_refused(chevron, kind):
         with pytest.raises(ValueError, match="lattice plan"):
             assemble_gram(region, 8, plan=plan)
         with pytest.raises(ValueError, match="lattice plan"):
-            hum_control(region, 8, EX1.y0, plan=plan)
+            hum_control(region, hum_rhs(8, EX1.y0), plan=plan)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 32, 64, 128])
@@ -546,7 +568,7 @@ def test_gram_requires_integer_time_cells():
 def test_zero_data_gives_zero_control():
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    sol = hum_control(tube, 8, zero)
+    sol = hum_control(tube, hum_rhs(8, zero))
     assert np.all(sol.z == 0.0)
     assert sol.cost == 0.0
     assert forward_verify(sol, zero)["ratio"] == 0.0
@@ -554,7 +576,7 @@ def test_zero_data_gives_zero_control():
 
 def test_reference_cylinder_cost():
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
-    sol = hum_control(tube, 32, EX1.y0)
+    sol = hum_control(tube, hum_rhs(32, EX1.y0))
     assert sol.cost == pytest.approx(46.94, rel=0.10)
     assert sol.residual <= 1e-10
     assert sol.cost >= 0.0
@@ -587,7 +609,7 @@ def test_optimality_against_random_test_data(rng):
 def test_control_density_is_weighted_basis_sum(rng):
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
     L = 8
-    sol = hum_control(tube, L, EX1.y0)
+    sol = hum_control(tube, hum_rhs(L, EX1.y0))
     x = rng.uniform(0, 1, 100)
     t = rng.uniform(0, 2, 100)
     direct = np.zeros(100)
@@ -661,7 +683,7 @@ def test_terminal_ratio_decreases_with_level():
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
     ratios = []
     for L in (8, 16, 32):
-        sol = hum_control(tube, L, EX1.y0)
+        sol = hum_control(tube, hum_rhs(L, EX1.y0))
         ratios.append(forward_verify(sol, EX1.y0)["ratio"])
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 0.1
@@ -683,8 +705,8 @@ def _per_step_leapfrog(m, T, y0, beta, forcing):
 
 
 def test_blocked_forcing_is_bitwise_per_step_forcing(chevron, rng):
-    tube = hum_control(SmoothedTube.around(0.25, 2.0, 0.15), 8, EX1.y0)
-    sharp = hum_control(IndicatorRegion(chevron), 8, EX1.y0)
+    tube = hum_control(SmoothedTube.around(0.25, 2.0, 0.15), hum_rhs(8, EX1.y0))
+    sharp = hum_control(IndicatorRegion(chevron), hum_rhs(8, EX1.y0))
     forcings = {
         "tube": lambda x, t: control_density(tube, x, t),
         "chevron": lambda x, t: control_density(sharp, x, t),
@@ -739,7 +761,7 @@ def _node_forcing(seen, m):
 def test_forcing_is_bitwise_the_control_density_at_power_of_two_grids(chevron, preset, L, m):
     data = get_preset(preset)
     for name, region in _forcing_regions(chevron).items():
-        sol = hum_control(region, L, data.y0, data.y1, data.data_breakpoints())
+        sol = hum_control(region, hum_rhs(L, data.y0, data.y1, data.data_breakpoints()))
         f, x, t = _node_forcing(_verify_run(sol, data, m), m)
         want = control_density(sol, x, t)
         assert np.array_equal(f.view(np.int64), want.view(np.int64)), (name, preset, L, m)
@@ -751,7 +773,7 @@ def test_forcing_is_bitwise_the_control_density_at_power_of_two_grids(chevron, p
 def test_forcing_is_the_control_density_to_roundoff_off_powers_of_two(chevron, preset, L, m):
     data = get_preset(preset)
     for name, region in _forcing_regions(chevron).items():
-        sol = hum_control(region, L, data.y0, data.y1, data.data_breakpoints())
+        sol = hum_control(region, hum_rhs(L, data.y0, data.y1, data.data_breakpoints()))
         f, x, t = _node_forcing(_verify_run(sol, data, m), m)
         scale = np.max(np.abs(eval_phi(sol.data, x, t)))
         assert np.max(np.abs(f - control_density(sol, x, t))) <= 1e-14 * scale, (name, L, m)
@@ -762,7 +784,7 @@ def test_forward_run_is_the_eval_phi_forcing_run(chevron, L):
     for preset in ("ex1", "ex2"):
         data = get_preset(preset)
         for name, region in _forcing_regions(chevron).items():
-            sol = hum_control(region, L, data.y0, data.y1, data.data_breakpoints())
+            sol = hum_control(region, hum_rhs(L, data.y0, data.y1, data.data_breakpoints()))
             seen = _verify_run(sol, data, 4 * L)
             Y = leapfrog_solve(*seen["args"][:-1], eval_phi_forcing(sol))
             assert np.array_equal(seen["Y"], Y), (name, preset, L)
@@ -770,7 +792,7 @@ def test_forward_run_is_the_eval_phi_forcing_run(chevron, L):
 
 def test_forward_grid_validation():
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
-    sol = hum_control(tube, 8, EX1.y0)
+    sol = hum_control(tube, hum_rhs(8, EX1.y0))
     with pytest.raises(ValueError):
         forward_verify(sol, EX1.y0, grid_m=12)
 
@@ -787,7 +809,7 @@ def test_cost_never_increases_when_domain_grows():
     costs = []
     for squares in (chev, mid, slab):
         region = IndicatorRegion(SquareUnion(4, squares, 2))
-        costs.append(hum_control(region, 8, EX1.y0).cost)
+        costs.append(hum_control(region, hum_rhs(8, EX1.y0)).cost)
     assert costs[0] >= costs[1] >= costs[2]
 
 
@@ -825,8 +847,8 @@ def _poly_datum(coefs, scale=1.0, mirror=False):
 )
 def test_cost_is_quadratic_in_the_data(coefs, c, x0, L):
     region = SmoothedTube.around(x0, 2.0, 0.15)
-    J = hum_control(region, L, *_poly_datum(coefs)).cost
-    Jc = hum_control(region, L, *_poly_datum(coefs, scale=c)).cost
+    J = hum_control(region, hum_rhs(L, *_poly_datum(coefs))).cost
+    Jc = hum_control(region, hum_rhs(L, *_poly_datum(coefs, scale=c))).cost
     assert Jc == pytest.approx(c * c * J, rel=1e-9)
 
 
@@ -847,8 +869,8 @@ def test_cost_is_invariant_under_the_mirror(coefs, x0, levels):
         cover = squares_in_domain(Cylinder(x0=x, delta0=Fraction(1, 4), T=2), n)
         return IndicatorRegion(SquareUnion(level=n, squares=cover, T=2))
 
-    J = hum_control(cylinder(x0), n * p, *_poly_datum(coefs)).cost
-    Jm = hum_control(cylinder(1 - x0), n * p, *_poly_datum(coefs, mirror=True)).cost
+    J = hum_control(cylinder(x0), hum_rhs(n * p, *_poly_datum(coefs))).cost
+    Jm = hum_control(cylinder(1 - x0), hum_rhs(n * p, *_poly_datum(coefs, mirror=True))).cost
     assert Jm == pytest.approx(J, rel=1e-9)
 
 
@@ -873,6 +895,6 @@ def test_cost_does_not_decrease_from_level_to_twice_the_level(coefs, seed, level
     def y1(x):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
 
-    J = hum_control(region, n * p, y0, y1).cost
-    J2 = hum_control(region, 2 * n * p, y0, y1).cost
+    J = hum_control(region, hum_rhs(n * p, y0, y1)).cost
+    J2 = hum_control(region, hum_rhs(2 * n * p, y0, y1)).cost
     assert J2 >= J * (1.0 - 1e-12)

@@ -12,6 +12,7 @@ from waveobs.hum import (
     WeightProfile,
     datum_from_coefficients,
     hum_control,
+    hum_rhs,
 )
 from waveobs.presets import get_preset
 from waveobs.shape import (
@@ -49,7 +50,7 @@ def test_constant_curve_has_no_penalty():
     c = Curve.constant(0.3, 2.0, 16)
     assert c.h1_seminorm_sq() == 0.0
     tube = SmoothedTube(c, WeightProfile(0.15))
-    sol = hum_control(tube, 8, EX1.y0)
+    sol = hum_control(tube, hum_rhs(8, EX1.y0))
     for eps in (0.0, 1e-2):
         assert sol.cost + 0.5 * eps * c.h1_seminorm_sq() == sol.cost
 
@@ -85,7 +86,7 @@ def test_symmetric_state_gives_zero_density():
     # the sawtooth datum is odd about x = 1/2, so phi^2 is even about the
     # centered tube's axis and the odd weight derivative integrates to zero
     tube = SmoothedTube.around(0.5, 2.0, 0.15)
-    sol = hum_control(tube, 32, EX4.y0, breakpoints=EX4.data_breakpoints())
+    sol = hum_control(tube, hum_rhs(32, EX4.y0, breakpoints=EX4.data_breakpoints()))
     j = shape_derivative_density(sol)
     # the density's natural magnitude is ~cost/delta; the leftover asymmetry
     # is roundoff in the Gram and its solve, orders of magnitude below it
@@ -103,16 +104,12 @@ def test_directional_derivative_matches_finite_differences():
         bar += rng.standard_normal() / k * np.sin(np.pi * k * times / 2.0)
         bar += rng.standard_normal() / k * np.cos(np.pi * k * times / 2.0)
     bar /= np.max(np.abs(bar))
-    prof = WeightProfile(0.15)
-    sol = hum_control(SmoothedTube(curve, prof), L, EX1.y0)
+    prof, b = WeightProfile(0.15), hum_rhs(L, EX1.y0)
+    sol = hum_control(SmoothedTube(curve, prof), b)
     pairing = pair_with_density(curve, shape_derivative_density(sol), bar)
     for eta in (1e-3, 1e-4):
-        up = hum_control(
-            SmoothedTube(curve.with_values(curve.values + eta * bar), prof), L, EX1.y0
-        ).cost
-        dn = hum_control(
-            SmoothedTube(curve.with_values(curve.values - eta * bar), prof), L, EX1.y0
-        ).cost
+        up = hum_control(SmoothedTube(curve.with_values(curve.values + eta * bar), prof), b).cost
+        dn = hum_control(SmoothedTube(curve.with_values(curve.values - eta * bar), prof), b).cost
         fd = (up - dn) / (2 * eta)
         assert abs(fd - pairing) <= 1e-2 * abs(fd)
 
@@ -314,6 +311,32 @@ def test_cylindrical_sweep_builds_one_lattice_plan(monkeypatch, T):
     sw = cylindrical_sweep(EX1.y0, 0.15, 8, T)
     assert sw.costs.size == 13
     assert built == [(8, T)]
+
+
+def _count_rhs(monkeypatch):
+    """Count the right-hand sides built through either module's binding of hum_rhs."""
+    import waveobs.hum
+    import waveobs.shape
+
+    built, build = [], waveobs.hum.hum_rhs
+
+    def counting(level, *args, **kwargs):
+        built.append(level)
+        return build(level, *args, **kwargs)
+
+    monkeypatch.setattr(waveobs.hum, "hum_rhs", counting)
+    monkeypatch.setattr(waveobs.shape, "hum_rhs", counting, raising=False)
+    return built
+
+
+def test_optimize_and_cylindrical_sweep_each_build_one_right_hand_side(monkeypatch):
+    built = _count_rhs(monkeypatch)
+    args = dict(y1=EX2.y1, breakpoints=EX2.data_breakpoints())
+    trace = optimize(EX2.y0, Curve.constant(0.4, 2.0, 32), 0.15, 8, rho=1e-3, max_iters=4,
+                     patience=100, **args)
+    assert trace.iterations == 4 and built == [8]
+    sw = cylindrical_sweep(EX2.y0, 0.15, 8, 2.0, **args)
+    assert sw.costs.size == 13 and built == [8, 8]
 
 
 def test_sweep_single_point():
