@@ -317,9 +317,6 @@ def _resolve_region(config, T, levels, key):
     if isinstance(domain, SquareUnion):
         _check_refines(domain, levels, key)
         return IndicatorRegion(domain)
-    if domain.t_lo != 0 or domain.t_hi != domain.T:
-        raise UsageError("the smoothed weight of a cylinder or curve_tube has no time "
-                         "window: drop 't_lo'/'t_hi' or give a square_union domain")
     profile = _weight_profile(float(domain.delta0), config["delta"])
     if isinstance(domain, Cylinder):
         return SmoothedTube(Curve.constant(float(domain.x0), float(domain.T)), profile)
@@ -356,10 +353,14 @@ def _check_grid(T, level, m=None, level_key="level", grid_key="grid_m"):
 def _graph_constant(config):
     """Graph observability constant of the config's domain at 'level' or 'eps'."""
     from waveobs.graph import observability_constant_graph
+    from waveobs.grid import SquareUnion
 
     if config["level"] is not None and config["eps"] is not None:
         raise UsageError("give either 'level' or 'eps', not both")
     domain = _resolve_domain(config["domain"])
+    if config["level"] is None and config["eps"] is None and not isinstance(domain, SquareUnion):
+        raise UsageError(f"a {type(domain).__name__} has no level of its own: "
+                         "give 'level' or 'eps'")
     return observability_constant_graph(domain, eps=config["eps"], level=config["level"])
 
 

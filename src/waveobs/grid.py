@@ -22,7 +22,8 @@ in floats).
 
 The module also defines the three supported space-time observation-domain
 variants (axis square unions, tubes around a moving curve, and cylinders),
-their square covers and the epsilon-interiors of cylinders and tubes.
+their square covers and their JSON parsing.  Only a square union carries a
+time window (``t_lo``, ``t_hi``); cylinders and tubes span (0, T).
 Whether a square-aligned domain observes is decided exactly by the
 connectivity of its observation graph (see :mod:`waveobs.graph`).
 """
@@ -45,9 +46,7 @@ __all__ = [
     "squares_in_time_slab",
     "cover_cells",
     "squares_in_domain",
-    "epsilon_interior",
     "domain_from_json",
-    "domain_to_json",
 ]
 
 
@@ -206,20 +205,16 @@ class SquareUnion:
 
 @dataclass
 class Cylinder:
-    """Cylindrical domain (x0 - delta0, x0 + delta0) x (t_lo, t_hi)."""
+    """Cylindrical domain (x0 - delta0, x0 + delta0) x (0, T)."""
 
     x0: Fraction
     delta0: Fraction
     T: Fraction
-    t_lo: Fraction = field(default=Fraction(0))
-    t_hi: Fraction = None
 
     def __post_init__(self):
         self.x0 = _fraction(self.x0)
         self.delta0 = _fraction(self.delta0)
         self.T = _fraction(self.T)
-        self.t_lo = _fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
         if not (self.delta0 <= self.x0 <= 1 - self.delta0):
             raise ValueError(
                 f"cylinder must satisfy delta0 <= x0 <= 1 - delta0, "
@@ -227,31 +222,18 @@ class Cylinder:
             )
 
     def is_empty(self):
-        return self.delta0 <= 0 or self.t_hi <= self.t_lo
-
-    def contains(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return (
-            (np.abs(x - float(self.x0)) < float(self.delta0))
-            & (t > float(self.t_lo))
-            & (t < float(self.t_hi))
-        )
+        return self.delta0 <= 0
 
 
 @dataclass
 class CurveTube:
-    """Moving domain {(x, t) : |x - gamma(t)| < delta0, t_lo < t < t_hi}."""
+    """Moving domain {(x, t) : |x - gamma(t)| < delta0, 0 < t < T}."""
 
     curve: Curve
     delta0: Fraction
-    t_lo: Fraction = field(default=Fraction(0))
-    t_hi: Fraction = None  # defaults to T
 
     def __post_init__(self):
         self.delta0 = _fraction(self.delta0)
-        self.t_lo = _fraction(self.t_lo)
-        self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
         d0 = float(self.delta0)
         vals = self.curve.values
         if np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
@@ -262,16 +244,7 @@ class CurveTube:
         return _fraction(self.curve.times[-1])
 
     def is_empty(self):
-        return self.delta0 <= 0 or self.t_hi <= self.t_lo
-
-    def contains(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return (
-            (np.abs(x - self.curve(t)) < float(self.delta0))
-            & (t > float(self.t_lo))
-            & (t < float(self.t_hi))
-        )
+        return self.delta0 <= 0
 
 
 def _pack_keys(i, j):
@@ -395,33 +368,32 @@ def _union_cover(domain, n, d_lo, d_hi):
 def cover_cells(domain, n):
     """Lattice cells (a, b) of the level-n squares whose open interior lies in the domain.
 
-    Covers run in integer lattice units: the domain's time window, slab
-    height and cylinder edges become integer thresholds once per call
-    (``Fraction`` appears only there), and every per-square test is
+    Covers run in integer lattice units: a square union's time window, the
+    slab height and the cylinder edges become integer thresholds once per
+    call (``Fraction`` appears only there), and every per-square test is
     integer arithmetic.  For a :class:`SquareUnion` a square is kept when
-    the stored squares cover it; for cylinders the test is the exact corner
-    test; for tubes it is edge-exact for the piecewise-affine centerline.
-    Every domain honours its ``t_lo``/``t_hi`` window.  Returns two int64
+    the stored squares cover it and it lies in the ``t_lo``/``t_hi``
+    window; for cylinders the test is the exact corner test; for tubes it
+    is edge-exact for the piecewise-affine centerline.  Returns two int64
     arrays (empty for an empty cover), in no particular order.
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
     if domain.is_empty():
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
-    d_lo = math.ceil(2 * n * domain.t_lo) + 1
-    d_hi = math.floor(2 * n * domain.t_hi) - 1
     if isinstance(domain, SquareUnion):
+        # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
+        d_lo = math.ceil(2 * n * domain.t_lo) + 1
+        d_hi = math.floor(2 * n * domain.t_hi) - 1
         return _union_cover(domain, n, d_lo, d_hi)
-    # moving domains: cells inside the slab and the time window
-    slab = _slab_bounds(n, domain.T)
-    d_lo, d_hi = max(d_lo, slab[0]), min(d_hi, slab[1])
+    # moving domains: cells inside the slab (0,1) x (0,T)
+    d_lo, d_hi, s_lo, s_hi = _slab_bounds(n, domain.T)
     if isinstance(domain, Cylinder):
         # all four corners within delta0 of x0: the extreme ones sit at x = s/(2n), (s+2)/(2n)
         s_lo = math.ceil(2 * n * (domain.x0 - domain.delta0))
         s_hi = math.floor(2 * n * (domain.x0 + domain.delta0)) - 2
         return _slab_cells(d_lo, d_hi, s_lo, s_hi)
-    a, b = _slab_cells(d_lo, d_hi, *slab[2:])
+    a, b = _slab_cells(d_lo, d_hi, s_lo, s_hi)
     keep = _square_in_tube(a, b, n, domain)
     return a[keep], b[keep]
 
@@ -440,89 +412,17 @@ def squares_in_domain(domain, n):
     return _index_pairs(*cover_cells(domain, n))
 
 
-def epsilon_interior(domain, eps):
-    """The subset of the domain at distance > eps from its boundary.
-
-    Cylinders shrink exactly; tubes use the analytic inner approximation
-    (half-width delta0/2 tube restricted to eps < t < T - eps, valid for
-    eps below delta0 / (2 sqrt(M^2 + 1)) with M the Lipschitz estimate).
-    Square unions are unsupported (``TypeError``) unless empty.  An empty
-    result is returned as an empty :class:`SquareUnion`, not an error.
-    """
-    eps = _fraction(eps)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {float(eps)}")
-    T = _fraction(domain.T)
-    empty = SquareUnion(level=1, squares=frozenset(), T=T)
-    if domain.is_empty():
-        return empty
-    if isinstance(domain, Cylinder):
-        if domain.delta0 - eps <= 0 or T - 2 * eps <= 0:
-            return empty
-        inner = Cylinder(domain.x0, domain.delta0 - eps, T, t_lo=eps, t_hi=T - eps)
-        return empty if inner.is_empty() else inner
-    if isinstance(domain, CurveTube):
-        M = domain.curve.lipschitz_estimate()
-        margin = float(domain.delta0) / (2.0 * math.sqrt(M * M + 1.0))
-        if float(eps) > margin or T - 2 * eps <= 0:
-            return empty
-        return CurveTube(domain.curve, domain.delta0 / 2, t_lo=eps, t_hi=T - eps)
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# JSON (de)serialization
+# JSON parsing
 # ---------------------------------------------------------------------------
-
-
-def domain_to_json(domain):
-    """Serialize a domain to the documented JSON dict.
-
-    The time window is written as ``t_lo``/``t_hi`` only where it differs from
-    (0, T), so full-window documents carry no window keys.
-    """
-    if isinstance(domain, SquareUnion):
-        doc = {
-            "type": "square_union",
-            "T": _num(domain.T),
-            "level": domain.level,
-            "squares": [list(ij) for ij in sorted(domain.squares)],
-        }
-    elif isinstance(domain, Cylinder):
-        doc = {
-            "type": "cylinder",
-            "T": _num(domain.T),
-            "x0": _num(domain.x0),
-            "delta0": _num(domain.delta0),
-        }
-    elif isinstance(domain, CurveTube):
-        doc = {
-            "type": "curve_tube",
-            "T": domain.curve.T,
-            "delta0": _num(domain.delta0),
-            "curve": {
-                "times": [float(t) for t in domain.curve.times],
-                "values": [float(v) for v in domain.curve.values],
-            },
-        }
-    else:
-        raise TypeError(f"unsupported domain type {type(domain).__name__}")
-    if domain.t_lo != 0:
-        doc["t_lo"] = _num(domain.t_lo)
-    if domain.t_hi != domain.T:
-        doc["t_hi"] = _num(domain.t_hi)
-    return doc
-
-
-def _num(fr):
-    """Fraction to int when exact, else float (for JSON round-trips)."""
-    return int(fr) if fr.denominator == 1 else float(fr)
 
 
 def domain_from_json(doc):
-    """Build a domain from its JSON dict (see :func:`domain_to_json`).
+    """Build a domain from its JSON dict (the documents in the README).
 
-    The optional ``t_lo``/``t_hi`` keys give the time window (default (0, T)).
+    Only a ``square_union`` takes the optional ``t_lo``/``t_hi`` keys (its
+    time window, default (0, T)); on the other types they raise.  A
+    ``curve_tube``'s optional ``T`` must be its curve's horizon.
     """
     try:
         kind = doc["type"]
@@ -536,9 +436,15 @@ def domain_from_json(doc):
             T=doc["T"],
             **window,
         )
+    if kind in ("cylinder", "curve_tube") and window:
+        raise ValueError(f"a {kind} has no time window: drop 't_lo'/'t_hi' "
+                         "or give a square_union domain")
     if kind == "cylinder":
-        return Cylinder(x0=doc["x0"], delta0=doc["delta0"], T=doc["T"], **window)
+        return Cylinder(x0=doc["x0"], delta0=doc["delta0"], T=doc["T"])
     if kind == "curve_tube":
         curve = Curve(doc["curve"]["times"], doc["curve"]["values"])
-        return CurveTube(curve=curve, delta0=doc["delta0"], **window)
+        T = float(_fraction(doc.get("T", curve.T)))
+        if abs(T - curve.T) > 1e-12:
+            raise ValueError(f"curve_tube T={T} does not match its curve's horizon {curve.T}")
+        return CurveTube(curve=curve, delta0=doc["delta0"])
     raise ValueError(f"unknown domain type {kind!r}")

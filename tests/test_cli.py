@@ -428,6 +428,19 @@ BAD_CONFIGS = [
     ("verify", {"domain": {"type": "curve_tube", "t_hi": 1.5, "delta0": 0.15,
                            "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
      "drop 't_lo'/'t_hi'"),
+    *[(command, {"domain": domain, "level": 8}, "drop 't_lo'/'t_hi'")
+      for command in ("graph-cobs", "spectrum", "power-cobs")
+      for domain in ({"type": "cylinder", "t_lo": 0.5, "x0": 0.25, "delta0": 0.15, "T": 2},
+                     {"type": "curve_tube", "t_hi": 1.5, "delta0": 0.15,
+                      "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}})],
+    ("graph-cobs", {"domain": {"type": "curve_tube", "T": 3, "delta0": 0.15,
+                               "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}},
+                    "level": 8}, "curve_tube T=3.0 does not match its curve's horizon 2.0"),
+    ("graph-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
+     "a Cylinder has no level of its own: give 'level' or 'eps'"),
+    ("spectrum", {"domain": {"type": "curve_tube", "delta0": 0.15,
+                             "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
+     "a CurveTube has no level of its own: give 'level' or 'eps'"),
     ("power-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
      "power-cobs needs a square_union domain, got Cylinder"),
     ("power-cobs", {"domain": {"type": "curve_tube", "delta0": 0.15,

@@ -1,4 +1,4 @@
-"""Characteristic lattice: folding, squares, domains, covers, interiors."""
+"""Characteristic lattice: folding, squares, domains, covers, JSON documents."""
 
 import json
 import math
@@ -18,8 +18,6 @@ from waveobs.grid import (
     SquareUnion,
     cover_cells,
     domain_from_json,
-    domain_to_json,
-    epsilon_interior,
     squares_in_domain,
     squares_in_time_slab,
     table_positions,
@@ -241,10 +239,9 @@ def test_squares_in_domain_returns_a_frozenset(chevron):
         SquareUnion(chevron.level, chevron.squares, chevron.T, 0.3, 1.7),
         cylinder,
         tube,
-        epsilon_interior(tube, 0.05),
-        epsilon_interior(cylinder, 0.2),  # empty
         SquareUnion(level=1, squares=frozenset(), T=2),
         Cylinder(x0=0.5, delta0=0, T=2),
+        CurveTube(tube.curve, delta0=0),
     ]
     for domain in domains:
         for n in (1, 4, 8):
@@ -354,10 +351,9 @@ def _oracle_cover(domain, n):
     out = set()
     for ij in candidates:
         (ulo, uhi), (vlo, vhi) = interval_bounds(ij[0], n), interval_bounds(ij[1], n)
-        if (ulo - vhi) / 2 < domain.t_lo or (uhi - vlo) / 2 > domain.t_hi:
-            continue
         if isinstance(domain, SquareUnion):
-            keep = _rect_covered((ulo, uhi), (vlo, vhi), rects)
+            in_window = domain.t_lo <= (ulo - vhi) / 2 and (uhi - vlo) / 2 <= domain.t_hi
+            keep = in_window and _rect_covered((ulo, uhi), (vlo, vhi), rects)
         elif not _in_closed_strip(ij, n, T):
             keep = False
         elif isinstance(domain, Cylinder):
@@ -390,11 +386,9 @@ def test_windowed_chevron_covers_match_the_rational_overlay(chevron):
 def test_cylinder_covers_match_the_corner_test():
     # binary-float parameters: 2n(x0 - delta0) is never an integer here
     cylinder = Cylinder(x0=0.25, delta0=0.15, T=2)
-    inner = epsilon_interior(cylinder, 0.05)  # a time window (0.05, 1.95)
-    for domain in (cylinder, inner):
-        for n in (8, 16, 33):
-            cover = squares_in_domain(domain, n)
-            assert cover and cover == _oracle_cover(domain, n), (domain, n)
+    for n in (8, 16, 33):
+        cover = squares_in_domain(cylinder, n)
+        assert cover and cover == _oracle_cover(cylinder, n), n
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])
@@ -409,16 +403,15 @@ def test_tube_covers_match_the_edge_test(n):
 
 def test_inner_squares_cover_the_eroded_cylinder(rng):
     # the level-8 square family of the cylinder (5/16, 11/16) x (0, 2)
-    # contains its 0.15-interior
+    # contains its 0.15-interior (0.4625, 0.5375) x (0.15, 1.85)
     domain = Cylinder(x0=0.5, delta0=Fraction(3, 16), T=2)
     family = squares_in_domain(domain, 8)
     bounds = {
         ij: (interval_bounds(ij[0], 8), interval_bounds(ij[1], 8)) for ij in family
     }
-    inner = epsilon_interior(domain, 0.15)
     x = rng.uniform(0, 1, 2000)
     t = rng.uniform(0, 2, 2000)
-    keep = inner.contains(x, t)
+    keep = (np.abs(x - 0.5) < 3 / 16 - 0.15) & (t > 0.15) & (t < 2 - 0.15)
     assert keep.sum() > 50
     for xi, ti in zip(x[keep], t[keep]):
         u, v = xi + ti, xi - ti
@@ -444,62 +437,6 @@ def test_square_union_contains_matches_corners(chevron, rng):
             for cs in corner_sets.values()
         )
         assert bool(flag) == geometric
-
-
-def test_cylinder_and_tube_contains():
-    cyl = Cylinder(x0=0.5, delta0=0.1, T=1)
-    assert cyl.contains(0.45, 0.5) and not cyl.contains(0.39, 0.5)
-    assert not cyl.contains(0.5, 1.5)
-    curve = Curve(np.linspace(0, 1, 11), np.linspace(0.3, 0.7, 11))
-    tube = CurveTube(curve=curve, delta0=0.1)
-    # the tube is open in time: nothing at t = 0 or t = T
-    assert not tube.contains(0.3, 0.0) and not tube.contains(0.7, 1.0)
-    assert tube.contains(0.32, 0.05) and not tube.contains(0.65, 0.05)
-    assert tube.contains(0.68, 0.95) and not tube.contains(0.32, 0.95)
-    assert tube.contains(0.5, 0.5) and not tube.contains(0.35, 0.5)
-
-
-def test_epsilon_interior_is_contained_and_covered(rng):
-    domain = Cylinder(x0=0.5, delta0=Fraction(3, 16), T=2)
-    inner = epsilon_interior(domain, 0.15)
-    x = rng.uniform(0, 1, 300)
-    t = rng.uniform(0, 2, 300)
-    inside = inner.contains(x, t)
-    assert inside.any()
-    assert np.all(domain.contains(x[inside], t[inside]))
-    # at level 8 the eroded cylinder is too thin to hold any whole square;
-    # at level 32 its square family is nonempty and sits inside the original
-    assert squares_in_domain(inner, 8) == set()
-    fine = squares_in_domain(inner, 32)
-    assert fine
-    for ij in fine:
-        for cx, ct in square_corners(ij, 32):
-            tt = min(max(float(ct), 1e-12), 2.0 - 1e-12)
-            assert domain.contains(float(cx), tt)
-
-
-@pytest.mark.parametrize("moving", [False, True])
-def test_tube_interior_cover_lies_in_the_tube_cover_and_window(moving):
-    times = np.linspace(0.0, 2.0, 33)
-    values = 0.5 + (0.05 * np.sin(np.pi * times) if moving else 0.0 * times)
-    tube = CurveTube(curve=Curve(times, values), delta0=0.15)
-    eps = Fraction(1, 20)
-    inner = epsilon_interior(tube, eps)
-    assert (inner.t_lo, inner.t_hi) == (eps, tube.T - eps)
-    n = 16
-    cover = squares_in_domain(inner, n)
-    assert cover and cover <= squares_in_domain(tube, n)
-    assert cover == _oracle_cover(inner, n)
-    for ij in cover:
-        ts = [ct for _, ct in square_corners(ij, n)]  # the closed square's times
-        assert eps <= min(ts) and max(ts) <= tube.T - eps, ij
-
-
-def test_epsilon_interior_empty_when_eps_large():
-    inner = epsilon_interior(Cylinder(x0=0.5, delta0=0.1, T=1), 0.3)
-    assert inner.is_empty()
-    with pytest.raises(TypeError, match="unsupported domain type SquareUnion"):
-        epsilon_interior(SquareUnion(level=2, squares={(2, 1)}, T=1), 0.1)
 
 
 # --------------------------------------------------------------------- curve
@@ -528,49 +465,41 @@ def test_curve_validation():
 # ----------------------------------------------------------------------- io
 
 
-def test_domain_json_roundtrip(chevron):
-    for domain in [
-        chevron,
-        Cylinder(x0=0.25, delta0=0.15, T=2),
-        CurveTube(curve=Curve.constant(0.3, 2.0, 17), delta0=0.1),
-    ]:
-        doc = domain_to_json(domain)
-        back = domain_from_json(doc)
-        assert domain_to_json(back) == doc
-        x = np.linspace(0, 1, 37)
-        t = np.linspace(0, float(domain.T), 23)
-        X, Tt = np.meshgrid(x, t)
-        assert np.array_equal(
-            domain.contains(X.ravel(), Tt.ravel()),
-            back.contains(X.ravel(), Tt.ravel()),
-        )
-
-
 def test_domain_json_keeps_the_time_window(chevron):
-    tube = CurveTube(curve=Curve.constant(0.5, 2.0, 33), delta0=0.15)
-    windowed_union = SquareUnion(chevron.level, chevron.squares, chevron.T, 0.3, 1.7)
-    for domain in [
-        epsilon_interior(Cylinder(x0=0.25, delta0=0.15, T=2), 0.05),
-        epsilon_interior(tube, 0.05),
-        windowed_union,
-    ]:
-        doc = domain_to_json(domain)
-        back = domain_from_json(doc)
-        assert domain_to_json(back) == doc
-        window = (float(domain.t_lo), float(domain.t_hi))
-        assert window != (0.0, 2.0)
-        assert (float(back.t_lo), float(back.t_hi)) == window
-        x = np.linspace(0, 1, 37)
-        t = np.r_[0.01, np.linspace(0, 2, 23), 1.99]
-        X, Tt = np.meshgrid(x, t)
-        assert np.array_equal(
-            domain.contains(X.ravel(), Tt.ravel()), back.contains(X.ravel(), Tt.ravel())
-        )
-        for n in (8, 16):
-            assert squares_in_domain(back, n) == squares_in_domain(domain, n)
-    # documents of full-window domains carry no window keys
-    for domain in (chevron, tube, Cylinder(x0=0.25, delta0=0.15, T=2)):
-        assert not {"t_lo", "t_hi"} & set(domain_to_json(domain))
+    squares = [list(ij) for ij in sorted(chevron.squares)]
+    doc = {"type": "square_union", "level": 4, "T": 2, "squares": squares,
+           "t_lo": 0.3, "t_hi": "17/10"}
+    parsed = domain_from_json(doc)
+    window = (Fraction(0.3), Fraction(17, 10))
+    assert (parsed.t_lo, parsed.t_hi) == window
+    assert all(type(t) is Fraction for t in (parsed.t_lo, parsed.t_hi))
+    built = SquareUnion(chevron.level, chevron.squares, chevron.T, *window)
+    assert parsed == built
+    for n in (4, 8, 16):
+        cover = squares_in_domain(parsed, n)
+        assert cover == squares_in_domain(built, n), n
+        assert cover < squares_in_domain(chevron, n), n  # the window drops squares
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "curve_tube"])
+@pytest.mark.parametrize("key", ["t_lo", "t_hi"])
+def test_domain_json_refuses_a_window_on_a_moving_domain(kind, key):
+    doc = {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}
+    if kind == "curve_tube":
+        doc = {"type": kind, "delta0": 0.15, "curve": {"times": [0, 1, 2], "values": [0.4] * 3}}
+    domain_from_json(doc)
+    with pytest.raises(ValueError, match=f"a {kind} has no time window: drop 't_lo'/'t_hi'"):
+        domain_from_json({**doc, key: 0.5})
+
+
+def test_curve_tube_horizon_must_be_its_curves():
+    doc = {"type": "curve_tube", "delta0": 0.15,
+           "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}
+    for T in (2, 2.0, "2", 2 + 1e-13):
+        assert domain_from_json({**doc, "T": T}).T == 2
+    for T in (3, 1.5, 2 + 1e-11):
+        with pytest.raises(ValueError, match="does not match its curve's horizon 2.0"):
+            domain_from_json({**doc, "T": T})
 
 
 def test_readme_domain_examples_parse():
@@ -608,10 +537,10 @@ def _build_domains(value):
     curve = Curve.constant(0.5, 2.0, 4)
     window = {"t_lo": value, "t_hi": value}
     yield SquareUnion(level=1, squares=frozenset(), T=value, **window), ("T", "t_lo", "t_hi")
-    yield Cylinder(x0=0.5, delta0=0.25, T=value, **window), ("T", "t_lo", "t_hi")
-    yield CurveTube(curve=curve, delta0=0.25, **window), ("t_lo", "t_hi")
-    doc = {"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value, **window}
+    doc = {"type": "square_union", "level": 1, "squares": [], "T": value, **window}
     yield domain_from_json(doc), ("T", "t_lo", "t_hi")
+    yield Cylinder(x0=0.5, delta0=0.25, T=value), ("T",)
+    yield domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value}), ("T",)
     if 0 <= as_fraction(value) <= Fraction(1, 2):
         yield Cylinder(x0=0.5, delta0=value, T=2), ("delta0",)
         yield CurveTube(curve=curve, delta0=value), ("delta0",)
@@ -631,22 +560,26 @@ def test_domain_parameters_are_the_exact_rationals_of_the_reference(value):
             assert type(got) is Fraction and got == ref and hash(got) == hash(ref), key
             assert type(got.numerator) is int and type(got.denominator) is int, key
             built += 1
-    assert built >= 11
+    assert built >= 8
 
 
 @pytest.mark.parametrize("scalar", [np.int64, np.uint8, np.float32, np.float64])
 def test_numpy_scalar_parameters_give_the_cover_of_their_python_value(chevron, scalar):
     # a uint8 horizon overflowed in the slab bounds, a float32 one raised TypeError
     keys = ("x0", "delta0", "T", "t_lo", "t_hi")
-    cylinder = {"x0": 0.5, "delta0": 0.25, "T": 2, "t_lo": 0.125}
-    tube = {"curve": Curve.constant(0.5, 2.0, 4), "delta0": 0.25, "t_lo": 0.125}
-    union = {"level": chevron.level, "squares": chevron.squares, "T": 2}
+    cylinder = {"x0": 0.5, "delta0": 0.25, "T": 2}
+    tube = {"curve": Curve.constant(0.5, 2.0, 4), "delta0": 0.25}
+    union = {"level": chevron.level, "squares": chevron.squares, "T": 2, "t_lo": 0.125}
+
+    def union_doc(**given):
+        return domain_from_json({"type": "square_union", **given})
 
     def as_scalars(kind, given):  # each parameter the type holds exactly: ints hold T alone
         return kind(**{k: scalar(v) if k in keys and scalar(v) == v else v
                        for k, v in given.items()})
 
-    for kind, given in ((Cylinder, cylinder), (CurveTube, tube), (SquareUnion, union)):
+    for kind, given in ((Cylinder, cylinder), (CurveTube, tube), (SquareUnion, union),
+                        (union_doc, union)):
         ref, domain = kind(**given), as_scalars(kind, given)
         for key in keys:
             if hasattr(ref, key):
@@ -654,9 +587,6 @@ def test_numpy_scalar_parameters_give_the_cover_of_their_python_value(chevron, s
                 assert got == getattr(ref, key) and type(got.numerator) is int, (kind, key)
         got, want = cover_cells(domain, 128), cover_cells(ref, 128)
         assert all(np.array_equal(x, y) for x, y in zip(got, want)), kind
-    eps = scalar(0.0625) if scalar(0.0625) == 0.0625 else 0.0625
-    inner = epsilon_interior(as_scalars(Cylinder, cylinder), eps)
-    assert inner == epsilon_interior(Cylinder(**cylinder), 0.0625)
 
 
 @pytest.mark.parametrize("value", BAD_PARAMETERS, ids=repr)
@@ -671,12 +601,13 @@ def test_bad_domain_parameters_raise_the_reference_exception(value):
         lambda: SquareUnion(level=1, squares=frozenset(), T=2, t_lo=value),
         lambda: Cylinder(x0=value, delta0=0.25, T=2),
         lambda: Cylinder(x0=0.5, delta0=value, T=2),
-        lambda: Cylinder(x0=0.5, delta0=0.25, T=2, t_lo=value),
         lambda: CurveTube(curve=curve, delta0=value),
-        lambda: CurveTube(curve=curve, delta0=0.25, t_lo=value),
         lambda: domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value}),
         lambda: domain_from_json({"type": "square_union", "level": 1, "squares": [], "T": value}),
+        lambda: domain_from_json({"type": "square_union", "level": 1, "squares": [], "T": 2,
+                                  "t_lo": value}),
         lambda: domain_from_json(tube_doc),
+        lambda: domain_from_json({**tube_doc, "delta0": 0.25, "T": value}),
     ]
     for build in builders:
         with pytest.raises(Exception) as got:
