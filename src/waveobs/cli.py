@@ -388,7 +388,7 @@ def _cmd_spectrum(config, writer, seed):
     matrix = refined_laplacian(gc.graph, p)
     names = [f"v{i}" if p == 1 else f"v{i}s{s}" for i in order for s in range(p)]
     eigenvalues = [_snap(v) for v in spectrum(matrix / p)]
-    writer.write_csv("laplacian.csv", names, matrix.tolist())
+    writer.write_csv("laplacian.csv", names, matrix)
     writer.write_csv(
         "spectrum.csv",
         [f"lambda_{k + 1}" for k in range(len(eigenvalues))],
@@ -529,20 +529,15 @@ def _cmd_optimize(config, writer, seed):
 
     costs = trace.costs
     lips = [c.lipschitz_estimate() for c in trace.curves[: len(costs)]]
-    rows = []
-    for n in range(len(costs)):
-        delta_j = costs[n] - costs[n - 1] if n > 0 else 0.0
-        rows.append([n, costs[n], delta_j, lips[n]])
-    writer.write_csv(
-        "iterations.csv", ["n", "J_eps", "delta_J", "lipschitz_estimate"], rows
-    )
-
-    snap_rows = []  # at most 12 curves, evenly spread, the first and the last included
-    for n in np.unique(np.rint(np.linspace(0, len(trace.curves) - 1, 12)).astype(int)):
-        c = trace.curves[n]
-        for t, g in zip(c.times, c.values):
-            snap_rows.append([n, t, g])
-    writer.write_csv("curve_snapshots.csv", ["iteration", "t", "value"], snap_rows)
+    writer.write_csv("iterations.csv", ["n", "J_eps", "delta_J", "lipschitz_estimate"],
+                     np.column_stack([np.arange(len(costs)), costs,
+                                      np.diff(costs, prepend=costs[0]), lips]))
+    # at most 12 curves, evenly spread, the first and the last included
+    picks = np.unique(np.rint(np.linspace(0, len(trace.curves) - 1, 12)).astype(int))
+    snaps = [trace.curves[n] for n in picks]
+    writer.write_csv("curve_snapshots.csv", ["iteration", "t", "value"], np.column_stack([
+        np.repeat(picks, [len(c.times) for c in snaps]),
+        np.concatenate([c.times for c in snaps]), np.concatenate([c.values for c in snaps])]))
     final = trace.curve
     writer.write_csv(
         "curve_final.csv", ["t", "value"], np.column_stack([final.times, final.values])

@@ -21,7 +21,8 @@ import functools
 
 import numpy as np
 
-from .grid import _square_array, table_positions
+from .graph import build_graph
+from .grid import table_positions
 
 __all__ = [
     "PiecewiseInitialData",
@@ -201,12 +202,13 @@ def eval_phi(data, x, t):
 def l2_phit_on_squares(data, squares, n):
     """Integral of phi_t^2 over a union of level-n squares.
 
-    The data's level L must be a multiple of n; each level-n square splits
-    into (L/n)^2 subsquares on which phi_t is constant, and the integral is
-    the exact area-weighted sum of squares.  The squares' refined positions
-    in the gamma table depend only on (cover, L/n, L), so they are built once
-    per cover and kept in a small cache: repeated checks on one cover cost
-    one gather and three reductions.
+    The data's level L = p n must be a multiple of n.  The integral is the
+    Laplacian form in gamma of the cover's p-fold refined observation graph,
+    over 8 L^2, summed in blocks on the level-n graph of
+    :func:`waveobs.graph.build_graph`: with s and q the row sums of g and g^2
+    for g the gamma table as a (2n, p) array, and d and W the graph's degrees
+    and weights, it is (p (d . q) - s^T W s) / (8 L^2).  The float d and W
+    are built once per (cover, n) and kept in a small read-only cache.
     """
     L = data.level
     if L % n != 0:
@@ -214,31 +216,19 @@ def l2_phit_on_squares(data, squares, n):
             f"data level {L} is not a multiple of the square level {n}"
         )
     p = L // n
-    gu, gv = data._gtab[_cover_positions(frozenset(squares), p, L)]
-    # per square, sum over all subsquare pairs of ((gu - gv)/2)^2
-    per_square = (
-        p * np.einsum("ij,ij->i", gu, gu)
-        + p * np.einsum("ij,ij->i", gv, gv)
-        - 2.0 * gu.sum(axis=1) * gv.sum(axis=1)
-    )
-    return float(per_square.sum()) / (8.0 * L * L)
+    degrees, weights = _cover_graph(frozenset(squares), n)
+    g = data._gtab.reshape(2 * n, p)
+    s, q = g.sum(axis=1), np.einsum("ij,ij->i", g, g)
+    return float(p * (degrees @ q) - s @ (weights @ s)) / (8.0 * L * L)
 
 
 @functools.lru_cache(maxsize=16)
-def _cover_positions(squares, p, L):
-    """Positions in ``_gtab`` of the refined u- and v-indices, each of shape (S, p).
-
-    Row s holds the p level-L indices i refining the u-interval of square s and
-    the p indices -j of its v-interval (S = 0 for an empty cover).  The cached
-    table is read-only, as every caller of one cover shares it.
-    """
-    sq = _square_array(sorted(squares))
-    step = np.arange(p)
-    # a v-row lists -j' for the j' refining j in increasing order, so its cells descend
-    pos = p * table_positions(np.stack([sq[:, 0], -sq[:, 1]]), L // p)[..., None]
-    pos = pos + np.stack([step, step[::-1]])[:, None]
-    pos.flags.writeable = False
-    return pos
+def _cover_graph(squares, n):
+    graph = build_graph(squares, n)  # integer weights: the same floats in any square order
+    tables = graph.degrees.astype(float), graph.weights.astype(float)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def check_discrete_observability(data, squares, n, c_obs):

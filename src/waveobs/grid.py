@@ -23,7 +23,7 @@ in floats).
 The module also defines the three supported space-time observation-domain
 variants (axis square unions, tubes around a moving curve, and cylinders),
 their square covers and their JSON parsing.  Only a square union carries a
-time window (``t_lo``, ``t_hi``); cylinders and tubes span (0, T).
+time window, 0 <= ``t_lo`` < ``t_hi`` <= T; cylinders and tubes span (0, T).
 Whether a square-aligned domain observes is decided exactly by the
 connectivity of its observation graph (see :mod:`waveobs.graph`).
 """
@@ -176,6 +176,9 @@ class SquareUnion:
         self.T = _fraction(self.T)
         self.t_lo = _fraction(self.t_lo)
         self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
+        if not 0 <= self.t_lo < self.t_hi <= self.T:
+            raise ValueError(f"time window needs 0 <= t_lo < t_hi <= T, got t_lo="
+                             f"{float(self.t_lo)}, t_hi={float(self.t_hi)}, T={float(self.T)}")
         # every square at once, on its lattice cells: the slab test of squares_in_time_slab
         a, b = lattice_cells(sq).T
         d_lo, d_hi, s_lo, s_hi = _slab_bounds(self.level, self.T)
@@ -402,9 +405,9 @@ def squares_in_domain(domain, n):
     """Elementary squares at level n whose open interior lies in the domain.
 
     The frozenset of (i, j) index pairs of :func:`cover_cells` (possibly
-    empty), so that per-cover caches such as
-    :func:`waveobs.dalembert.l2_phit_on_squares` can key on it; a square
-    union at its own level and full time window returns its stored set.
+    empty), so that per-cover caches such as the graph cache of
+    :func:`waveobs.dalembert.l2_phit_on_squares` (``_cover_graph``) can key on
+    it; a square union at its own level and full window returns its stored set.
     """
     own_level = isinstance(domain, SquareUnion) and n == domain.level
     if own_level and (domain.t_lo, domain.t_hi) == (0, domain.T):

@@ -466,6 +466,11 @@ BAD_CONFIGS = [
      "invalid gamma0 curve: curve times and values must be finite"),
     ("optimize", {"gamma0": {"constant": float("nan")}},
      "invalid gamma0 curve: curve times and values must be finite"),
+    *[(command, {"domain": {"type": "square_union", "level": 4, "T": 2,
+                            "squares": sorted(CHEVRON_SQUARES), **window}, "level": 8},
+       "0 <= t_lo < t_hi <= T")
+      for command, window in (("graph-cobs", {"t_lo": 1.5, "t_hi": 0.5}), ("hum", {"t_lo": -1}),
+                              ("hum", {"t_hi": 5}))],
     ("verify", {"levels": [8], "obs_samples": 3}, "'obs_samples' needs a square_union domain"),
     ("hum", {"level": 6, "domain": {"fixture": "chevron_l4"}},
      "key 'level' must be a multiple of the domain level (4), got 6"),

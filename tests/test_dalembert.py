@@ -317,7 +317,7 @@ def test_l2_phit_is_the_same_float_for_any_container(chevron, rng):
     squares = sorted(chevron.squares)
     values = []
     for cover in (set(squares), frozenset(squares), squares, squares[::-1]):
-        dalembert._cover_positions.cache_clear()  # each container builds the table
+        dalembert._cover_graph.cache_clear()  # each container builds the graph
         values.append(l2_phit_on_squares(data, cover, 4))
         values.append(l2_phit_on_squares(data, cover, 4))  # cache hit
     assert values == [values[0]] * len(values)
@@ -333,6 +333,29 @@ def test_l2_phit_rejects_zero_indices_and_foreign_levels(rng):
         l2_phit_on_squares(data, [(2, 1)], 3)
     assert l2_phit_on_squares(data, [], 4) == 0.0
     assert l2_phit_on_squares(data, frozenset(), 8) == 0.0
+
+
+def test_l2_phit_rejects_a_self_loop_square(rng):
+    # (1, -1) links fold(1) to itself: no such square lies in the strip
+    data = random_initial_data(rng, 8)
+    for squares in ([(1, -1)], [(2, 1), (1, -1)]):
+        with pytest.raises(ValueError, match="self-loop"):
+            l2_phit_on_squares(data, squares, 4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_l2_phit_is_additive_over_disjoint_covers_and_monotone(level, p, seed):
+    rng = np.random.default_rng(seed)
+    squares = sorted(random_connected_square_domain(rng, level).squares)
+    data = random_initial_data(rng, p * level)
+    keep = rng.random(len(squares)) < 0.5
+    part = [ij for ij, k in zip(squares, keep) if k]
+    rest = [ij for ij, k in zip(squares, keep) if not k]
+    whole = l2_phit_on_squares(data, squares, level)
+    a, b = l2_phit_on_squares(data, part, level), l2_phit_on_squares(data, rest, level)
+    assert a + b == pytest.approx(whole, rel=1e-12)
+    assert 0.0 <= a <= whole * (1 + 1e-12) and 0.0 <= b <= whole * (1 + 1e-12)
 
 
 def test_discrete_observability_random_smoke(chevron, rng):

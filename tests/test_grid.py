@@ -481,6 +481,21 @@ def test_domain_json_keeps_the_time_window(chevron):
         assert cover < squares_in_domain(chevron, n), n  # the window drops squares
 
 
+@pytest.mark.parametrize("window", [{"t_lo": 1.5, "t_hi": 0.5}, {"t_lo": 1, "t_hi": 1},
+                                    {"t_lo": -1}, {"t_hi": 5}, {"t_lo": 2}, {"T": 0},
+                                    {"T": -1, "t_hi": -2}])
+def test_square_union_window_must_lie_in_the_strip(chevron, window):
+    # unchecked, an inverted window gives an empty cover and one past (0, T) is clipped
+    doc = {"type": "square_union", "level": 4, "T": 2, "squares": sorted(chevron.squares)}
+    doc.update(window)
+    for build in (lambda: domain_from_json(doc),
+                  lambda: SquareUnion(**{k: v for k, v in doc.items() if k != "type"})):
+        with pytest.raises(ValueError, match=r"0 <= t_lo < t_hi <= T, got t_lo=.*t_hi=.*T="):
+            build()
+    edges = domain_from_json({**doc, "T": 2, "t_lo": 0, "t_hi": 2})
+    assert squares_in_domain(edges, 4) == chevron.squares  # the closed edges are valid
+
+
 @pytest.mark.parametrize("kind", ["cylinder", "curve_tube"])
 @pytest.mark.parametrize("key", ["t_lo", "t_hi"])
 def test_domain_json_refuses_a_window_on_a_moving_domain(kind, key):
@@ -533,12 +548,15 @@ BAD_PARAMETERS = [None, [1], {}, "abc", math.inf, math.nan, np.float64(math.inf)
 
 def _build_domains(value):
     """Every constructor, and domain_from_json, with ``value`` for each Fraction parameter it
-    can take: the time parameters everywhere, the widths where ``value`` keeps them valid."""
+    can take where ``value`` keeps the domain valid: a square union's window needs
+    0 <= t_lo < t_hi <= T, so its T and t_hi take a positive value and its t_lo, under
+    T = value + 1, a nonnegative one; a cylinder's T takes any value."""
     curve = Curve.constant(0.5, 2.0, 4)
-    window = {"t_lo": value, "t_hi": value}
-    yield SquareUnion(level=1, squares=frozenset(), T=value, **window), ("T", "t_lo", "t_hi")
-    doc = {"type": "square_union", "level": 1, "squares": [], "T": value, **window}
-    yield domain_from_json(doc), ("T", "t_lo", "t_hi")
+    for union in (SquareUnion, lambda **given: domain_from_json({"type": "square_union", **given})):
+        if as_fraction(value) > 0:
+            yield union(level=1, squares=[], T=value, t_hi=value), ("T", "t_hi")
+        if as_fraction(value) >= 0:
+            yield union(level=1, squares=[], T=as_fraction(value) + 1, t_lo=value), ("t_lo",)
     yield Cylinder(x0=0.5, delta0=0.25, T=value), ("T",)
     yield domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value}), ("T",)
     if 0 <= as_fraction(value) <= Fraction(1, 2):
