@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Wires JSON configs to the computational modules and emits machine-readable
-artifacts (CSV/JSON) plus a manifest with content checksums.  One command per
-process; re-running a command with the same config and seed reproduces the
-output files byte for byte.
+artifacts (CSV/JSON) plus a manifest with content checksums.  A command's
+handler returns its result and ``main`` writes it (``summary.json`` for
+``optimize``, ``result.json`` otherwise).  One command per process;
+re-running a command with the same config and seed reproduces the output
+files byte for byte.
 
 ``main`` pins one BLAS/OpenMP thread before numpy is first loaded (hence the
 imports inside the command handlers), so artifacts do not depend on the host.
@@ -366,7 +368,7 @@ def _graph_constant(config):
 
 def _cmd_graph_cobs(config, writer, seed):
     gc = _graph_constant(config)
-    result = {
+    return {
         "c_obs": _snap(gc.c_obs),
         "lambda": _snap(gc.lam),
         "n": gc.n,
@@ -375,17 +377,15 @@ def _cmd_graph_cobs(config, writer, seed):
         "num_squares": len(gc.squares),
         "num_vertices": gc.graph.degrees.size,
     }
-    writer.write_json("result.json", result)
-    return result
 
 
 def _cmd_spectrum(config, writer, seed):
-    from waveobs.graph import refined_laplacian, spectrum
+    from waveobs.graph import laplacian, spectrum
 
     gc = _graph_constant(config)
     n, p = gc.n, config["refine"]
     order = [*range(-n, 0), *range(1, n + 1)]  # the matrix order
-    matrix = refined_laplacian(gc.graph, p)
+    matrix = laplacian(gc.graph, p)
     names = [f"v{i}" if p == 1 else f"v{i}s{s}" for i in order for s in range(p)]
     eigenvalues = [_snap(v) for v in spectrum(matrix / p)]
     writer.write_csv("laplacian.csv", names, matrix)
@@ -394,15 +394,13 @@ def _cmd_spectrum(config, writer, seed):
         [f"lambda_{k + 1}" for k in range(len(eigenvalues))],
         [eigenvalues],
     )
-    result = {
+    return {
         "n": n,
         "refine": p,
         "size": int(matrix.shape[0]),
         "algebraic_connectivity": _snap(gc.lam),
         "spectrum": eigenvalues,
     }
-    writer.write_json("result.json", result)
-    return result
 
 
 def _raster(writer, solution, nx, nt):
@@ -438,7 +436,7 @@ def _cmd_hum(config, writer, seed):
     nx = config["raster_nx"] or level + 1
     nt = config["raster_nt"] or time_cells(data.T, level) + 1
     _raster(writer, solution, nx, nt)
-    result = {
+    return {
         "cost": solution.cost,
         "residual": solution.residual,
         "terminal_ratio": check["ratio"],
@@ -448,12 +446,11 @@ def _cmd_hum(config, writer, seed):
         "T": data.T,
         "data": data.name,
     }
-    writer.write_json("result.json", result)
-    return result
 
 
-def _gamma0_curve(spec, T, n_nodes):
-    from waveobs.grid import Curve
+def _gamma0_curve(spec, T, n_nodes, delta0):
+    """The start curve, inside the band [delta0, 1 - delta0] the descent projects onto."""
+    from waveobs.grid import Curve, CurveTube
 
     if spec is None:
         raise UsageError("optimize needs a 'gamma0' spec")
@@ -461,12 +458,14 @@ def _gamma0_curve(spec, T, n_nodes):
         raise UsageError("'gamma0' must be an object")
     try:
         if "constant" in spec:
-            return Curve.constant(float(spec["constant"]), T, n_nodes)
-        if "times" in spec and "values" in spec:
-            return Curve(spec["times"], spec["values"])
+            curve = Curve.constant(float(spec["constant"]), T, n_nodes)
+        elif "times" in spec and "values" in spec:
+            curve = Curve(spec["times"], spec["values"])
+        else:
+            raise UsageError("'gamma0' needs 'constant' or 'times'+'values'")
+        return CurveTube(curve, delta0).curve
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid gamma0 curve: {exc}")
-    raise UsageError("'gamma0' needs 'constant' or 'times'+'values'")
 
 
 def _sweep(writer, config, data, x0s):
@@ -508,7 +507,7 @@ def _cmd_optimize(config, writer, seed):
     gamma0_spec = config["gamma0"]
     if gamma0_spec is None and data.x0_init is not None:
         gamma0_spec = {"constant": data.x0_init}
-    curve0 = _gamma0_curve(gamma0_spec, T, config["curve_nodes"])
+    curve0 = _gamma0_curve(gamma0_spec, T, config["curve_nodes"], config["delta0"])
     if abs(curve0.T - T) > 1e-12:
         raise UsageError(f"gamma0 horizon {curve0.T} does not match T={T}")
 
@@ -545,7 +544,7 @@ def _cmd_optimize(config, writer, seed):
 
     sweep = _sweep(writer, config, data, np.linspace(0.2, 0.8, config["sweep_count"]))
     j_opt = float(costs[-1])
-    result = {
+    return {
         "data": data.name,
         "T": T,
         "eps_reg": eps,
@@ -564,8 +563,6 @@ def _cmd_optimize(config, writer, seed):
         "sweep_worst_J": sweep.worst_cost,
         "performance_index": performance_index(j_opt, sweep.best_cost),
     }
-    writer.write_json("summary.json", result)
-    return result
 
 
 def _cmd_sweep(config, writer, seed):
@@ -578,7 +575,7 @@ def _cmd_sweep(config, writer, seed):
         raise UsageError("need 0 < x0_min <= x0_max < 1")
     _weight_profile(config["delta0"], config["delta"])
     sweep = _sweep(writer, config, data, np.linspace(x0_min, x0_max, config["count"]))
-    result = {
+    return {
         "data": data.name,
         "T": data.T,
         "level": config["level"],
@@ -587,8 +584,6 @@ def _cmd_sweep(config, writer, seed):
         "worst_x0": sweep.worst_x0,
         "worst_J": sweep.worst_cost,
     }
-    writer.write_json("result.json", result)
-    return result
 
 
 def _cmd_power_cobs(config, writer, seed):
@@ -614,14 +609,12 @@ def _cmd_power_cobs(config, writer, seed):
         ["x", "y0", "y1"],
         np.column_stack([xs, res.vector.y0, res.vector.y1]),
     )
-    result = {
+    return {
         "constant": res.constant,
         "iterations": res.iterations,
         "converged": res.converged,
         "level": config["level"],
     }
-    writer.write_json("result.json", result)
-    return result
 
 
 def _cmd_verify(config, writer, seed):
@@ -685,8 +678,6 @@ def _cmd_verify(config, writer, seed):
             violations += 0 if out["holds"] else 1
         result["obs_samples"] = obs_samples
         result["obs_violations"] = violations
-
-    writer.write_json("result.json", result)
     return result
 
 
@@ -771,6 +762,7 @@ def main(argv=None):
     try:
         config = _config(args.command, _load_config(args.config))
         result = COMMAND_TABLE[args.command][0](config, writer, args.seed)
+        writer.write_json("summary.json" if args.command == "optimize" else "result.json", result)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except Exception as exc:  # computational failure -> structured error

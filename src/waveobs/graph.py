@@ -36,7 +36,6 @@ __all__ = [
     "is_connected",
     "spectrum",
     "algebraic_connectivity",
-    "refined_laplacian",
     "observability_constant_graph",
     "GraphConstant",
 ]
@@ -94,9 +93,19 @@ def build_graph(squares, n):
     return ObsGraph(n=n, weights=np.bincount(edges, minlength=m * m).reshape(m, m))
 
 
-def laplacian(graph):
-    """Dense Laplacian: degrees on the diagonal, minus weights elsewhere."""
-    return np.diag(graph.degrees).astype(float) - graph.weights.astype(float)
+def laplacian(graph, p=1):
+    """Dense Laplacian of the p-fold refined cover, of order 2 p n (p = 1: the graph's own).
+
+    Block form in the refined index order: diagonal blocks d_i * p * I_p and
+    off-diagonal blocks -w_ij * J_p (J_p the all-ones matrix); each parent
+    square splits into p^2 subsquares pairing all refined vertices of its
+    two endpoints.
+    """
+    if p < 1:
+        raise ValueError(f"refinement factor must be >= 1, got {p}")
+    d = graph.degrees.astype(float)
+    w = graph.weights.astype(float)
+    return np.diag(np.repeat(d * p, p)) - np.repeat(np.repeat(w, p, axis=0), p, axis=1)
 
 
 def _connected(adjacency):
@@ -139,21 +148,6 @@ def algebraic_connectivity(lap):
     if not _connected(np.abs(lap) > 1e-12):
         raise GraphDisconnectedError("graph disconnected (GOC violated)")
     return float(spectrum(lap)[1])
-
-
-def refined_laplacian(graph, p):
-    """Laplacian of the p-fold refined cover, of order 2 p n.
-
-    Block form in the refined index order: diagonal blocks d_i * p * I_p and
-    off-diagonal blocks -w_ij * J_p (J_p the all-ones matrix); each parent
-    square splits into p^2 subsquares pairing all refined vertices of its
-    two endpoints.
-    """
-    if p < 1:
-        raise ValueError(f"refinement factor must be >= 1, got {p}")
-    d = graph.degrees.astype(float)
-    w = graph.weights.astype(float)
-    return np.kron(np.diag(d * p), np.eye(p)) - np.kron(w, np.ones((p, p)))
 
 
 @dataclass

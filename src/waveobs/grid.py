@@ -23,7 +23,8 @@ in floats).
 The module also defines the three supported space-time observation-domain
 variants (axis square unions, tubes around a moving curve, and cylinders),
 their square covers and their JSON parsing.  Only a square union carries a
-time window, 0 <= ``t_lo`` < ``t_hi`` <= T; cylinders and tubes span (0, T).
+time window, 0 <= ``t_lo`` < ``t_hi`` <= T; cylinders and tubes span (0, T)
+with a half-width delta0 >= 0.
 Whether a square-aligned domain observes is decided exactly by the
 connectivity of its observation graph (see :mod:`waveobs.graph`).
 """
@@ -172,7 +173,6 @@ class SquareUnion:
         self.level = _level(self.level)
         sq = _square_array(self.squares)
         self.squares = frozenset(zip(*sq.T.tolist()))
-        self._keys = _pack_keys(sq[:, 0], sq[:, 1])  # for contains
         self.T = _fraction(self.T)
         self.t_lo = _fraction(self.t_lo)
         self.t_hi = self.T if self.t_hi is None else _fraction(self.t_hi)
@@ -180,7 +180,8 @@ class SquareUnion:
             raise ValueError(f"time window needs 0 <= t_lo < t_hi <= T, got t_lo="
                              f"{float(self.t_lo)}, t_hi={float(self.t_hi)}, T={float(self.T)}")
         # every square at once, on its lattice cells: the slab test of squares_in_time_slab
-        a, b = lattice_cells(sq).T
+        cells = lattice_cells(sq)
+        a, b = cells.T
         d_lo, d_hi, s_lo, s_hi = _slab_bounds(self.level, self.T)
         outside = (a - b < d_lo) | (a - b > d_hi) | (a + b < s_lo) | (a + b > s_hi)
         if outside.any():
@@ -188,6 +189,12 @@ class SquareUnion:
                 f"square {min(zip(*sq[outside].T.tolist()))} at level {self.level} lies "
                 f"outside the space-time strip (0,1) x (0,{self.T})"
             )
+        # occupancy of the cells over their bounding box (0 x 0 when empty), from _origin
+        self._origin = cells.min(axis=0) if sq.size else np.zeros(2, dtype=np.int64)
+        cells = cells - self._origin
+        self._occupied = np.zeros(cells.max(axis=0, initial=-1) + 1, dtype=bool)
+        self._occupied[tuple(cells.T)] = True
+        self._occupied.flags.writeable = False
 
     def is_empty(self):
         return not self.squares
@@ -197,13 +204,13 @@ class SquareUnion:
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         n = self.level
-        u, v = x + t, x - t
-        ii = _index(np.floor(u * n).astype(np.int64))
-        jj = _index(np.floor(v * n).astype(np.int64))
-        keys = _pack_keys(ii, jj)
-        inside = np.isin(keys, self._keys)
-        win = (t > float(self.t_lo)) & (t < float(self.t_hi))
-        return inside & win
+        a = np.floor((x + t) * n).astype(np.int64) - self._origin[0]
+        b = np.floor((x - t) * n).astype(np.int64) - self._origin[1]
+        rows, cols = self._occupied.shape
+        box = (a >= 0) & (a < rows) & (b >= 0) & (b < cols)
+        inside = np.zeros(np.shape(box), dtype=bool)
+        inside[box] = self._occupied[a[box], b[box]]
+        return inside & (t > float(self.t_lo)) & (t < float(self.t_hi))
 
 
 @dataclass
@@ -218,9 +225,9 @@ class Cylinder:
         self.x0 = _fraction(self.x0)
         self.delta0 = _fraction(self.delta0)
         self.T = _fraction(self.T)
-        if not (self.delta0 <= self.x0 <= 1 - self.delta0):
+        if not (0 <= self.delta0 <= self.x0 <= 1 - self.delta0):
             raise ValueError(
-                f"cylinder must satisfy delta0 <= x0 <= 1 - delta0, "
+                f"cylinder must satisfy 0 <= delta0 <= x0 <= 1 - delta0, "
                 f"got x0={float(self.x0)}, delta0={float(self.delta0)}"
             )
 
@@ -239,8 +246,8 @@ class CurveTube:
         self.delta0 = _fraction(self.delta0)
         d0 = float(self.delta0)
         vals = self.curve.values
-        if np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
-            raise ValueError("tube centerline must satisfy delta0 <= gamma <= 1 - delta0")
+        if self.delta0 < 0 or np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
+            raise ValueError(f"tube needs 0 <= delta0 <= gamma <= 1 - delta0, got delta0={d0}")
 
     @property
     def T(self):
@@ -248,11 +255,6 @@ class CurveTube:
 
     def is_empty(self):
         return self.delta0 <= 0
-
-
-def _pack_keys(i, j):
-    """Injective int64 key for index pairs (|i|,|j| < 2**31)."""
-    return (np.asarray(i, dtype=np.int64) << 32) ^ (np.asarray(j, dtype=np.int64) & 0xFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +344,11 @@ def _union_cover(domain, n, d_lo, d_hi):
     whose interior meets it is stored: in u those are the cells
     c in [floor(a m/n), ceil((a+1) m/n)), and likewise in v.  The stored
     cells are counted over such a block with a summed-area table of the
-    union's bounding box.
+    union's occupancy table.
     """
-    m = domain.level
-    cells = lattice_cells(_square_array(domain.squares))
-    base = cells.min(axis=0)
-    size = cells.max(axis=0) - base + 1
-    table = np.zeros(size + 1, dtype=np.int64)
-    table[1 + cells[:, 0] - base[0], 1 + cells[:, 1] - base[1]] = 1
-    table = table.cumsum(axis=0).cumsum(axis=1)
+    m, base, size = domain.level, domain._origin, domain._occupied.shape
+    table = np.zeros(np.add(size, 1), dtype=np.int64)
+    table[1:, 1:] = domain._occupied.cumsum(axis=0).cumsum(axis=1)
     axes = []
     for lo, width in zip(base, size):
         k = np.arange(lo * n // m, -(-(lo + width) * n // m))

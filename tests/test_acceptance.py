@@ -17,7 +17,6 @@ from waveobs.graph import (
     build_graph,
     laplacian,
     observability_constant_graph,
-    refined_laplacian,
     spectrum,
 )
 from waveobs.grid import Curve, squares_in_domain, squares_in_time_slab
@@ -104,7 +103,7 @@ def test_criterion_02_refined_spectrum_structure(chevron):
         base = spectrum(lap)
         degrees = np.diag(lap)
         for p in (2, 3):
-            got = np.sort(spectrum(refined_laplacian(graph, p)) / p)
+            got = np.sort(spectrum(laplacian(graph, p)) / p)
             expected = np.sort(np.concatenate([base] + [degrees] * (p - 1)))
             worst = max(worst, float(np.max(np.abs(got - expected))))
     assert worst <= 1e-8

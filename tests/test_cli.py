@@ -466,6 +466,17 @@ BAD_CONFIGS = [
      "invalid gamma0 curve: curve times and values must be finite"),
     ("optimize", {"gamma0": {"constant": float("nan")}},
      "invalid gamma0 curve: curve times and values must be finite"),
+    # the start curve must lie in the band the descent projects onto, and a negative
+    # half-width is not a domain
+    *[("optimize", {"gamma0": gamma0}, "invalid gamma0 curve: tube needs 0 <= delta0 <= gamma "
+       "<= 1 - delta0, got delta0=0.15")
+      for gamma0 in ({"constant": 0.05}, {"constant": 1.3},
+                     {"values": [0.4, 0.9, 0.4], "times": [0, 1, 2]})],
+    ("graph-cobs", {"domain": {"delta0": -0.1, "type": "cylinder", "x0": 0.5, "T": 2},
+                    "level": 8}, "cylinder must satisfy 0 <= delta0 <= x0"),
+    ("spectrum", {"domain": {"delta0": -0.1, "type": "curve_tube",
+                             "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}},
+                  "level": 8}, "tube needs 0 <= delta0"),
     *[(command, {"domain": {"type": "square_union", "level": 4, "T": 2,
                             "squares": sorted(CHEVRON_SQUARES), **window}, "level": 8},
        "0 <= t_lo < t_hi <= T")

@@ -15,7 +15,7 @@ from waveobs.dalembert import (
     project,
     terminal_velocity,
 )
-from waveobs.graph import build_graph, observability_constant_graph, refined_laplacian
+from waveobs.graph import build_graph, laplacian, observability_constant_graph
 from waveobs.grid import squares_in_time_slab
 from waveobs.presets import get_preset
 from waveobs.testing import random_connected_square_domain, random_initial_data
@@ -307,7 +307,7 @@ def test_l2_phit_is_the_cover_graph_quadratic_form(level):
             if p == 1:
                 want = quadratic_form(squares, level, gamma)
             else:
-                want = gamma @ refined_laplacian(graph, p) @ gamma
+                want = gamma @ laplacian(graph, p) @ gamma
             got = l2_phit_on_squares(data, squares, level)
             assert got == pytest.approx(want / (8.0 * L * L), rel=1e-12), (sorted(squares), p)
 

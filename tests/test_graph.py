@@ -15,7 +15,6 @@ from waveobs.graph import (
     laplacian,
     level_for_eps,
     observability_constant_graph,
-    refined_laplacian,
     spectrum,
 )
 from waveobs.grid import Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
@@ -181,8 +180,11 @@ def test_connectivity_spectrum_mohar_and_cobs_bound(seed, level):
 
 
 def test_refined_p1_is_plain_laplacian(chevron):
+    # p = 1 is the graph's own D - W, to the bit
     g = build_graph(chevron.squares, chevron.level)
-    assert np.array_equal(refined_laplacian(g, 1), laplacian(g))
+    want = np.diag(g.degrees).astype(float) - g.weights.astype(float)
+    for got in (laplacian(g), laplacian(g, 1)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_refined_matches_subsquare_graph(chevron):
@@ -191,7 +193,7 @@ def test_refined_matches_subsquare_graph(chevron):
     g = build_graph(chevron.squares, chevron.level)
     n = chevron.level
     for p in (2, 3):
-        refined = refined_laplacian(g, p)
+        refined = laplacian(g, p)
         fine_squares = squares_in_domain(chevron, p * n)
         gp = build_graph(fine_squares, p * n)
         Lp = laplacian(gp)
@@ -207,7 +209,7 @@ def test_refined_matches_subsquare_graph(chevron):
 @pytest.mark.parametrize("p", [2, 3])
 def test_refined_spectrum_identity_chevron(chevron, p):
     g = build_graph(chevron.squares, chevron.level)
-    got = spectrum(refined_laplacian(g, p) / p)
+    got = spectrum(laplacian(g, p) / p)
     expected = np.sort(
         np.concatenate([spectrum(laplacian(g))] + [g.degrees.astype(float)] * (p - 1))
     )
@@ -216,7 +218,7 @@ def test_refined_spectrum_identity_chevron(chevron, p):
     assert int(np.sum(np.abs(got) < 1e-8)) == 1
     # refined Fiedler value collapses to min(lambda, min degree)
     lam = algebraic_connectivity(laplacian(g))
-    assert algebraic_connectivity(refined_laplacian(g, p) / p) == pytest.approx(
+    assert algebraic_connectivity(laplacian(g, p) / p) == pytest.approx(
         min(lam, g.degrees.min()), abs=1e-8
     )
 

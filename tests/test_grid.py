@@ -18,6 +18,7 @@ from waveobs.grid import (
     SquareUnion,
     cover_cells,
     domain_from_json,
+    lattice_cells,
     squares_in_domain,
     squares_in_time_slab,
     table_positions,
@@ -437,6 +438,50 @@ def test_square_union_contains_matches_corners(chevron, rng):
             for cs in corner_sets.values()
         )
         assert bool(flag) == geometric
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1), st.data())
+def test_contains_at_cell_centres_is_the_cover(level, p, seed, data):
+    # the weight a union puts on a square's centre is the cover's verdict on that
+    # square, at every multiple of the union's level, for windows on its half-cells
+    union = random_connected_square_domain(np.random.default_rng(seed), level)
+    k_hi = data.draw(st.integers(1, int(2 * level * union.T)))
+    k_lo = data.draw(st.integers(0, k_hi - 1))
+    union = SquareUnion(level, union.squares, union.T,
+                        Fraction(k_lo, 2 * level), Fraction(k_hi, 2 * level))
+    n = p * level
+    a, b = lattice_cells(np.array(sorted(squares_in_time_slab(n, union.T)))).T
+    inside = union.contains((a + b + 1) / (2 * n), (a - b) / (2 * n))
+    slab = list(zip(a.tolist(), b.tolist()))
+    cover = set(zip(*(c.tolist() for c in cover_cells(union, n))))
+    assert cover <= set(slab)
+    assert inside.tolist() == [cell in cover for cell in slab]
+
+
+def test_empty_union_contains_nothing():
+    empty = SquareUnion(level=2, squares=frozenset(), T=2)
+    assert not empty.contains(np.array([0.25, 0.5, 0.75]), np.array([0.5, 1.0, 1.5])).any()
+    assert not empty.contains(0.5, 1.0)
+
+
+@pytest.mark.parametrize("delta0", [-0.1, Fraction(-1, 10**400)], ids=["float", "tiny"])
+def test_negative_half_width_is_rejected(delta0):
+    # the second one is -0.0 as a float: the test is on the exact rational
+    curve = Curve.constant(0.5, 2.0, 4)
+    builders = [
+        lambda: Cylinder(x0=0.5, delta0=delta0, T=2),
+        lambda: CurveTube(curve=curve, delta0=delta0),
+        lambda: domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": delta0, "T": 2}),
+        lambda: domain_from_json({"type": "curve_tube", "delta0": delta0, "curve": {
+            "times": curve.times.tolist(), "values": curve.values.tolist()}}),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="0 <= delta0"):
+            build()
+    # a zero half-width stays the empty domain
+    for domain in (Cylinder(x0=0.5, delta0=0, T=2), CurveTube(curve=curve, delta0=0)):
+        assert domain.is_empty() and squares_in_domain(domain, 4) == frozenset()
 
 
 # --------------------------------------------------------------------- curve
