@@ -308,6 +308,8 @@ def _resolve_region(config, T, levels, key):
     from waveobs.grid import Curve, Cylinder, CurveTube, SquareUnion
     from waveobs.hum import IndicatorRegion, SmoothedTube
 
+    if config["quad"] < 2:  # one Gauss point misses the du^2, dv^2 moments even on a sharp weight
+        raise UsageError(f"config key 'quad' must be at least 2, got {config['quad']}")
     spec = config["domain"]
     if spec is None:
         spec = {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": T}
@@ -317,6 +319,9 @@ def _resolve_region(config, T, levels, key):
             f"domain horizon T={float(domain.T)} does not match config T={float(T)}"
         )
     if isinstance(domain, SquareUnion):
+        if config["delta"] is not None:
+            raise UsageError("config key 'delta' is a tube's ramp width; a square_union "
+                             "domain has a sharp weight")
         _check_refines(domain, levels, key)
         return IndicatorRegion(domain)
     profile = _weight_profile(float(domain.delta0), config["delta"])
@@ -327,12 +332,11 @@ def _resolve_region(config, T, levels, key):
     raise UsageError(f"cannot build an observation region from {type(domain).__name__}")
 
 
-def _check_grid(T, level, m=None, level_key="level", grid_key="grid_m"):
+def _check_grid(T, level, factor=None, level_key="level"):
     """A UsageError, before any solve, unless the level and the leapfrog grid fit T.
 
     T*level must be a positive integer (the lattice the Gram lives on); the
-    leapfrog grid m, when given, must be a multiple of the level with at
-    least two time steps.
+    leapfrog grid factor*level, when given, needs at least two time steps.
     """
     from waveobs.dalembert import time_cells
 
@@ -340,12 +344,20 @@ def _check_grid(T, level, m=None, level_key="level", grid_key="grid_m"):
         time_cells(T, level)
     except ValueError as exc:
         raise UsageError(f"config keys 'T' and {level_key!r} do not fit: {exc}")
-    if m is not None and m % level:
-        raise UsageError(f"config key {grid_key!r} must be a multiple of {level_key!r} "
-                         f"({level}), got {m}")
-    if m is not None and time_cells(T, m) < 2:
-        raise UsageError(f"config keys 'T' and {grid_key!r} give a leapfrog grid of one "
+    if factor is not None and time_cells(T, factor * level) < 2:
+        raise UsageError("config keys 'T' and 'grid_factor' give a leapfrog grid of one "
                          "time step; it needs at least two")
+
+
+def _solve_and_verify(config, data, region, level):
+    """The level's control and its leapfrog check on the grid_factor*level grid."""
+    from waveobs.hum import forward_verify, hum_control, hum_rhs
+
+    breakpoints = data.data_breakpoints()
+    b = hum_rhs(level, data.y0, data.y1, breakpoints)
+    solution = hum_control(region, b, quad=config["quad"])
+    m = config["grid_factor"] * level
+    return solution, forward_verify(solution, data.y0, data.y1, breakpoints, m)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +365,14 @@ def _check_grid(T, level, m=None, level_key="level", grid_key="grid_m"):
 
 
 def _graph_constant(config):
-    """Graph observability constant of the config's domain at 'level' or 'eps'."""
+    """Graph observability constant of the config's domain at 'level' (null: its own level)."""
     from waveobs.graph import observability_constant_graph
     from waveobs.grid import SquareUnion
 
-    if config["level"] is not None and config["eps"] is not None:
-        raise UsageError("give either 'level' or 'eps', not both")
     domain = _resolve_domain(config["domain"])
-    if config["level"] is None and config["eps"] is None and not isinstance(domain, SquareUnion):
-        raise UsageError(f"a {type(domain).__name__} has no level of its own: "
-                         "give 'level' or 'eps'")
-    return observability_constant_graph(domain, eps=config["eps"], level=config["level"])
+    if config["level"] is None and not isinstance(domain, SquareUnion):
+        raise UsageError(f"a {type(domain).__name__} has no level of its own: give 'level'")
+    return observability_constant_graph(domain, level=config["level"])
 
 
 def _cmd_graph_cobs(config, writer, seed):
@@ -423,16 +432,12 @@ def _raster(writer, solution, nx, nt):
 
 def _cmd_hum(config, writer, seed):
     from waveobs.dalembert import time_cells
-    from waveobs.hum import forward_verify, hum_control, hum_rhs
 
     level = config["level"]
     data = _resolve_data(config)
-    _check_grid(data.T, level, config["grid_m"])  # the default grid, 4 * level, always fits
-    breakpoints = data.data_breakpoints()
+    _check_grid(data.T, level, config["grid_factor"])
     region = _resolve_region(config, data.T, [level], "level")
-    b = hum_rhs(level, data.y0, data.y1, breakpoints)
-    solution = hum_control(region, b, quad=config["quad"])
-    check = forward_verify(solution, data.y0, data.y1, breakpoints, config["grid_m"])
+    solution, check = _solve_and_verify(config, data, region, level)
     nx = config["raster_nx"] or level + 1
     nt = config["raster_nt"] or time_cells(data.T, level) + 1
     _raster(writer, solution, nx, nt)
@@ -550,7 +555,7 @@ def _cmd_optimize(config, writer, seed):
         "eps_reg": eps,
         "rho": rho,
         "level": config["level"],
-        "curve_nodes": config["curve_nodes"],
+        "curve_nodes": len(curve0.times) - 1,
         "iterations": trace.iterations,
         "converged": trace.converged,
         "J0": float(costs[0]),
@@ -620,7 +625,7 @@ def _cmd_power_cobs(config, writer, seed):
 def _cmd_verify(config, writer, seed):
     import numpy as np
 
-    from waveobs.hum import IndicatorRegion, forward_verify, hum_control, hum_rhs
+    from waveobs.hum import IndicatorRegion
 
     levels = config["levels"]
     if not isinstance(levels, list) or not levels:
@@ -629,8 +634,7 @@ def _cmd_verify(config, writer, seed):
     grid_factor, obs_samples = config["grid_factor"], config["obs_samples"]
     data = _resolve_data(config)
     for level in levels:
-        _check_grid(data.T, level, grid_factor * level, "levels", "grid_factor")
-    breakpoints = data.data_breakpoints()
+        _check_grid(data.T, level, grid_factor, "levels")
     region = _resolve_region(config, data.T, levels, "levels")
     if obs_samples and not isinstance(region, IndicatorRegion):
         raise UsageError("'obs_samples' needs a square_union domain")
@@ -638,18 +642,8 @@ def _cmd_verify(config, writer, seed):
     rows = []
     ratios = []
     for level in levels:
-        b = hum_rhs(level, data.y0, data.y1, breakpoints)
-        solution = hum_control(region, b, quad=config["quad"])
-        check = forward_verify(solution, data.y0, data.y1, breakpoints, grid_factor * level)
-        rows.append(
-            [
-                level,
-                grid_factor * level,
-                solution.cost,
-                solution.residual,
-                check["ratio"],
-            ]
-        )
+        solution, check = _solve_and_verify(config, data, region, level)
+        rows.append([level, grid_factor * level, solution.cost, solution.residual, check["ratio"]])
         ratios.append(check["ratio"])
     writer.write_csv(
         "verify.csv",
@@ -685,15 +679,18 @@ def _cmd_verify(config, writer, seed):
 # the command table: handler and config keys, key -> (default, kind)
 
 _CHEVRON = {"fixture": "chevron_l4"}
-_GRAPH_KEYS = {"domain": (_CHEVRON, None), "level": (None, _POS_INT), "eps": (None, _POS_NUM)}
+_GRAPH_KEYS = {"domain": (_CHEVRON, None), "level": (None, _POS_INT)}
 _DATA_KEYS = {"preset": (None, None), "data": (None, None), "T": (None, _POS_NUM)}
+_CONTROL_KEYS = {  # hum and verify: the datum, the region, the Gram rule and the leapfrog grid
+    **_DATA_KEYS, "domain": (None, None), "quad": (4, _POS_INT), "grid_factor": (4, _POS_INT),
+    "delta": (None, _POS_NUM),
+}
 
 COMMAND_TABLE = {
     "graph-cobs": (_cmd_graph_cobs, _GRAPH_KEYS),
     "spectrum": (_cmd_spectrum, {**_GRAPH_KEYS, "refine": (1, _POS_INT)}),
     "hum": (_cmd_hum, {
-        **_DATA_KEYS, "domain": (None, None), "level": (64, _POS_INT), "quad": (4, _POS_INT),
-        "grid_m": (None, _POS_INT), "delta": (None, _POS_NUM),
+        **_CONTROL_KEYS, "level": (64, _POS_INT),
         "raster_nx": (None, _POS_INT), "raster_nt": (None, _POS_INT),
     }),
     "optimize": (_cmd_optimize, {
@@ -711,9 +708,7 @@ COMMAND_TABLE = {
         "tol": (1e-4, _POS_NUM), "max_iters": (50, _POS_INT),
     }),
     "verify": (_cmd_verify, {
-        **_DATA_KEYS, "domain": (None, None), "levels": ([32, 64], None),
-        "grid_factor": (4, _POS_INT), "quad": (4, _POS_INT), "delta": (None, _POS_NUM),
-        "obs_samples": (0, _INT_GE0),
+        **_CONTROL_KEYS, "levels": ([32, 64], None), "obs_samples": (0, _INT_GE0),
     }),
 }
 

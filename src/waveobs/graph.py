@@ -20,9 +20,7 @@ Matrix index order is (-n, ..., -1, 1, ..., n) throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -168,22 +166,12 @@ class GraphConstant:
     squares: frozenset
 
 
-def level_for_eps(eps):
-    """Smallest integer strictly greater than 1/eps (exact for rationals)."""
-    if isinstance(eps, Fraction):
-        inv = 1 / eps
-    else:
-        inv = 1 / Fraction(float(eps))
-    return math.floor(inv) + 1
-
-
-def observability_constant_graph(domain, eps=None, level=None):
+def observability_constant_graph(domain, level=None):
     """Graph-derived observability constant of a domain.
 
-    The level n is taken from ``level`` if given, else as the smallest
-    integer strictly greater than 1/eps, else (for square unions) as the
-    stored level.  Builds the level-n cover and its graph and returns a
-    :class:`GraphConstant`.
+    The level n is ``level`` if given, else the square union's own level (a
+    cylinder or a curve tube has none: ValueError).  Builds the level-n cover
+    and its graph and returns a :class:`GraphConstant`.
 
     Raises
     ------
@@ -191,18 +179,11 @@ def observability_constant_graph(domain, eps=None, level=None):
         If the cover's graph is disconnected ("GOC violated at this
         resolution").
     """
-    if level is not None:
-        n = int(level)
-        if n < 1:
-            raise ValueError(f"subdivision level must be >= 1, got {n}")
-    elif eps is not None:
-        if not float(eps) > 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        n = level_for_eps(eps)
-    elif hasattr(domain, "level"):
-        n = domain.level
-    else:
-        raise ValueError("either eps or level must be provided for this domain")
+    if level is None and not hasattr(domain, "level"):
+        raise ValueError(f"a {type(domain).__name__} has no level of its own: give 'level'")
+    n = int(domain.level if level is None else level)
+    if n < 1:
+        raise ValueError(f"subdivision level must be >= 1, got {n}")
     squares = squares_in_domain(domain, n)
     graph = build_graph(squares, n)
     try:

@@ -162,8 +162,11 @@ def _cell_rules(h, q=4):
     (u,v)->(x,t) factor 1/2.  powers[c] is the (q^2, 6) table (1, du, dv, du^2,
     dv^2, du dv) of rule c, so ``0.5 * w @ powers[c]`` gives the six moments of
     each row of weights w on it.  The tables are cached per (h, q), so they are
-    read-only.
+    read-only.  q must be at least 2: one point gets h^4/4 for the integral of
+    du^2 over a full cell, whose value is h^4/3.
     """
+    if q < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {q}")
     g, w = np.polynomial.legendre.leggauss(q)
     x1, w1 = (g + 1.0) * h / 2.0, w * h / 2.0
     s01, ws = (g + 1.0) / 2.0, w / 2.0

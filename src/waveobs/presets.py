@@ -28,7 +28,6 @@ class ControlPreset:
     # center of the initial (constant) support curve; None means there is no
     # default start, so `optimize` on custom data needs a `gamma0`
     x0_init: float = 0.5
-    description: str = ""
 
     def data_breakpoints(self):
         return tuple(float(b) for b in self.breakpoints)
@@ -69,7 +68,6 @@ _PRESETS = {
         eps=1e-2,
         rho=1e-4,
         x0_init=0.4,
-        description="single sine mode, zero velocity",
     ),
     "ex2": lambda: ControlPreset(
         name="ex2",
@@ -79,7 +77,6 @@ _PRESETS = {
         T=2.0,
         eps=1e-2,
         rho=1e-4,
-        description="traveling compactly supported bump",
     ),
     "ex3": lambda: ControlPreset(
         name="ex3",
@@ -92,7 +89,6 @@ _PRESETS = {
         # point of the cost (the shape gradient vanishes by symmetry), so
         # start off-center
         x0_init=0.45,
-        description="standing compactly supported bump",
     ),
     "ex4": lambda: ControlPreset(
         name="ex4",
@@ -104,7 +100,6 @@ _PRESETS = {
         # the datum is odd about x = 1/2, so the centered curve is an exact
         # critical point of the cost; start off-center to leave the saddle
         x0_init=0.45,
-        description="sawtooth position with corners",
     ),
 }
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,13 @@ def test_optimize_artifacts(tmp_path):
     assert len(sweep) == 1 + 3
 
 
+def test_optimize_reports_the_start_curve_interval_count(tmp_path):
+    config = {"level": 8, "curve_nodes": 7, "max_iters": 1, "sweep_count": 1,
+              "gamma0": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}
+    code, out = run_cli(tmp_path, "optimize", config)
+    assert code == 0 and read_json(out / "summary.json")["curve_nodes"] == 2
+
+
 @pytest.mark.parametrize("max_iters", [11, 20, 45])
 def test_optimize_snapshots_the_reference_iterations(tmp_path, max_iters):
     config = {"level": 8, "curve_nodes": 8, "max_iters": max_iters, "patience": 100,
@@ -356,11 +364,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 def test_contradictory_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "both.json"
-    cfg.write_text(json.dumps({"level": 8, "eps": 0.25}))
+    cfg.write_text(json.dumps({"preset": "ex2", "data": {"y0_nodes": [0, 1, 0]}}))
     with pytest.raises(SystemExit) as err:
-        main(["graph-cobs", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        main(["hum", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert err.value.code == 2
-    capsys.readouterr()
+    assert "give either 'preset' or 'data', not both" in capsys.readouterr().err
 
 
 def test_config_command_mismatch_exits_2(tmp_path, capsys):
@@ -408,7 +416,7 @@ BAD_CONFIGS = [
     ("sweep", {"x0_min": "a"}, "key 'x0_min' must be a number"),
     ("verify", {"levels": ["a"]}, "key 'levels' must be a number, got 'a'"),
     ("hum", {"preset": "ex9"}, "unknown preset 'ex9'"),
-    ("spectrum", {"level": 8, "eps": 0.25}, "either 'level' or 'eps'"),
+    ("spectrum", {"level": 8, "eps": 0.25}, "unknown config key for spectrum: 'eps'"),
     ("hum", {"level": "8"}, "key 'level' must be a number"),
     ("hum", {"level": None}, "key 'level' must be a number"),
     ("hum", {"raster_nx": 0}, "key 'raster_nx' must be positive"),
@@ -437,10 +445,10 @@ BAD_CONFIGS = [
                                "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}},
                     "level": 8}, "curve_tube T=3.0 does not match its curve's horizon 2.0"),
     ("graph-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
-     "a Cylinder has no level of its own: give 'level' or 'eps'"),
+     "a Cylinder has no level of its own: give 'level'"),
     ("spectrum", {"domain": {"type": "curve_tube", "delta0": 0.15,
                              "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
-     "a CurveTube has no level of its own: give 'level' or 'eps'"),
+     "a CurveTube has no level of its own: give 'level'"),
     ("power-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
      "power-cobs needs a square_union domain, got Cylinder"),
     ("power-cobs", {"domain": {"type": "curve_tube", "delta0": 0.15,
@@ -499,21 +507,31 @@ BAD_CONFIGS = [
     ("hum", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0, "T": 2}},
      "invalid weight: delta0 must be positive"),
     ("optimize", {"delta0": 0.6}, "key 'delta0' must be at most 0.5"),
-    ("hum", {"level": 64, "grid_m": 100}, "key 'grid_m' must be a multiple of 'level' (64)"),
+    ("hum", {"level": 64, "grid_m": 100}, "unknown config key for hum: 'grid_m'"),
+    ("hum", {"grid_factor": 0}, "key 'grid_factor' must be positive"),
     ("hum", {"T": 0.1, "level": 8}, "keys 'T' and 'level' do not fit: T*level must be"),
     ("sweep", {"T": 0.1, "level": 8}, "keys 'T' and 'level' do not fit: T*level must be"),
     ("optimize", {"T": 0.1, "level": 8}, "keys 'T' and 'level' do not fit: T*level must be"),
     ("verify", {"T": 0.1, "levels": [8]}, "keys 'T' and 'levels' do not fit: T*level must be"),
-    ("hum", {"T": 0.5, "level": 2, "grid_m": 2}, "keys 'T' and 'grid_m' give a leapfrog grid"),
+    ("hum", {"T": 0.5, "level": 2, "grid_factor": 1},
+     "keys 'T' and 'grid_factor' give a leapfrog grid"),
     ("verify", {"T": 0.5, "levels": [2], "grid_factor": 1},
      "keys 'T' and 'grid_factor' give a leapfrog grid"),
+    # one Gauss point is not exact even on a sharp weight, and only a tube has a ramp
+    *[(command, {"quad": 1}, "key 'quad' must be at least 2, got 1")
+      for command in ("hum", "verify")],
+    *[(command, {"domain": {"fixture": "chevron_l4"}, "delta": 0.01},
+       "config key 'delta' is a tube's ramp width") for command in ("hum", "verify")],
 ]
+# the id is the whole config, so two rows share one only if they repeat a test
+BAD_CONFIG_IDS = [f"{command}-{json.dumps(config)}" for command, config, _ in BAD_CONFIGS]
+assert len(set(BAD_CONFIG_IDS)) == len(BAD_CONFIG_IDS)
 
 
 @pytest.mark.parametrize(
     "command,config,message",
     BAD_CONFIGS,
-    ids=[f"{command}-{json.dumps(config)}"[:48] for command, config, _ in BAD_CONFIGS],
+    ids=BAD_CONFIG_IDS,
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, message):
     with pytest.raises(SystemExit) as err:
@@ -551,6 +569,16 @@ def test_readme_documents_every_config_key():
         if f"`{key}`" not in readme
     }
     assert not missing
+    # each command's row in the keys table names only its keys, or a command whose keys it shares
+    rows = dict(re.findall(r"^\| `([a-z-]+)` +\|(.*)\|$", readme, re.MULTILINE))
+    assert rows.keys() == COMMAND_TABLE.keys()
+    stale = {
+        f"{command}.{name}"
+        for command, (_, keys) in COMMAND_TABLE.items()
+        for name in re.findall(r"`([^`]+)`", rows[command])
+        if name not in keys and name not in COMMAND_TABLE
+    }
+    assert not stale
 
 
 def test_computational_failure_exits_1_with_error_json(tmp_path, capsys):

@@ -13,7 +13,6 @@ from waveobs.graph import (
     build_graph,
     is_connected,
     laplacian,
-    level_for_eps,
     observability_constant_graph,
     spectrum,
 )
@@ -223,19 +222,6 @@ def test_refined_spectrum_identity_chevron(chevron, p):
     )
 
 
-def test_level_for_eps():
-    assert level_for_eps(0.25) == 5  # strictly greater than 1/eps
-    assert level_for_eps(0.3) == 4
-    assert level_for_eps(1.0) == 2
-    from fractions import Fraction
-
-    assert level_for_eps(Fraction(1, 4)) == 5
-    with pytest.raises((ValueError, ZeroDivisionError)):
-        observability_constant_graph(
-            SquareUnion(level=1, squares=frozenset(), T=2), eps=0
-        )
-
-
 def test_observability_constant_golden(chevron):
     gc = observability_constant_graph(chevron)
     assert gc.n == 4
@@ -252,10 +238,9 @@ def test_observability_constant_disconnected_domain():
 
 
 def test_observability_constant_levels():
-    # eps-based resolution picks the smallest level above 1/eps
     wide = Cylinder(x0=0.5, delta0=0.25, T=2)
-    gc = observability_constant_graph(wide, eps=0.26)
+    gc = observability_constant_graph(wide, level=4)
     assert gc.n == 4
-    # a cylinder has no intrinsic level: eps or level is mandatory
-    with pytest.raises(ValueError):
+    # a cylinder has no intrinsic level: level is mandatory
+    with pytest.raises(ValueError, match="no level of its own"):
         observability_constant_graph(wide)

@@ -539,6 +539,14 @@ def test_cell_rules_are_cached_and_read_only():
     assert np.all((du[1] + dv[1] >= h) & (du[2] + dv[2] <= h) & (du[3] >= dv[3]) & (du[4] <= dv[4]))
 
 
+@pytest.mark.parametrize("sharp", [False, True])
+def test_gram_needs_two_gauss_points(chevron, sharp):
+    # one point gets h^4/4 for the du^2 moment of a full cell, whose value is h^4/3
+    region = IndicatorRegion(chevron) if sharp else SmoothedTube.around(0.25, 2.0, 0.15)
+    with pytest.raises(ValueError, match="quadrature order must be >= 2, got 1"):
+        assemble_gram(region, 8, quad=1)
+
+
 def test_gram_level_must_refine_indicator_domain(chevron):
     with pytest.raises(ValueError):
         assemble_gram(IndicatorRegion(chevron), 6)
