@@ -356,8 +356,8 @@ def _solve_and_verify(config, data, region, level):
     breakpoints = data.data_breakpoints()
     b = hum_rhs(level, data.y0, data.y1, breakpoints)
     solution = hum_control(region, b, quad=config["quad"])
-    m = config["grid_factor"] * level
-    return solution, forward_verify(solution, data.y0, data.y1, breakpoints, m)
+    return solution, forward_verify(solution, data.y0, data.y1, breakpoints,
+                                    grid_factor=config["grid_factor"])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ def _cmd_graph_cobs(config, writer, seed):
         "min_degree": gc.min_degree,
         "c_obs_bound": _snap(gc.c_obs_bound),
         "num_squares": len(gc.squares),
-        "num_vertices": gc.graph.degrees.size,
+        "num_vertices": len(gc.weights),
     }
 
 
@@ -394,7 +394,7 @@ def _cmd_spectrum(config, writer, seed):
     gc = _graph_constant(config)
     n, p = gc.n, config["refine"]
     order = [*range(-n, 0), *range(1, n + 1)]  # the matrix order
-    matrix = laplacian(gc.graph, p)
+    matrix = laplacian(gc.weights, p)
     names = [f"v{i}" if p == 1 else f"v{i}s{s}" for i in order for s in range(p)]
     eigenvalues = [_snap(v) for v in spectrum(matrix / p)]
     writer.write_csv("laplacian.csv", names, matrix)

@@ -224,8 +224,8 @@ def l2_phit_on_squares(data, squares, n):
 
 @functools.lru_cache(maxsize=16)
 def _cover_graph(squares, n):
-    graph = build_graph(squares, n)  # integer weights: the same floats in any square order
-    tables = graph.degrees.astype(float), graph.weights.astype(float)
+    weights = build_graph(squares, n)  # integers: the same floats in any square order
+    tables = weights.sum(axis=1).astype(float), weights.astype(float)
     for table in tables:
         table.flags.writeable = False
     return tables

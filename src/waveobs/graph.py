@@ -27,7 +27,6 @@ import numpy as np
 from .grid import _square_array, squares_in_domain, table_positions
 
 __all__ = [
-    "ObsGraph",
     "GraphDisconnectedError",
     "build_graph",
     "laplacian",
@@ -43,32 +42,13 @@ class GraphDisconnectedError(ValueError):
     """Raised when an operation requires a connected observation graph."""
 
 
-@dataclass
-class ObsGraph:
-    """Weighted graph on the 2n folded indices.
-
-    Attributes
-    ----------
-    n : int
-        Subdivision level (2n vertices).
-    weights : ndarray
-        Symmetric (2n, 2n) integer matrix of edge weights, zero diagonal.
-    """
-
-    n: int
-    weights: np.ndarray
-
-    @property
-    def degrees(self):
-        """Vertex degrees d_i = sum_j w_ij, in matrix index order."""
-        return self.weights.sum(axis=1)
-
-
 def build_graph(squares, n):
-    """Accumulate the observation graph of a set of level-n squares.
+    """The observation graph of a set of level-n squares, as its weight matrix.
 
     Each square (i, j) adds one unit of weight between fold(i) and -fold(j),
-    whose matrix positions are those of the indices i and -j.
+    whose matrix positions are those of the indices i and -j.  The result is
+    the symmetric (2n, 2n) integer matrix of edge weights, with zero
+    diagonal; its row sums are the vertex degrees.
 
     Raises
     ------
@@ -88,21 +68,22 @@ def build_graph(squares, n):
         )
     m = 2 * n
     edges = np.concatenate([pa * m + pb, pb * m + pa])
-    return ObsGraph(n=n, weights=np.bincount(edges, minlength=m * m).reshape(m, m))
+    return np.bincount(edges, minlength=m * m).reshape(m, m)
 
 
-def laplacian(graph, p=1):
+def laplacian(weights, p=1):
     """Dense Laplacian of the p-fold refined cover, of order 2 p n (p = 1: the graph's own).
 
-    Block form in the refined index order: diagonal blocks d_i * p * I_p and
-    off-diagonal blocks -w_ij * J_p (J_p the all-ones matrix); each parent
+    ``weights`` is the (2n, 2n) matrix of :func:`build_graph`.  Block form in
+    the refined index order: diagonal blocks d_i * p * I_p (d_i the row sums)
+    and off-diagonal blocks -w_ij * J_p (J_p the all-ones matrix); each parent
     square splits into p^2 subsquares pairing all refined vertices of its
     two endpoints.
     """
     if p < 1:
         raise ValueError(f"refinement factor must be >= 1, got {p}")
-    d = graph.degrees.astype(float)
-    w = graph.weights.astype(float)
+    w = weights.astype(float)
+    d = w.sum(axis=1)
     return np.diag(np.repeat(d * p, p)) - np.repeat(np.repeat(w, p, axis=0), p, axis=1)
 
 
@@ -121,9 +102,9 @@ def _connected(adjacency):
         seen = grown
 
 
-def is_connected(graph):
-    """Connectivity over the positive-weight edges."""
-    return _connected(graph.weights > 0)
+def is_connected(weights):
+    """Connectivity of a weight matrix over its positive-weight edges."""
+    return _connected(weights > 0)
 
 
 def spectrum(lap):
@@ -162,7 +143,7 @@ class GraphConstant:
     lam: float
     min_degree: int
     c_obs_bound: float
-    graph: ObsGraph
+    weights: np.ndarray
     squares: frozenset
 
 
@@ -185,12 +166,12 @@ def observability_constant_graph(domain, level=None):
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
     squares = squares_in_domain(domain, n)
-    graph = build_graph(squares, n)
+    weights = build_graph(squares, n)
     try:
-        lam = algebraic_connectivity(laplacian(graph))
+        lam = algebraic_connectivity(laplacian(weights))
     except GraphDisconnectedError:
         raise GraphDisconnectedError("GOC violated at this resolution") from None
-    min_degree = int(graph.degrees.min())
+    min_degree = int(weights.sum(axis=1).min())
     lam_hat = min(lam, float(min_degree))
     return GraphConstant(
         c_obs=4.0 * n / lam_hat,
@@ -198,6 +179,6 @@ def observability_constant_graph(domain, level=None):
         lam=lam,
         min_degree=min_degree,
         c_obs_bound=max(4.0 * n, 4.0 * n / lam),
-        graph=graph,
+        weights=weights,
         squares=squares,
     )

@@ -172,9 +172,11 @@ def _cell_rules(h, q=4):
     s01, ws = (g + 1.0) / 2.0, w / 2.0
     S, R = np.repeat(s01, q), np.tile(s01, q)
     W = np.repeat(ws, q) * np.tile(ws, q) * (h * h * S)
-    # x0 keeps du+dv >= h, x1 du+dv <= h, t0 du >= dv, tT du <= dv
-    du = np.stack([np.repeat(x1, q), h * (1.0 - S * R), h * S * R, h * S, h * S * R])
-    dv = np.stack([np.tile(x1, q), h * (1.0 - S * (1.0 - R)), h * S * (1.0 - R), h * S * R, h * S])
+    # x0 keeps du+dv >= h, x1 du+dv <= h, t0 du >= dv, tT du <= dv; each rule collapses at
+    # its right-angle vertex, so x -> 1-x and t -> T-t map the rules onto each other
+    near, far = h * S * R, h * (1.0 - S * (1.0 - R))
+    du = np.stack([np.repeat(x1, q), h * (1.0 - S * R), near, far, near])
+    dv = np.stack([np.tile(x1, q), far, h * S * (1.0 - R), near, far])
     w = np.stack([np.repeat(w1, q) * np.tile(w1, q), W, W, W, W])
     powers = np.stack([np.ones_like(du), du, dv, du * du, dv * dv, du * dv], axis=-1)
     for arr in (du, dv, w, powers):
@@ -392,13 +394,12 @@ def control_density(solution, x, t):
     return eval_phi(solution.data, x, t) * solution.region.chi(x, t)
 
 
-def forward_verify(solution, y0, y1=None, breakpoints=(), grid_m=None):
+def forward_verify(solution, y0, y1=None, breakpoints=(), *, grid_factor=4):
     """Drive the controlled wave on a fine grid and measure the residual.
 
-    Solves y_tt = y_xx + phi*chi with the unit-CFL scheme on grid_m cells
-    (a multiple of the control level; default four times) and reports the
-    terminal-to-initial energy ratio sqrt(E(T)/E(0)).  Zero data gives
-    ratio 0 by convention.
+    Solves y_tt = y_xx + phi*chi with the unit-CFL scheme on m = grid_factor
+    times the control level cells and reports the terminal-to-initial energy
+    ratio sqrt(E(T)/E(0)).  Zero data gives ratio 0 by convention.
 
     The forcing is the control density at the grid nodes, built once per
     block of time levels (see :func:`leapfrog_solve`).  Every node
@@ -411,9 +412,7 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), grid_m=None):
     the last bit.
     """
     L = solution.level
-    m = int(grid_m) if grid_m is not None else 4 * L
-    if m % L != 0:
-        raise ValueError(f"grid_m must be a multiple of the control level {L}")
+    m = int(grid_factor) * L
     region = solution.region
     T = region.T
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))

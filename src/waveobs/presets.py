@@ -64,9 +64,6 @@ _PRESETS = {
     "ex1": lambda: ControlPreset(
         name="ex1",
         y0=_ex1_y0,
-        T=2.0,
-        eps=1e-2,
-        rho=1e-4,
         x0_init=0.4,
     ),
     "ex2": lambda: ControlPreset(
@@ -74,17 +71,11 @@ _PRESETS = {
         y0=_bump,
         y1=_bump_prime,
         breakpoints=(0.4, 0.6),
-        T=2.0,
-        eps=1e-2,
-        rho=1e-4,
     ),
     "ex3": lambda: ControlPreset(
         name="ex3",
         y0=_bump,
         breakpoints=(0.4, 0.6),
-        T=2.0,
-        eps=1e-2,
-        rho=1e-4,
         # even datum with zero velocity: the centered curve is a critical
         # point of the cost (the shape gradient vanishes by symmetry), so
         # start off-center
@@ -94,8 +85,6 @@ _PRESETS = {
         name="ex4",
         y0=_zigzag,
         breakpoints=(1.0 / 3.0, 2.0 / 3.0),
-        T=2.0,
-        eps=1e-2,
         rho=1e-5,
         # the datum is odd about x = 1/2, so the centered curve is an exact
         # critical point of the cost; start off-center to leave the saddle

@@ -52,12 +52,12 @@ def test_chevron_laplacian_exact(chevron):
 
 
 def test_single_square_graph():
-    g = build_graph({(2, 1)}, 4)
+    w = build_graph({(2, 1)}, 4)
     p2, pm1 = vertex_position(2, 4), vertex_position(-1, 4)
-    assert g.weights[p2, pm1] == 1 and g.weights[pm1, p2] == 1
-    assert g.degrees[p2] == 1 and g.degrees[pm1] == 1
-    assert g.degrees.sum() == 2
-    assert not is_connected(g)
+    assert w[p2, pm1] == 1 and w[pm1, p2] == 1
+    degrees = w.sum(axis=1)
+    assert degrees[p2] == 1 and degrees[pm1] == 1 and degrees.sum() == 2
+    assert not is_connected(w)
 
 
 def test_empty_graph_is_zero_and_disconnected():
@@ -85,8 +85,8 @@ def test_build_graph_is_the_scalar_square_loop(level, seed):
     union = SquareUnion(level=level, squares=frozenset(slab[k] for k in pick), T=2)
     for p in (1, 2, 3):
         cover = squares_in_domain(union, p * level)
-        w = build_graph(cover, p * level).weights
-        assert w.dtype == np.int64
+        w = build_graph(cover, p * level)
+        assert w.dtype == np.int64 and np.array_equal(w, w.T) and not w.diagonal().any()
         assert np.array_equal(w, graph_weights(cover, p * level))
     # a square whose -j lies on i's lattice cell mod 2n folds onto a self-loop, and is named
     i = int(rng.choice([k for k in range(-3 * level, 3 * level + 1) if k]))
@@ -171,7 +171,7 @@ def test_connectivity_spectrum_mohar_and_cobs_bound(seed, level):
     lam = algebraic_connectivity(L)
     # Fiedler value lower bound via vertex count and diameter
     nv = L.shape[0]
-    diam = _bfs_diameter(g.weights)
+    diam = _bfs_diameter(g)
     assert lam >= 4.0 / (nv * diam) - 1e-12
     # worst-case observability constant bound
     gc = observability_constant_graph(domain)
@@ -181,7 +181,7 @@ def test_connectivity_spectrum_mohar_and_cobs_bound(seed, level):
 def test_refined_p1_is_plain_laplacian(chevron):
     # p = 1 is the graph's own D - W, to the bit
     g = build_graph(chevron.squares, chevron.level)
-    want = np.diag(g.degrees).astype(float) - g.weights.astype(float)
+    want = np.diag(g.sum(axis=1)).astype(float) - g.astype(float)
     for got in (laplacian(g), laplacian(g, 1)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -210,7 +210,7 @@ def test_refined_spectrum_identity_chevron(chevron, p):
     g = build_graph(chevron.squares, chevron.level)
     got = spectrum(laplacian(g, p) / p)
     expected = np.sort(
-        np.concatenate([spectrum(laplacian(g))] + [g.degrees.astype(float)] * (p - 1))
+        np.concatenate([spectrum(laplacian(g))] + [g.sum(axis=1).astype(float)] * (p - 1))
     )
     assert np.allclose(got, expected, atol=1e-8, rtol=0)
     # kernel stays one-dimensional
@@ -218,7 +218,7 @@ def test_refined_spectrum_identity_chevron(chevron, p):
     # refined Fiedler value collapses to min(lambda, min degree)
     lam = algebraic_connectivity(laplacian(g))
     assert algebraic_connectivity(laplacian(g, p) / p) == pytest.approx(
-        min(lam, g.degrees.min()), abs=1e-8
+        min(lam, g.sum(axis=1).min()), abs=1e-8
     )
 
 

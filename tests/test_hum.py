@@ -739,7 +739,8 @@ def _verify_run(solution, preset, m):
         return seen["Y"]
 
     with patch("waveobs.hum.leapfrog_solve", spy):
-        forward_verify(solution, preset.y0, preset.y1, preset.data_breakpoints(), m)
+        forward_verify(solution, preset.y0, preset.y1, preset.data_breakpoints(),
+                       grid_factor=m // solution.level)
     return seen
 
 
@@ -799,10 +800,11 @@ def test_forward_run_is_the_eval_phi_forcing_run(chevron, L):
 
 
 def test_forward_grid_validation():
+    # a grid size given in the old positional slot must not be read as a factor
     tube = SmoothedTube.around(0.25, 2.0, 0.15)
     sol = hum_control(tube, hum_rhs(8, EX1.y0))
-    with pytest.raises(ValueError):
-        forward_verify(sol, EX1.y0, grid_m=12)
+    with pytest.raises(TypeError):
+        forward_verify(sol, EX1.y0, None, (), 32)
 
 
 def test_cost_never_increases_when_domain_grows():
@@ -867,19 +869,22 @@ def test_cost_is_quadratic_in_the_data(coefs, c, x0, L):
     st.sampled_from([(4, 1), (4, 2), (4, 4), (8, 1), (8, 2)]),
 )
 def test_cost_is_invariant_under_the_mirror(coefs, x0, levels):
-    # the sharp cylinder: its Gram is exact, so x -> 1 - x maps the discrete
-    # problem onto itself (the smoothed tube's collapsed triangle rule at
-    # t = 0 and t = T is not mirror-symmetric, so its cost is only
-    # symmetric up to quadrature error)
+    # x -> 1 - x maps the discrete problem onto itself: the sharp cylinder's
+    # Gram is exact, and the smoothed tube's cut-cell rules collapse at the
+    # right-angle vertex that the mirror fixes
     n, p = levels
 
     def cylinder(x):
         cover = squares_in_domain(Cylinder(x0=x, delta0=Fraction(1, 4), T=2), n)
         return IndicatorRegion(SquareUnion(level=n, squares=cover, T=2))
 
-    J = hum_control(cylinder(x0), hum_rhs(n * p, *_poly_datum(coefs))).cost
-    Jm = hum_control(cylinder(1 - x0), hum_rhs(n * p, *_poly_datum(coefs, mirror=True))).cost
-    assert Jm == pytest.approx(J, rel=1e-9)
+    def tube(x):
+        return SmoothedTube.around(float(x), 2.0, 0.15)
+
+    for weight in (cylinder, tube):
+        J = hum_control(weight(x0), hum_rhs(n * p, *_poly_datum(coefs))).cost
+        Jm = hum_control(weight(1 - x0), hum_rhs(n * p, *_poly_datum(coefs, mirror=True))).cost
+        assert Jm == pytest.approx(J, rel=1e-9), weight.__name__
 
 
 @settings(deadline=None, max_examples=20)

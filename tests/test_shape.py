@@ -360,6 +360,9 @@ def test_sweep_traveling_bump_reference_value():
         EX2.y0, 0.15, 32, 2.0, y1=EX2.y1, breakpoints=EX2.data_breakpoints()
     )
     assert sw.best_cost == pytest.approx(179.22, rel=0.15)
+    # the datum's mirror is its time reversal, so mirrored centres tie and the smaller one is reported
+    assert np.allclose(sw.costs, sw.costs[::-1], rtol=1e-12, atol=0)
+    assert sw.best_x0 == 0.2
 
 
 def test_sweep_tie_break_is_order_invariant():
