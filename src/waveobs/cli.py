@@ -305,7 +305,7 @@ def _check_refines(domain, levels, key):
 
 def _resolve_region(config, T, levels, key):
     """Observation region from a config 'domain' entry (weighted or sharp), refined by ``levels``."""
-    from waveobs.grid import Curve, Cylinder, CurveTube, SquareUnion
+    from waveobs.grid import SquareUnion
     from waveobs.hum import IndicatorRegion, SmoothedTube
 
     if config["quad"] < 2:  # one Gauss point misses the du^2, dv^2 moments even on a sharp weight
@@ -325,11 +325,7 @@ def _resolve_region(config, T, levels, key):
         _check_refines(domain, levels, key)
         return IndicatorRegion(domain)
     profile = _weight_profile(float(domain.delta0), config["delta"])
-    if isinstance(domain, Cylinder):
-        return SmoothedTube(Curve.constant(float(domain.x0), float(domain.T)), profile)
-    if isinstance(domain, CurveTube):
-        return SmoothedTube(domain.curve, profile)
-    raise UsageError(f"cannot build an observation region from {type(domain).__name__}")
+    return SmoothedTube(domain.curve, profile)
 
 
 def _check_grid(T, level, factor=None, level_key="level"):

@@ -151,7 +151,7 @@ def observability_constant_graph(domain, level=None):
     """Graph-derived observability constant of a domain.
 
     The level n is ``level`` if given, else the square union's own level (a
-    cylinder or a curve tube has none: ValueError).  Builds the level-n cover
+    curve tube, a cylinder included, has none: ValueError).  Builds the level-n cover
     and its graph and returns a :class:`GraphConstant`.
 
     Raises

@@ -15,16 +15,17 @@ data.  The package reaches this convention only through
 
 Square covers run in integer lattice units: level-n cell k spans
 [k/n, (k+1)/n] in u or v, and square (i, j) is the cell pair (lo(i), lo(j)).
-Domain parameters stay exact rationals (`fractions.Fraction`), but they enter
-a cover only as integer thresholds computed once per call, so every
-per-square test is integer arithmetic (the tube's centerline test alone is
-in floats).
+Domain parameters stay exact rationals (`fractions.Fraction`, a float read at
+the decimal it prints as), but they enter a cover only as integer thresholds
+computed once per call, so every per-square test of a square union is
+integer arithmetic; a tube's per-row bounds are computed in floats.
 
-The module also defines the three supported space-time observation-domain
-variants (axis square unions, tubes around a moving curve, and cylinders),
-their square covers and their JSON parsing.  Only a square union carries a
-time window, 0 <= ``t_lo`` < ``t_hi`` <= T; cylinders and tubes span (0, T)
-with a half-width delta0 >= 0.
+The module also defines the two supported space-time observation-domain
+variants, axis square unions and tubes around a moving curve (a cylinder is
+the tube around a constant curve), their square covers and their JSON
+parsing.  Only a square union carries a time window,
+0 <= ``t_lo`` < ``t_hi`` <= T; tubes span (0, T) with a half-width
+delta0 >= 0.
 Whether a square-aligned domain observes is decided exactly by the
 connectivity of its observation graph (see :mod:`waveobs.graph`).
 """
@@ -43,7 +44,6 @@ __all__ = [
     "Curve",
     "SquareUnion",
     "CurveTube",
-    "Cylinder",
     "squares_in_time_slab",
     "cover_cells",
     "squares_in_domain",
@@ -61,8 +61,10 @@ def _level(value):
 
 
 def _fraction(x):
-    """``Fraction(x)``, with a numpy scalar taken at its Python value (an int numerator)."""
-    return Fraction(x.item() if isinstance(x, np.generic) else x)
+    """``Fraction(x)``, with a numpy scalar taken at its Python value (an int numerator)
+    and a float at the decimal it prints as (``repr``), so that 0.3 is 3/10."""
+    x = x.item() if isinstance(x, np.generic) else x
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
 
 
 def lattice_cells(idx):
@@ -214,28 +216,6 @@ class SquareUnion:
 
 
 @dataclass
-class Cylinder:
-    """Cylindrical domain (x0 - delta0, x0 + delta0) x (0, T)."""
-
-    x0: Fraction
-    delta0: Fraction
-    T: Fraction
-
-    def __post_init__(self):
-        self.x0 = _fraction(self.x0)
-        self.delta0 = _fraction(self.delta0)
-        self.T = _fraction(self.T)
-        if not (0 <= self.delta0 <= self.x0 <= 1 - self.delta0):
-            raise ValueError(
-                f"cylinder must satisfy 0 <= delta0 <= x0 <= 1 - delta0, "
-                f"got x0={float(self.x0)}, delta0={float(self.delta0)}"
-            )
-
-    def is_empty(self):
-        return self.delta0 <= 0
-
-
-@dataclass
 class CurveTube:
     """Moving domain {(x, t) : |x - gamma(t)| < delta0, 0 < t < T}."""
 
@@ -289,7 +269,7 @@ def _slab_cells(d_lo, d_hi, s_lo, s_hi):
 def _slab_bounds(n, T):
     """Bounds (d_lo, d_hi, s_lo, s_hi) on a-b and a+b of the level-n cells (a, b)
     whose square's interior lies inside (0,1) x (0,T)."""
-    return 1, math.floor(2 * n * Fraction(T)) - 1, 0, 2 * n - 2
+    return 1, math.floor(2 * n * _fraction(T)) - 1, 0, 2 * n - 2
 
 
 def squares_in_time_slab(n, T):
@@ -297,44 +277,38 @@ def squares_in_time_slab(n, T):
     return _index_pairs(*_slab_cells(*_slab_bounds(n, T)))
 
 
-def _curve_abs_dev_max(curve, w, sign, t0, t1):
-    """Max of |w + sign*t - gamma(t)| over each edge [t0, t1] (arrays), gamma pw-affine.
+def _tube_cover(tube, n):
+    """Level-n cells (a, b) of the squares inside a tube, one row of time at a time.
 
-    The maximum of a piecewise-affine function is attained at the endpoints
-    or at the curve's interior nodes.  An edge holds a few nodes, so node
-    k0 + j is taken on every edge at once, for j up to the largest count.
+    Row d = a - b holds the squares centred at t_c = d/(2n), of half-diagonal
+    r = 1/(2n); s = a + b, of d's parity, puts the centre at x_c = (s+1)/(2n).
+    The square lies in the tube iff for every t in [t_c - r, t_c + r]
+    gamma(t) - delta0 + r - |t - t_c| <= x_c <= gamma(t) + delta0 - r + |t - t_c|.
+    Both sides are piecewise affine in t, so their extremes sit at the row's
+    end times, its centre time and the curve nodes between them, and each
+    row keeps one interval of s.  The test is in floats, with a 1e-14 slack
+    on delta0.
     """
-    def dev(t):
-        return np.abs(w + sign * t - curve(t))
-
-    last = len(curve.times) - 1
-    k0 = np.maximum(np.ceil(t0 / curve.dt), 0).astype(np.int64)
-    k1 = np.minimum(np.floor(t1 / curve.dt), last).astype(np.int64)
-    out = np.maximum(dev(t0), dev(t1))
-    for j in range(int((k1 - k0).max(initial=-1)) + 1):
-        tk = curve.times[np.minimum(k0 + j, last)]
-        inside = (k0 + j <= k1) & (t0 < tk) & (tk < t1)
-        out = np.maximum(out, np.where(inside, dev(tk), 0.0))
-    return out
-
-
-def _square_in_tube(a, b, n, tube):
-    """Edge test of the squares on cells (a, b) (arrays) against a tube.
-
-    Along each edge x is affine in t (x = v + t on constant-v edges, x = u - t
-    on constant-u edges), so the edge lies within delta0 of the
-    piecewise-affine centerline iff its endpoints and the curve nodes
-    between them do.  Edge times are the floats k/(2n).
-    """
-    t_min, t_mid, t_max = ((a - b + k) / (2 * n) for k in (-1, 0, 1))
-    edges = (
-        (b / n, 1.0, t_mid, t_max),
-        ((b + 1) / n, 1.0, t_min, t_mid),
-        (a / n, -1.0, t_min, t_mid),
-        ((a + 1) / n, -1.0, t_mid, t_max),
-    )
-    d0 = float(tube.delta0) + 1e-14
-    return np.all([_curve_abs_dev_max(tube.curve, *edge) <= d0 for edge in edges], axis=0)
+    d_lo, d_hi, s_lo, s_hi = _slab_bounds(n, tube.T)
+    d = np.arange(d_lo, d_hi + 1)
+    t_min, t_c, t_max = ((d[:, None] + k) / (2 * n) for k in (-1, 0, 1))
+    curve, last = tube.curve, len(tube.curve.times) - 1
+    # every node strictly inside a row's span, the others replaced by its centre time
+    span = int(min(1 / (n * curve.dt), last)) + 3
+    k = np.floor(t_min / curve.dt).astype(np.int64) + np.arange(span)
+    nodes = curve.times[np.clip(k, 0, last)]
+    nodes = np.where((t_min < nodes) & (nodes < t_max), nodes, t_c)
+    t = np.hstack([t_min, t_c, t_max, nodes])
+    gamma, reach = curve(t), float(tube.delta0) + 1e-14 + np.abs(t - t_c)
+    # the square's left and right vertices, s/(2n) and (s+2)/(2n), bound s in each row
+    lo = np.maximum(np.ceil(2 * n * (gamma - reach).max(axis=1)).astype(np.int64), s_lo)
+    hi = np.minimum(np.floor(2 * n * (gamma + reach).min(axis=1)).astype(np.int64) - 2, s_hi)
+    lo += (lo - d) % 2
+    count = np.maximum((hi - lo) // 2 + 1, 0)
+    offset = np.cumsum(count) - count
+    s = np.repeat(lo - 2 * offset, count) + 2 * np.arange(count.sum())
+    d = np.repeat(d, count)
+    return (s + d) // 2, (s - d) // 2
 
 
 def _union_cover(domain, n, d_lo, d_hi):
@@ -369,14 +343,13 @@ def _union_cover(domain, n, d_lo, d_hi):
 def cover_cells(domain, n):
     """Lattice cells (a, b) of the level-n squares whose open interior lies in the domain.
 
-    Covers run in integer lattice units: a square union's time window, the
-    slab height and the cylinder edges become integer thresholds once per
-    call (``Fraction`` appears only there), and every per-square test is
-    integer arithmetic.  For a :class:`SquareUnion` a square is kept when
-    the stored squares cover it and it lies in the ``t_lo``/``t_hi``
-    window; for cylinders the test is the exact corner test; for tubes it
-    is edge-exact for the piecewise-affine centerline.  Returns two int64
-    arrays (empty for an empty cover), in no particular order.
+    A :class:`SquareUnion` runs in integer lattice units: its time window and
+    the slab height become integer thresholds once per call (``Fraction``
+    appears only there), and a square is kept when the stored squares cover
+    it and it lies in the ``t_lo``/``t_hi`` window.  A :class:`CurveTube`
+    keeps, in each time row, the interval of squares that lie within delta0
+    of its piecewise-affine centerline (see :func:`_tube_cover`).  Returns
+    two int64 arrays (empty for an empty cover), in no particular order.
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
@@ -387,16 +360,7 @@ def cover_cells(domain, n):
         d_lo = math.ceil(2 * n * domain.t_lo) + 1
         d_hi = math.floor(2 * n * domain.t_hi) - 1
         return _union_cover(domain, n, d_lo, d_hi)
-    # moving domains: cells inside the slab (0,1) x (0,T)
-    d_lo, d_hi, s_lo, s_hi = _slab_bounds(n, domain.T)
-    if isinstance(domain, Cylinder):
-        # all four corners within delta0 of x0: the extreme ones sit at x = s/(2n), (s+2)/(2n)
-        s_lo = math.ceil(2 * n * (domain.x0 - domain.delta0))
-        s_hi = math.floor(2 * n * (domain.x0 + domain.delta0)) - 2
-        return _slab_cells(d_lo, d_hi, s_lo, s_hi)
-    a, b = _slab_cells(d_lo, d_hi, s_lo, s_hi)
-    keep = _square_in_tube(a, b, n, domain)
-    return a[keep], b[keep]
+    return _tube_cover(domain, n)
 
 
 def squares_in_domain(domain, n):
@@ -423,7 +387,8 @@ def domain_from_json(doc):
 
     Only a ``square_union`` takes the optional ``t_lo``/``t_hi`` keys (its
     time window, default (0, T)); on the other types they raise.  A
-    ``curve_tube``'s optional ``T`` must be its curve's horizon.
+    ``curve_tube``'s optional ``T`` must be its curve's horizon.  A
+    ``cylinder`` is the tube around the constant curve x0 on 128 intervals.
     """
     try:
         kind = doc["type"]
@@ -441,7 +406,8 @@ def domain_from_json(doc):
         raise ValueError(f"a {kind} has no time window: drop 't_lo'/'t_hi' "
                          "or give a square_union domain")
     if kind == "cylinder":
-        return Cylinder(x0=doc["x0"], delta0=doc["delta0"], T=doc["T"])
+        curve = Curve.constant(_fraction(doc["x0"]), float(_fraction(doc["T"])))
+        return CurveTube(curve=curve, delta0=doc["delta0"])
     if kind == "curve_tube":
         curve = Curve(doc["curve"]["times"], doc["curve"]["values"])
         T = float(_fraction(doc.get("T", curve.T)))

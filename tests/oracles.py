@@ -21,8 +21,8 @@ import numpy as np
 def as_fraction(x):
     """Exact rational from ints, Fractions, floats and numeric strings.
 
-    Strings and integers convert exactly; floats are taken at their exact
-    binary value (deterministic, no decimal guessing).
+    Strings and integers convert exactly; a float is read at the decimal it
+    prints as (its ``repr``), so 0.3 is 3/10 and not its binary value.
     """
     if isinstance(x, Fraction):
         return x
@@ -30,7 +30,7 @@ def as_fraction(x):
         return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
-    return Fraction(float(x))
+    return Fraction(repr(float(x)))
 
 
 # ---------------------------------------------------------------- indices

@@ -445,12 +445,12 @@ BAD_CONFIGS = [
                                "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}},
                     "level": 8}, "curve_tube T=3.0 does not match its curve's horizon 2.0"),
     ("graph-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
-     "a Cylinder has no level of its own: give 'level'"),
+     "a CurveTube has no level of its own: give 'level'"),
     ("spectrum", {"domain": {"type": "curve_tube", "delta0": 0.15,
                              "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
      "a CurveTube has no level of its own: give 'level'"),
     ("power-cobs", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0.15, "T": 2}},
-     "power-cobs needs a square_union domain, got Cylinder"),
+     "power-cobs needs a square_union domain, got CurveTube"),
     ("power-cobs", {"domain": {"type": "curve_tube", "delta0": 0.15,
                                "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}}},
      "power-cobs needs a square_union domain, got CurveTube"),
@@ -481,7 +481,7 @@ BAD_CONFIGS = [
       for gamma0 in ({"constant": 0.05}, {"constant": 1.3},
                      {"values": [0.4, 0.9, 0.4], "times": [0, 1, 2]})],
     ("graph-cobs", {"domain": {"delta0": -0.1, "type": "cylinder", "x0": 0.5, "T": 2},
-                    "level": 8}, "cylinder must satisfy 0 <= delta0 <= x0"),
+                    "level": 8}, "tube needs 0 <= delta0 <= gamma <= 1 - delta0, got delta0=-0.1"),
     ("spectrum", {"domain": {"delta0": -0.1, "type": "curve_tube",
                              "curve": {"times": [0, 1, 2], "values": [0.4, 0.5, 0.4]}},
                   "level": 8}, "tube needs 0 <= delta0"),

@@ -16,7 +16,7 @@ from waveobs.graph import (
     observability_constant_graph,
     spectrum,
 )
-from waveobs.grid import Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
+from waveobs.grid import SquareUnion, domain_from_json, squares_in_domain, squares_in_time_slab
 from waveobs.testing import random_connected_square_domain
 
 from oracles import graph_weights, quadratic_form, vertex_position
@@ -238,7 +238,7 @@ def test_observability_constant_disconnected_domain():
 
 
 def test_observability_constant_levels():
-    wide = Cylinder(x0=0.5, delta0=0.25, T=2)
+    wide = domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": 2})
     gc = observability_constant_graph(wide, level=4)
     assert gc.n == 4
     # a cylinder has no intrinsic level: level is mandatory

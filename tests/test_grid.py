@@ -8,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from waveobs.grid import (
     Curve,
-    Cylinder,
     CurveTube,
     SquareUnion,
     cover_cells,
@@ -40,6 +39,11 @@ from oracles import (
 
 nonzero_ints = st.integers(-200, 200).filter(lambda i: i != 0)
 levels = st.integers(1, 12)
+
+
+def cylinder(x0, delta0, T):
+    """The cylinder document's domain: the tube around the constant curve x0."""
+    return domain_from_json({"type": "cylinder", "x0": x0, "delta0": delta0, "T": T})
 
 
 # ---------------------------------------------------------------------- fold
@@ -165,9 +169,9 @@ def test_subsquares_tile_the_parent(i, j, p, n):
 
 
 def _in_closed_strip(ij, n, T):
-    return all(
-        0 <= x <= 1 and 0 <= t <= T for x, t in square_corners(ij, n)
-    )
+    # the extremes of x = (u+v)/2 and t = (u-v)/2 over the square sit at its corners
+    (ulo, uhi), (vlo, vhi) = interval_bounds(ij[0], n), interval_bounds(ij[1], n)
+    return 0 <= ulo + vlo and uhi + vhi <= 2 and 0 <= ulo - vhi and uhi - vlo <= 2 * T
 
 
 def test_squares_in_time_slab_matches_brute_force():
@@ -233,15 +237,14 @@ def test_squares_in_domain_identity_and_refinement(chevron):
 
 
 def test_squares_in_domain_returns_a_frozenset(chevron):
-    cylinder = Cylinder(x0=0.25, delta0=0.15, T=2)
     tube = CurveTube(Curve.constant(0.5, 2.0, 16), delta0=0.15)
     domains = [
         chevron,
         SquareUnion(chevron.level, chevron.squares, chevron.T, 0.3, 1.7),
-        cylinder,
+        cylinder(0.25, 0.15, 2),
         tube,
         SquareUnion(level=1, squares=frozenset(), T=2),
-        Cylinder(x0=0.5, delta0=0, T=2),
+        cylinder(0.5, 0, 2),
         CurveTube(tube.curve, delta0=0),
     ]
     for domain in domains:
@@ -267,7 +270,7 @@ def test_cover_cells_are_the_squares_in_domain(chevron):
     cases = [(dom, n) for dom in (chevron, window) for n in (4, 8, 12)]
     times = np.linspace(0.0, 2.0, 33)
     tube = CurveTube(Curve(times, 0.5 + 0.2 * np.sin(np.pi * times)), delta0=0.15)
-    cases += [(Cylinder(x0=0.25, delta0=0.15, T=2), 16), (tube, 16)]
+    cases += [(cylinder(0.25, 0.15, 2), 16), (tube, 16)]
     cases += [(SquareUnion(level=1, squares=frozenset(), T=2), 4)]
     for domain, n in cases:
         a, b = cover_cells(domain, n)
@@ -294,9 +297,9 @@ def test_squares_in_domain_non_multiple_level_nests_geometrically(chevron):
             )
 
 
-# Cover oracle: the exact-rational definitions the integer covers implement,
-# a breakpoint overlay for square unions and the corner/edge test for
-# cylinders and tubes, over brute-force candidate squares.
+# Cover oracle: the definitions the covers implement, over brute-force candidate
+# squares: an exact-rational breakpoint overlay for square unions and the edge
+# test for tubes (cylinders included).
 
 
 def _rect_covered(urange, vrange, rects):
@@ -357,8 +360,6 @@ def _oracle_cover(domain, n):
             keep = in_window and _rect_covered((ulo, uhi), (vlo, vhi), rects)
         elif not _in_closed_strip(ij, n, T):
             keep = False
-        elif isinstance(domain, Cylinder):
-            keep = all(abs(x - domain.x0) <= domain.delta0 for x, _ in square_corners(ij, n))
         else:
             keep = _tube_edges_within(ij, n, domain)
         if keep:
@@ -377,19 +378,29 @@ def test_union_covers_match_the_rational_overlay(level):
 
 
 def test_windowed_chevron_covers_match_the_rational_overlay(chevron):
+    covers = {}
     for t_lo, t_hi in [(Fraction(3, 10), Fraction(17, 10)), (0.3, 1.7)]:
         domain = SquareUnion(chevron.level, chevron.squares, chevron.T, t_lo, t_hi)
-        for n in (4, 5, 7, 8, 12):
-            cover = squares_in_domain(domain, n)
+        for n in (4, 5, 7, 8, 10, 12):
+            cover = covers[type(t_lo), n] = squares_in_domain(domain, n)
             assert cover and cover == _oracle_cover(domain, n), (t_lo, n)
+    # the float window is read at the decimals it prints as: 0.3 and 1.7 lie on
+    # the level-5 and level-10 lattice lines, and their binary values lost a row there
+    for n in (4, 5, 7, 8, 10, 12):
+        assert covers[float, n] == covers[Fraction, n], n
+    assert [len(covers[float, n]) for n in (5, 10)] == [21, 92]
 
 
 def test_cylinder_covers_match_the_corner_test():
-    # binary-float parameters: 2n(x0 - delta0) is never an integer here
-    cylinder = Cylinder(x0=0.25, delta0=0.15, T=2)
+    # the edge test of the tube and the exact corner test on the decimals written
+    domain = cylinder(0.25, 0.15, 2)
+    x0, delta0 = Fraction("0.25"), Fraction("0.15")
     for n in (8, 16, 33):
-        cover = squares_in_domain(cylinder, n)
-        assert cover and cover == _oracle_cover(cylinder, n), n
+        cover = squares_in_domain(domain, n)
+        corners = {(i, j) for i in range(1, 3 * n + 1) for j in range(-2 * n, n + 1)
+                   if j and _in_closed_strip((i, j), n, 2)
+                   and all(abs(x - x0) <= delta0 for x, _ in square_corners((i, j), n))}
+        assert cover and cover == _oracle_cover(domain, n) == corners, n
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])
@@ -402,10 +413,44 @@ def test_tube_covers_match_the_edge_test(n):
     assert cover and cover == _oracle_cover(tube, n)
 
 
+@settings(deadline=None, max_examples=10)
+@given(st.integers(2, 64), st.integers(1, 128), st.sampled_from([1, 1.5, 2, 0.7]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_tube_cover_is_the_edge_test_on_random_curves(n, nodes, T, wavy, seed):
+    # constant curves, and random walks whose slope reaches 8
+    rng = np.random.default_rng(seed)
+    delta0 = rng.uniform(0.02, 0.3)
+    times = np.linspace(0.0, T, nodes + 1)
+    steps = rng.uniform(-1, 1, nodes + 1) * (8 * T / nodes if wavy else 0)
+    values = np.clip(rng.uniform(delta0, 1 - delta0) + np.cumsum(steps), delta0, 1 - delta0)
+    tube = CurveTube(curve=Curve(times, values), delta0=delta0)
+    assert squares_in_domain(tube, n) == _oracle_cover(tube, n)
+
+
+@settings(deadline=None, max_examples=100)
+@example(k=7, delta0="0.15", T="2", n=8)  # x0 + delta0 = 1/2 exactly, 0.4999... in binary
+@given(st.integers(0, 20), st.sampled_from(["0.05", "0.1", "0.15", "0.2", "0.25"]),
+       st.sampled_from(["1", "1.5", "2", "0.3"]), st.integers(2, 40))
+def test_a_float_cylinder_is_the_cylinder_of_its_decimals(k, delta0, T, n):
+    written = {"type": "cylinder", "x0": repr(k / 20), "delta0": delta0, "T": T}
+    assume(Fraction(delta0) <= Fraction(written["x0"]) <= 1 - Fraction(delta0))
+    floats = {key: value if key == "type" else float(value) for key, value in written.items()}
+    got, want = (cover_cells(domain_from_json(doc), n) for doc in (floats, written))
+    assert set(zip(*(c.tolist() for c in got))) == set(zip(*(c.tolist() for c in want)))
+
+
+def test_float_parameters_are_read_at_the_decimal_they_print_as():
+    # T = 0.3 lies on the level-10 lattice line t = 3/10; its binary value lost the top row
+    assert squares_in_time_slab(10, 0.3) == squares_in_time_slab(10, "3/10")
+    assert len(squares_in_time_slab(10, 0.3)) == 47
+    union = SquareUnion(level=10, squares=frozenset([(6, 1)]), T=0.3)
+    assert union.T == Fraction(3, 10) and squares_in_domain(union, 10) == {(6, 1)}
+
+
 def test_inner_squares_cover_the_eroded_cylinder(rng):
     # the level-8 square family of the cylinder (5/16, 11/16) x (0, 2)
     # contains its 0.15-interior (0.4625, 0.5375) x (0.15, 1.85)
-    domain = Cylinder(x0=0.5, delta0=Fraction(3, 16), T=2)
+    domain = cylinder(0.5, Fraction(3, 16), 2)
     family = squares_in_domain(domain, 8)
     bounds = {
         ij: (interval_bounds(ij[0], 8), interval_bounds(ij[1], 8)) for ij in family
@@ -470,7 +515,6 @@ def test_negative_half_width_is_rejected(delta0):
     # the second one is -0.0 as a float: the test is on the exact rational
     curve = Curve.constant(0.5, 2.0, 4)
     builders = [
-        lambda: Cylinder(x0=0.5, delta0=delta0, T=2),
         lambda: CurveTube(curve=curve, delta0=delta0),
         lambda: domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": delta0, "T": 2}),
         lambda: domain_from_json({"type": "curve_tube", "delta0": delta0, "curve": {
@@ -480,7 +524,7 @@ def test_negative_half_width_is_rejected(delta0):
         with pytest.raises(ValueError, match="0 <= delta0"):
             build()
     # a zero half-width stays the empty domain
-    for domain in (Cylinder(x0=0.5, delta0=0, T=2), CurveTube(curve=curve, delta0=0)):
+    for domain in (cylinder(0.5, 0, 2), CurveTube(curve=curve, delta0=0)):
         assert domain.is_empty() and squares_in_domain(domain, 4) == frozenset()
 
 
@@ -515,7 +559,7 @@ def test_domain_json_keeps_the_time_window(chevron):
     doc = {"type": "square_union", "level": 4, "T": 2, "squares": squares,
            "t_lo": 0.3, "t_hi": "17/10"}
     parsed = domain_from_json(doc)
-    window = (Fraction(0.3), Fraction(17, 10))
+    window = (Fraction(3, 10), Fraction(17, 10))
     assert (parsed.t_lo, parsed.t_hi) == window
     assert all(type(t) is Fraction for t in (parsed.t_lo, parsed.t_hi))
     built = SquareUnion(chevron.level, chevron.squares, chevron.T, *window)
@@ -582,7 +626,7 @@ def test_readme_domain_examples_parse():
         domain = domain_from_json(doc)
         kinds.add(type(domain))
         assert float(domain.T) == 2.0
-    assert kinds == {SquareUnion, Cylinder, CurveTube}
+    assert kinds == {SquareUnion, CurveTube}
 
 
 PARAMETERS = [3, np.int64(3), np.uint8(2), True, 0.1, np.float64(0.1), np.float32(0.1), "1/4",
@@ -595,22 +639,27 @@ def _build_domains(value):
     """Every constructor, and domain_from_json, with ``value`` for each Fraction parameter it
     can take where ``value`` keeps the domain valid: a square union's window needs
     0 <= t_lo < t_hi <= T, so its T and t_hi take a positive value and its t_lo, under
-    T = value + 1, a nonnegative one; a cylinder's T takes any value."""
+    T = value + 1, a nonnegative one.  A tube's horizon is its curve's last float time,
+    so a cylinder's T or a tube's T takes a positive value that is its float's decimal;
+    a cylinder's delta0 also takes value with x0 = value."""
     curve = Curve.constant(0.5, 2.0, 4)
     for union in (SquareUnion, lambda **given: domain_from_json({"type": "square_union", **given})):
         if as_fraction(value) > 0:
             yield union(level=1, squares=[], T=value, t_hi=value), ("T", "t_hi")
         if as_fraction(value) >= 0:
             yield union(level=1, squares=[], T=as_fraction(value) + 1, t_lo=value), ("t_lo",)
-    yield Cylinder(x0=0.5, delta0=0.25, T=value), ("T",)
-    yield domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value}), ("T",)
+    if as_fraction(value) > 0 and as_fraction(float(as_fraction(value))) == as_fraction(value):
+        yield cylinder(0.5, 0.25, value), ("T",)
+        horizon = Curve.constant(0.5, float(as_fraction(value)), 4)
+        yield CurveTube(curve=horizon, delta0=0.25), ("T",)
+        yield domain_from_json({"type": "curve_tube", "delta0": 0.25, "T": value, "curve": {
+            "times": horizon.times.tolist(), "values": horizon.values.tolist()}}), ("T",)
     if 0 <= as_fraction(value) <= Fraction(1, 2):
-        yield Cylinder(x0=0.5, delta0=value, T=2), ("delta0",)
+        yield cylinder(0.5, value, 2), ("delta0",)
+        yield cylinder(value, value, 2), ("delta0",)
         yield CurveTube(curve=curve, delta0=value), ("delta0",)
         yield domain_from_json({"type": "curve_tube", "delta0": value, "curve": {
             "times": curve.times.tolist(), "values": curve.values.tolist()}}), ("delta0",)
-    if 0 <= as_fraction(value) <= 1:
-        yield Cylinder(x0=value, delta0=0, T=2), ("x0",)
 
 
 @pytest.mark.parametrize("value", PARAMETERS, ids=repr)
@@ -623,14 +672,14 @@ def test_domain_parameters_are_the_exact_rationals_of_the_reference(value):
             assert type(got) is Fraction and got == ref and hash(got) == hash(ref), key
             assert type(got.numerator) is int and type(got.denominator) is int, key
             built += 1
-    assert built >= 8
+    assert built >= 6
 
 
 @pytest.mark.parametrize("scalar", [np.int64, np.uint8, np.float32, np.float64])
 def test_numpy_scalar_parameters_give_the_cover_of_their_python_value(chevron, scalar):
     # a uint8 horizon overflowed in the slab bounds, a float32 one raised TypeError
     keys = ("x0", "delta0", "T", "t_lo", "t_hi")
-    cylinder = {"x0": 0.5, "delta0": 0.25, "T": 2}
+    cylinder_doc = {"x0": 0.5, "delta0": 0.25, "T": 2}
     tube = {"curve": Curve.constant(0.5, 2.0, 4), "delta0": 0.25}
     union = {"level": chevron.level, "squares": chevron.squares, "T": 2, "t_lo": 0.125}
 
@@ -641,7 +690,7 @@ def test_numpy_scalar_parameters_give_the_cover_of_their_python_value(chevron, s
         return kind(**{k: scalar(v) if k in keys and scalar(v) == v else v
                        for k, v in given.items()})
 
-    for kind, given in ((Cylinder, cylinder), (CurveTube, tube), (SquareUnion, union),
+    for kind, given in ((cylinder, cylinder_doc), (CurveTube, tube), (SquareUnion, union),
                         (union_doc, union)):
         ref, domain = kind(**given), as_scalars(kind, given)
         for key in keys:
@@ -662,8 +711,8 @@ def test_bad_domain_parameters_raise_the_reference_exception(value):
     builders = [
         lambda: SquareUnion(level=1, squares=frozenset(), T=value),
         lambda: SquareUnion(level=1, squares=frozenset(), T=2, t_lo=value),
-        lambda: Cylinder(x0=value, delta0=0.25, T=2),
-        lambda: Cylinder(x0=0.5, delta0=value, T=2),
+        lambda: cylinder(value, 0.25, 2),
+        lambda: cylinder(0.5, value, 2),
         lambda: CurveTube(curve=curve, delta0=value),
         lambda: domain_from_json({"type": "cylinder", "x0": 0.5, "delta0": 0.25, "T": value}),
         lambda: domain_from_json({"type": "square_union", "level": 1, "squares": [], "T": value}),

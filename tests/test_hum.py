@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from oracles import eval_phi_forcing
 
 from waveobs.dalembert import _GAUSS8_NODES, _GAUSS8_WEIGHTS, eval_phi, leapfrog_solve
-from waveobs.grid import Curve, Cylinder, SquareUnion, squares_in_domain, squares_in_time_slab
+from waveobs.grid import (
+    Curve,
+    CurveTube,
+    SquareUnion,
+    squares_in_domain,
+    squares_in_time_slab,
+)
 from waveobs.hum import (
     HumSolution,
     IndicatorRegion,
@@ -875,7 +881,7 @@ def test_cost_is_invariant_under_the_mirror(coefs, x0, levels):
     n, p = levels
 
     def cylinder(x):
-        cover = squares_in_domain(Cylinder(x0=x, delta0=Fraction(1, 4), T=2), n)
+        cover = squares_in_domain(CurveTube(Curve.constant(x, 2.0), delta0=Fraction(1, 4)), n)
         return IndicatorRegion(SquareUnion(level=n, squares=cover, T=2))
 
     def tube(x):
