@@ -262,6 +262,8 @@ def _custom_data(data):
     y0_nodes = np.asarray(data["y0_nodes"], dtype=float)
     if y0_nodes.ndim != 1 or y0_nodes.size < 3:
         raise UsageError("'y0_nodes' must be a 1-d array of at least 3 values")
+    if not np.isfinite(y0_nodes).all():
+        raise UsageError("'y0_nodes' must be finite")
     m = y0_nodes.size - 1
     if abs(y0_nodes[0]) > 1e-12 or abs(y0_nodes[-1]) > 1e-12:
         raise UsageError("'y0_nodes' must vanish at both ends")
@@ -277,6 +279,8 @@ def _custom_data(data):
         y1_cells = np.asarray(y1_cells, dtype=float)
         if y1_cells.shape != (m,):
             raise UsageError(f"'y1_cells' must have {m} entries (one per cell)")
+        if not np.isfinite(y1_cells).all():
+            raise UsageError("'y1_cells' must be finite")
 
         def y1(x):
             idx = np.clip((np.asarray(x, dtype=float) * m).astype(int), 0, m - 1)

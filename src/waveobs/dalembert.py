@@ -61,9 +61,9 @@ class PiecewiseInitialData:
             raise ValueError(
                 f"alpha and beta must have shape ({n},), got {alpha.shape} and {beta.shape}"
             )
+        # the rule is s > 1e-10 * max(1, max|alpha|); the max is only read when s > 1e-10
         s = abs(alpha.sum())
-        scale = max(1.0, np.abs(alpha).max(initial=0.0))
-        if s > 1e-10 * scale:
+        if s > 1e-10 and s > 1e-10 * np.abs(alpha).max():
             raise ValueError(
                 "slopes must sum to zero (phi0 vanishes at both ends); "
                 f"got sum {alpha.sum():.3e}"
@@ -204,11 +204,13 @@ def l2_phit_on_squares(data, squares, n):
 
     The data's level L = p n must be a multiple of n.  The integral is the
     Laplacian form in gamma of the cover's p-fold refined observation graph,
-    over 8 L^2, summed in blocks on the level-n graph of
-    :func:`waveobs.graph.build_graph`: with s and q the row sums of g and g^2
-    for g the gamma table as a (2n, p) array, and d and W the graph's degrees
-    and weights, it is (p (d . q) - s^T W s) / (8 L^2).  The float d and W
-    are built once per (cover, n) and kept in a small read-only cache.
+    over 8 L^2.  With d and W the degrees and weights of the level-n graph of
+    :func:`waveobs.graph.build_graph`, it is (d . (g g) - g^T W g) / (8 L^2)
+    on the gamma table g itself at p = 1.  Refined data are summed in blocks:
+    with s and q the row sums of g and g^2 for g the table as a (2n, p)
+    array, it is (p (d . q) - s^T W s) / (8 L^2), the same float at p = 1.
+    The float d and W are built once per (cover, n) and kept in a small
+    read-only cache.
     """
     L = data.level
     if L % n != 0:
@@ -217,7 +219,10 @@ def l2_phit_on_squares(data, squares, n):
         )
     p = L // n
     degrees, weights = _cover_graph(frozenset(squares), n)
-    g = data._gtab.reshape(2 * n, p)
+    g = data._gtab
+    if p == 1:
+        return float(degrees @ (g * g) - g @ (weights @ g)) / (8.0 * L * L)
+    g = g.reshape(2 * n, p)
     s, q = g.sum(axis=1), np.einsum("ij,ij->i", g, g)
     return float(p * (degrees @ q) - s @ (weights @ s)) / (8.0 * L * L)
 

@@ -406,7 +406,10 @@ def domain_from_json(doc):
         raise ValueError(f"a {kind} has no time window: drop 't_lo'/'t_hi' "
                          "or give a square_union domain")
     if kind == "cylinder":
-        curve = Curve.constant(_fraction(doc["x0"]), float(_fraction(doc["T"])))
+        T = _fraction(doc["T"])
+        if T <= 0:
+            raise ValueError(f"cylinder needs T > 0, got T={float(T)}")
+        curve = Curve.constant(_fraction(doc["x0"]), float(T))
         return CurveTube(curve=curve, delta0=doc["delta0"])
     if kind == "curve_tube":
         curve = Curve(doc["curve"]["times"], doc["curve"]["values"])

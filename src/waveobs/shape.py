@@ -55,11 +55,12 @@ def shape_derivative_density(solution):
     mag = -30.0 * tau**2 * (1.0 - tau) ** 2 / d  # eta' magnitude at the nodes
     offs = d0 - d + d * tau
     w = _G16_WEIGHTS * (d / 2.0)
+    sides = np.array([-1.0, 1.0])[:, None, None]  # both bands in one call; j adds - then +
+    phi = eval_phi(solution.data, gam[:, None] + sides * offs, times[:, None])
+    r = (phi**2 * (sides * mag)) @ w
     j = np.zeros_like(gam)
-    for side in (-1.0, 1.0):
-        xg = gam[:, None] + side * offs[None, :]
-        phi = eval_phi(solution.data, xg, times[:, None])
-        j += (phi**2 * (side * mag)) @ w
+    j += r[0]
+    j += r[1]
     return j
 
 

@@ -198,6 +198,24 @@ def phi_t_on_square(data, ij):
     return float(0.5 * (data.gamma_of(i) - data.gamma_of(-j)))
 
 
+def l2_phit_blocks(data, squares, n):
+    """The observed phi_t energy in its block form, for data at any level p n.
+
+    With g the gamma table as a (2n, p) array, s and q its row sums of g and
+    g^2, and d and W the float degrees and weights of the level-n graph, the
+    value is (p (d . q) - s^T W s) / (8 L^2).  The package takes this form
+    for refined data and the gamma table itself at p = 1, so the two must
+    give the same float.
+    """
+    L = data.level
+    p = L // n
+    weights = graph_weights(squares, n)
+    degrees, weights = weights.sum(axis=1).astype(float), weights.astype(float)
+    g = gamma_fundamental(data).reshape(2 * n, p)
+    s, q = g.sum(axis=1), np.einsum("ij,ij->i", g, g)
+    return float(p * (degrees @ q) - s @ (weights @ s)) / (8.0 * L * L)
+
+
 def energy(data, t):
     """Exact wave energy (1/2) * integral of phi_t^2 + phi_x^2 at time t.
 

@@ -506,6 +506,15 @@ BAD_CONFIGS = [
     ("optimize", {"delta": 0.5}, "invalid weight: ramp width must satisfy 0 < delta < delta0"),
     ("hum", {"domain": {"type": "cylinder", "x0": 0.25, "delta0": 0, "T": 2}},
      "invalid weight: delta0 must be positive"),
+    ("graph-cobs", {"domain": {"type": "cylinder", "x0": 0.5, "delta0": 0.1, "T": 0}, "level": 8},
+     "invalid domain: cylinder needs T > 0, got T=0.0"),
+    ("hum", {"domain": {"type": "cylinder", "x0": 0.5, "delta0": 0.1, "T": -2}},
+     "invalid domain: cylinder needs T > 0, got T=-2.0"),
+    # json reads NaN and Infinity, which would reach the solve as a NaN right-hand side
+    ("hum", {"data": {"y0_nodes": [0, 1, float("nan"), -0.25, 0]}, "level": 8},
+     "'y0_nodes' must be finite"),
+    ("hum", {"data": {"y0_nodes": [0, 1, 0.5, -0.25, 0], "y1_cells": [1, float("inf"), -1, 2]},
+             "level": 8}, "'y1_cells' must be finite"),
     ("optimize", {"delta0": 0.6}, "key 'delta0' must be at most 0.5"),
     ("hum", {"level": 64, "grid_m": 100}, "unknown config key for hum: 'grid_m'"),
     ("hum", {"grid_factor": 0}, "key 'grid_factor' must be positive"),

@@ -25,6 +25,7 @@ from oracles import (
     eval_phi_t,
     fold_index,
     gamma_fundamental,
+    l2_phit_blocks,
     phi_t_on_square,
     quadratic_form,
     square_area,
@@ -114,6 +115,38 @@ def test_data_validation(rng):
         PiecewiseInitialData(4, np.ones(4), np.zeros(4))  # slopes must sum to 0
     with pytest.raises(ValueError):
         PiecewiseInitialData(4, np.zeros(3), np.zeros(4))
+
+
+def _scaled_slope_rule_rejects(alpha):
+    """The slope-sum rule in one expression: |sum alpha| > 1e-10 * max(1, max|alpha|)."""
+    return abs(alpha.sum()) > 1e-10 * max(1.0, np.abs(alpha).max(initial=0.0))
+
+
+# (alpha, rejected): the sum m - m + e is e exactly, just below, at and just above
+# 1e-10 * max(1, m) for m below, at and above 1; non-finite slopes are accepted
+SLOPE_SUM_ROWS = [
+    *[([m, -m, sign * np.nextafter(1e-10 * max(1.0, m), toward)], toward > 0)
+      for m in (0.5, 1.0, 3.0, 1e6) for sign in (1.0, -1.0) for toward in (0.0, 1.0)],
+    *[([m, -m, sign * 1e-10 * max(1.0, m)], False) for m in (0.5, 3.0) for sign in (1.0, -1.0)],
+    ([0.5, -0.5, 2e-10], True),
+    ([float("nan"), 0.0, 0.0], False),
+    ([0.5, float("nan"), -0.5], False),
+    ([float("inf"), 0.0, 0.0], False),
+    ([-float("inf"), 1.0, 0.0], False),
+    ([float("inf"), -float("inf"), 0.0], False),
+]
+
+
+@pytest.mark.parametrize("alpha,rejected", SLOPE_SUM_ROWS)
+@np.errstate(invalid="ignore")  # inf - inf sums to NaN with an invalid-value warning
+def test_slope_sum_rule_is_the_scaled_threshold(alpha, rejected):
+    alpha = np.array(alpha)
+    assert _scaled_slope_rule_rejects(alpha) == rejected
+    if rejected:
+        with pytest.raises(ValueError, match="slopes must sum to zero"):
+            PiecewiseInitialData(alpha.size, alpha, np.zeros(alpha.size))
+    else:
+        PiecewiseInitialData(alpha.size, alpha, np.zeros(alpha.size))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -356,6 +389,16 @@ def test_l2_phit_is_additive_over_disjoint_covers_and_monotone(level, p, seed):
     a, b = l2_phit_on_squares(data, part, level), l2_phit_on_squares(data, rest, level)
     assert a + b == pytest.approx(whole, rel=1e-12)
     assert 0.0 <= a <= whole * (1 + 1e-12) and 0.0 <= b <= whole * (1 + 1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_l2_phit_is_the_block_form_bitwise(level, p, seed):
+    # at p = 1 the package reads the gamma table itself instead of its (2n, 1) blocks
+    rng = np.random.default_rng(seed)
+    squares = random_connected_square_domain(rng, level).squares
+    data = random_initial_data(rng, p * level)
+    assert l2_phit_on_squares(data, squares, level) == l2_phit_blocks(data, squares, level)
 
 
 def test_discrete_observability_random_smoke(chevron, rng):
