@@ -12,7 +12,6 @@ imports inside the command handlers), so artifacts do not depend on the host.
 """
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -75,6 +74,8 @@ class ArtifactWriter:
             raise UsageError(f"output directory not writable: {exc}")
 
     def _write_bytes(self, name, data):
+        import hashlib  # loads OpenSSL: only processes that write an artifact pay for it
+
         self._ensure_dir()
         path = os.path.join(self.out_dir, name)
         with open(path, "wb") as f:

@@ -100,8 +100,10 @@ class PiecewiseInitialData:
         """Squared energy norm: L2 of phi0' plus L2 of phi1.
 
         Equals (1/(2n)) * sum of gamma^2 over the fundamental indices.
+        ``ndarray.dot`` is the same BLAS call as ``@`` with less dispatch on
+        these short vectors; the tests pin the float to the ``@`` form.
         """
-        return float((self.alpha @ self.alpha + self.beta @ self.beta) / self.level)
+        return float((self.alpha.dot(self.alpha) + self.beta.dot(self.beta)) / self.level)
 
     def _profile(self, w, nodes, slopes):
         n = self.level
@@ -210,7 +212,8 @@ def l2_phit_on_squares(data, squares, n):
     with s and q the row sums of g and g^2 for g the table as a (2n, p)
     array, it is (p (d . q) - s^T W s) / (8 L^2), the same float at p = 1.
     The float d and W are built once per (cover, n) and kept in a small
-    read-only cache.
+    read-only cache.  Products are ``ndarray.dot``, the BLAS call of ``@`` with
+    less dispatch on these short vectors; the tests pin the float to ``@``.
     """
     L = data.level
     if L % n != 0:
@@ -221,10 +224,10 @@ def l2_phit_on_squares(data, squares, n):
     degrees, weights = _cover_graph(frozenset(squares), n)
     g = data._gtab
     if p == 1:
-        return float(degrees @ (g * g) - g @ (weights @ g)) / (8.0 * L * L)
+        return float(degrees.dot(g * g) - g.dot(weights.dot(g))) / (8.0 * L * L)
     g = g.reshape(2 * n, p)
     s, q = g.sum(axis=1), np.einsum("ij,ij->i", g, g)
-    return float(p * (degrees @ q) - s @ (weights @ s)) / (8.0 * L * L)
+    return float(p * degrees.dot(q) - s.dot(weights.dot(s))) / (8.0 * L * L)
 
 
 @functools.lru_cache(maxsize=16)

@@ -370,6 +370,8 @@ def squares_in_domain(domain, n):
     empty), so that per-cover caches such as the graph cache of
     :func:`waveobs.dalembert.l2_phit_on_squares` (``_cover_graph``) can key on
     it; a square union at its own level and full window returns its stored set.
+    That cache relies on callers passing one cover object to every check of a
+    batch: a hit on that object is an identity check, not a set comparison.
     """
     own_level = isinstance(domain, SquareUnion) and n == domain.level
     if own_level and (domain.t_lo, domain.t_hi) == (0, domain.T):

@@ -216,6 +216,11 @@ def l2_phit_blocks(data, squares, n):
     return float(p * (degrees @ q) - s @ (weights @ s)) / (8.0 * L * L)
 
 
+def v_norm_sq_matmul(data):
+    """The squared energy norm in its ``@`` form, the float the package must give."""
+    return float((data.alpha @ data.alpha + data.beta @ data.beta) / data.level)
+
+
 def energy(data, t):
     """Exact wave energy (1/2) * integral of phi_t^2 + phi_x^2 at time t.
 

@@ -652,16 +652,21 @@ def test_module_entry_point(tmp_path):
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():
-    # main pins one BLAS thread only while numpy is not yet loaded
+    # main pins one BLAS thread only while numpy is not yet loaded, and
+    # hashlib (OpenSSL) is loaded only by a process that writes an artifact
+    modules = ("numpy", "hashlib", "_hashlib")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, waveobs, waveobs.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, waveobs, waveobs.cli; print(*[m in sys.modules for m in {modules!r}])"],
         capture_output=True,
         text=True,
         timeout=120,
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    numpy_loaded, hashlib_loaded, openssl_loaded = proc.stdout.split()
+    assert numpy_loaded == "False"
+    assert (hashlib_loaded, openssl_loaded) == ("False", "False")
 
 
 def test_artifacts_do_not_depend_on_thread_count(tmp_path):

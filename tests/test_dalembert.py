@@ -30,6 +30,7 @@ from oracles import (
     quadratic_form,
     square_area,
     square_center,
+    v_norm_sq_matmul,
 )
 
 
@@ -261,6 +262,15 @@ def test_v_norm_examples(rng):
     assert data.v_norm_sq() == pytest.approx(direct, rel=1e-12)
     gam = gamma_fundamental(data)
     assert data.v_norm_sq() == pytest.approx(np.sum(gam**2) / 16, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 64), st.booleans(), st.integers(0, 2**32 - 1))
+def test_v_norm_sq_is_the_matmul_form_bitwise(level, zero, seed):
+    rng = np.random.default_rng(seed)
+    data = (PiecewiseInitialData(level, np.zeros(level), np.zeros(level)) if zero
+            else random_initial_data(rng, level))
+    assert data.v_norm_sq() == v_norm_sq_matmul(data)
 
 
 def test_energy_conserved(rng):
