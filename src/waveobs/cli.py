@@ -474,11 +474,11 @@ def _gamma0_curve(spec, T, n_nodes, delta0):
         raise UsageError(f"invalid gamma0 curve: {exc}")
 
 
-def _sweep(writer, config, data, x0s):
-    """Control cost of the cylinders centred at ``x0s``, written to sweep.csv."""
+def _sweep(writer, config, data, x0_min, x0_max, count):
+    """Control cost of ``count`` cylinders centred from x0_min to x0_max, into sweep.csv."""
     import numpy as np
 
-    from waveobs.shape import cylindrical_sweep
+    from waveobs.shape import cylindrical_sweep, sweep_centres
 
     sweep = cylindrical_sweep(
         data.y0,
@@ -488,7 +488,7 @@ def _sweep(writer, config, data, x0s):
         y1=data.y1,
         breakpoints=data.data_breakpoints(),
         delta=config["delta"],
-        x0s=x0s,
+        x0s=sweep_centres(x0_min, x0_max, count),
     )
     writer.write_csv(
         "sweep.csv", ["x0", "J"], np.column_stack([sweep.x0s, sweep.costs])
@@ -548,7 +548,7 @@ def _cmd_optimize(config, writer, seed):
         "curve_final.csv", ["t", "value"], np.column_stack([final.times, final.values])
     )
 
-    sweep = _sweep(writer, config, data, np.linspace(0.2, 0.8, config["sweep_count"]))
+    sweep = _sweep(writer, config, data, 0.2, 0.8, config["sweep_count"])
     j_opt = float(costs[-1])
     return {
         "data": data.name,
@@ -572,15 +572,13 @@ def _cmd_optimize(config, writer, seed):
 
 
 def _cmd_sweep(config, writer, seed):
-    import numpy as np
-
     data = _resolve_data(config)
     _check_grid(data.T, config["level"])
     x0_min, x0_max = config["x0_min"], config["x0_max"]
     if not 0.0 < x0_min <= x0_max < 1.0:
         raise UsageError("need 0 < x0_min <= x0_max < 1")
     _weight_profile(config["delta0"], config["delta"])
-    sweep = _sweep(writer, config, data, np.linspace(x0_min, x0_max, config["count"]))
+    sweep = _sweep(writer, config, data, x0_min, x0_max, config["count"])
     return {
         "data": data.name,
         "T": data.T,
@@ -601,6 +599,8 @@ def _cmd_power_cobs(config, writer, seed):
     domain = _resolve_domain(config["domain"])
     if not isinstance(domain, SquareUnion):
         raise UsageError(f"power-cobs needs a square_union domain, got {type(domain).__name__}")
+    if config["level"] < 2:  # no interior node: the operator and the parabolic start are zero
+        raise UsageError(f"config key 'level' must be at least 2, got {config['level']}")
     _check_refines(domain, [config["level"]], "level")
     res = power_iterate(domain, config["level"], tol=config["tol"], max_iters=config["max_iters"])
     writer.write_csv(

@@ -202,32 +202,22 @@ def eval_phi(data, x, t):
 
 
 def l2_phit_on_squares(data, squares, n):
-    """Integral of phi_t^2 over a union of level-n squares.
+    """Integral of phi_t^2 over a union of level-n squares, for data at level n.
 
-    The data's level L = p n must be a multiple of n.  The integral is the
-    Laplacian form in gamma of the cover's p-fold refined observation graph,
-    over 8 L^2.  With d and W the degrees and weights of the level-n graph of
-    :func:`waveobs.graph.build_graph`, it is (d . (g g) - g^T W g) / (8 L^2)
-    on the gamma table g itself at p = 1.  Refined data are summed in blocks:
-    with s and q the row sums of g and g^2 for g the table as a (2n, p)
-    array, it is (p (d . q) - s^T W s) / (8 L^2), the same float at p = 1.
-    The float d and W are built once per (cover, n) and kept in a small
-    read-only cache.  Products are ``ndarray.dot``, the BLAS call of ``@`` with
-    less dispatch on these short vectors; the tests pin the float to ``@``.
+    It is the Laplacian form (d . (g g) - g^T W g) / (8 n^2) of the cover's
+    graph (:func:`waveobs.graph.build_graph`, degrees d, weights W) in the
+    gamma table g.  Data at a level p n take the refined cover
+    ``squares_in_domain(domain, p n)``.  The float d and W are built once per
+    (cover, n) and kept in a small read-only cache.  Products are
+    ``ndarray.dot``, the BLAS call of ``@`` with less dispatch on these short
+    vectors; the tests pin the float to ``@``.
     """
-    L = data.level
-    if L % n != 0:
-        raise ValueError(
-            f"data level {L} is not a multiple of the square level {n}"
-        )
-    p = L // n
+    if data.level != n:
+        raise ValueError(f"data level {data.level} is not the square level {n}: give the "
+                         "cover at the data's level")
     degrees, weights = _cover_graph(frozenset(squares), n)
     g = data._gtab
-    if p == 1:
-        return float(degrees.dot(g * g) - g.dot(weights.dot(g))) / (8.0 * L * L)
-    g = g.reshape(2 * n, p)
-    s, q = g.sum(axis=1), np.einsum("ij,ij->i", g, g)
-    return float(p * degrees.dot(q) - s.dot(weights.dot(s))) / (8.0 * L * L)
+    return float(degrees.dot(g * g) - g.dot(weights.dot(g))) / (8.0 * n * n)
 
 
 @functools.lru_cache(maxsize=16)

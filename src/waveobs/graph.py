@@ -6,8 +6,7 @@ two characteristic families it straddles.  Collecting these links over the
 cover yields a weighted graph on the 2n fundamental indices whose Laplacian
 quadratic form reproduces the squared L2 norm of the solution's time
 derivative over the cover (up to the factor 1/(8 n^2)).
-:func:`waveobs.dalembert.l2_phit_on_squares` computes that norm as this form,
-summed in blocks of the graph for data at a refined level.
+:func:`waveobs.dalembert.l2_phit_on_squares` computes that norm as this form.
 
 The algebraic connectivity (second-smallest Laplacian eigenvalue) of this
 graph controls the observability constant: the graph is connected exactly

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dalembert import eval_phi
+from .grid import _fraction
 from .hum import SmoothedTube, WeightProfile, hum_control, hum_rhs, lattice_plan, solve_tridiagonal
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "optimize",
     "DescentTrace",
     "cylindrical_sweep",
+    "sweep_centres",
     "SweepResult",
     "performance_index",
 ]
@@ -222,17 +224,24 @@ def cylindrical_sweep(
 ):
     """Control cost over a family of fixed-center tubes.
 
-    Default centers are the 13 equispaced points of [0.2, 0.8]; ties on the
-    minimum resolve to the smaller center.
+    Default centers are :func:`sweep_centres`, the 13 equispaced points of
+    [0.2, 0.8]; ties on the minimum resolve to the smaller center.
     """
     if x0s is None:
-        x0s = np.linspace(0.2, 0.8, 13)
+        x0s = sweep_centres(0.2, 0.8, 13)
     x0s = np.asarray(x0s, dtype=float)
     costs = np.empty_like(x0s)
     plan, b = lattice_plan(level, T), hum_rhs(level, y0, y1, breakpoints)
     for k, x0 in enumerate(x0s):
         costs[k] = hum_control(SmoothedTube.around(x0, T, delta0, delta), b, plan=plan).cost
     return SweepResult(x0s=x0s, costs=costs)
+
+
+def sweep_centres(x0_min, x0_max, count):
+    """``count`` equispaced centers from x0_min to x0_max (one: x0_min), each rounded once
+    from its exact value at the decimal ends: 0.2, 0.25, ..., 0.8 for 13 over [0.2, 0.8]."""
+    lo, hi = _fraction(x0_min), _fraction(x0_max)
+    return np.array([float(lo + k * (hi - lo) / max(count - 1, 1)) for k in range(count)])
 
 
 def performance_index(optimal_cost, cylinder_cost):

@@ -203,9 +203,10 @@ def l2_phit_blocks(data, squares, n):
 
     With g the gamma table as a (2n, p) array, s and q its row sums of g and
     g^2, and d and W the float degrees and weights of the level-n graph, the
-    value is (p (d . q) - s^T W s) / (8 L^2).  The package takes this form
-    for refined data and the gamma table itself at p = 1, so the two must
-    give the same float.
+    value is (p (d . q) - s^T W s) / (8 L^2).  The package takes data at
+    its cover's level and reads the gamma table itself, which must give the
+    float of this form at p = 1; at p > 1 the form is the value on the cover
+    refined to level L.
     """
     L = data.level
     p = L // n

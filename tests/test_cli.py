@@ -266,6 +266,16 @@ def test_sweep_artifacts(tmp_path):
     assert len(rows) == 4
 
 
+def test_sweep_csv_prints_each_centre_as_its_decimal(tmp_path):
+    # a user range: the centres are the decimals 0.1, ..., 0.9, mirror pairs sum to 1
+    config = {"level": 8, "count": 9, "x0_min": 0.1, "x0_max": 0.9}
+    code, out = run_cli(tmp_path, "sweep", config)
+    assert code == 0
+    x0s = [float(row.split(",")[0]) for row in csv_lines(out / "sweep.csv")[1:]]
+    assert [repr(x) for x in x0s] == [f"0.{k}" for k in range(1, 10)]
+    assert all(a + b == 1.0 for a, b in zip(x0s, x0s[::-1]))
+
+
 def test_power_cobs_artifacts(tmp_path):
     code, out = run_cli(tmp_path, "power-cobs", {"level": 16})
     assert code == 0
@@ -494,6 +504,9 @@ BAD_CONFIGS = [
     ("hum", {"level": 6, "domain": {"fixture": "chevron_l4"}},
      "key 'level' must be a multiple of the domain level (4), got 6"),
     ("power-cobs", {"level": 6}, "key 'level' must be a multiple of the domain level (4), got 6"),
+    # at level 1 no interior node exists: the power operator is zero
+    ("power-cobs", {"domain": {"type": "square_union", "level": 1, "T": 2, "squares": [[2, -1]]},
+                    "level": 1}, "config key 'level' must be at least 2, got 1"),
     ("verify", {"levels": [8, 6], "domain": {"fixture": "chevron_l4"}},
      "key 'levels' must be a multiple of the domain level (4), got 6"),
     ("hum", {"curve_nodes": 7}, "unknown config key for hum: 'curve_nodes'"),
@@ -612,17 +625,6 @@ def test_singular_gram_exits_1_with_error_json(tmp_path, capsys):
     err = read_json(out / "error.json")
     assert err["command"] == "hum"
     assert "ill-conditioned" in err["error"]["message"]
-    capsys.readouterr()
-    assert not (out / "manifest.json").exists()
-
-
-def test_power_cobs_at_level_1_exits_1_naming_the_level(tmp_path, capsys):
-    domain = {"type": "square_union", "level": 1, "T": 2, "squares": [[2, -1]]}
-    code, out = run_cli(tmp_path, "power-cobs", {"domain": domain, "level": 1})
-    assert code == 1
-    err = read_json(out / "error.json")["error"]
-    assert err["type"] == "ValueError"
-    assert "needs level >= 2, got 1" in err["message"]
     capsys.readouterr()
     assert not (out / "manifest.json").exists()
 

@@ -16,7 +16,7 @@ from waveobs.dalembert import (
     terminal_velocity,
 )
 from waveobs.graph import build_graph, laplacian, observability_constant_graph
-from waveobs.grid import squares_in_time_slab
+from waveobs.grid import SquareUnion, squares_in_domain, squares_in_time_slab
 from waveobs.presets import get_preset
 from waveobs.testing import random_connected_square_domain, random_initial_data
 
@@ -323,8 +323,6 @@ def test_l2_phit_full_strip_matches_center_quadrature(rng):
 
 def test_l2_phit_refined_data(chevron, rng):
     # refined data on the subdivided cover: same machinery at level p*n
-    from waveobs.grid import squares_in_domain
-
     for p in (2, 3):
         data = random_initial_data(rng, 4 * p)
         fine = squares_in_domain(chevron, 4 * p)
@@ -335,52 +333,61 @@ def test_l2_phit_refined_data(chevron, rng):
         assert val == pytest.approx(oracle, rel=1e-12)
 
 
+def _refined_cover(squares, level, p):
+    """The level-(p * level) cover of the union of the given level-``level`` squares."""
+    return squares_in_domain(SquareUnion(level, frozenset(squares), T=2), p * level)
+
+
 @pytest.mark.parametrize("level", [3, 4, 5])
 def test_l2_phit_is_the_cover_graph_quadratic_form(level):
-    # the observed phi_t energy is the Laplacian form of the cover's graph in
-    # gamma, of the p-fold refined graph for data at level p * n
+    # the observed phi_t energy is the Laplacian form in gamma of the cover's
+    # graph; for data at level p * n the cover refined to level p * n is the
+    # union's, and its graph's Laplacian is the p-fold refined one of level n
     rng = np.random.default_rng(level)
     for _ in range(3):
-        squares = random_connected_square_domain(rng, level).squares
-        graph = build_graph(squares, level)
+        union = random_connected_square_domain(rng, level)
+        graph = build_graph(union.squares, level)
         for p in (1, 2, 3):
             L = p * level
             data = random_initial_data(rng, L)
             gamma = gamma_fundamental(data)
+            want = gamma @ laplacian(graph, p) @ gamma
             if p == 1:
-                want = quadratic_form(squares, level, gamma)
-            else:
-                want = gamma @ laplacian(graph, p) @ gamma
-            got = l2_phit_on_squares(data, squares, level)
-            assert got == pytest.approx(want / (8.0 * L * L), rel=1e-12), (sorted(squares), p)
+                assert want == pytest.approx(quadratic_form(union.squares, level, gamma), rel=1e-12)
+            got = l2_phit_on_squares(data, squares_in_domain(union, L), L)
+            assert got == pytest.approx(want / (8.0 * L * L), rel=1e-12), (sorted(union.squares), p)
 
 
 def test_l2_phit_is_the_same_float_for_any_container(chevron, rng):
     data = random_initial_data(rng, 12)
-    squares = sorted(chevron.squares)
+    squares = sorted(squares_in_domain(chevron, 12))
     values = []
     for cover in (set(squares), frozenset(squares), squares, squares[::-1]):
         dalembert._cover_graph.cache_clear()  # each container builds the graph
-        values.append(l2_phit_on_squares(data, cover, 4))
-        values.append(l2_phit_on_squares(data, cover, 4))  # cache hit
+        values.append(l2_phit_on_squares(data, cover, 12))
+        values.append(l2_phit_on_squares(data, cover, 12))  # cache hit
     assert values == [values[0]] * len(values)
 
 
 def test_l2_phit_rejects_zero_indices_and_foreign_levels(rng):
-    data = random_initial_data(rng, 8)
+    data = random_initial_data(rng, 4)
     for squares in ([(0, 1)], [(2, 1), (3, 0)]):
         for _ in range(2):  # a failed build is not cached
             with pytest.raises(ValueError, match="index 0"):
                 l2_phit_on_squares(data, squares, 4)
-    with pytest.raises(ValueError, match="not a multiple"):
-        l2_phit_on_squares(data, [(2, 1)], 3)
+    # the check takes data at its cover's level only: refined data need the refined cover
+    fine = random_initial_data(rng, 8)
+    for level in (2, 3, 4, 16):
+        for squares in ([(2, 1)], []):
+            with pytest.raises(ValueError, match=f"data level 8 is not the square level {level}"):
+                l2_phit_on_squares(fine, squares, level)
     assert l2_phit_on_squares(data, [], 4) == 0.0
-    assert l2_phit_on_squares(data, frozenset(), 8) == 0.0
+    assert l2_phit_on_squares(fine, frozenset(), 8) == 0.0
 
 
 def test_l2_phit_rejects_a_self_loop_square(rng):
     # (1, -1) links fold(1) to itself: no such square lies in the strip
-    data = random_initial_data(rng, 8)
+    data = random_initial_data(rng, 4)
     for squares in ([(1, -1)], [(2, 1), (1, -1)]):
         with pytest.raises(ValueError, match="self-loop"):
             l2_phit_on_squares(data, squares, 4)
@@ -389,14 +396,17 @@ def test_l2_phit_rejects_a_self_loop_square(rng):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 6), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
 def test_l2_phit_is_additive_over_disjoint_covers_and_monotone(level, p, seed):
+    # two disjoint level-n parts, each refined to the data's level p * n
     rng = np.random.default_rng(seed)
     squares = sorted(random_connected_square_domain(rng, level).squares)
-    data = random_initial_data(rng, p * level)
+    L = p * level
+    data = random_initial_data(rng, L)
     keep = rng.random(len(squares)) < 0.5
     part = [ij for ij, k in zip(squares, keep) if k]
     rest = [ij for ij, k in zip(squares, keep) if not k]
-    whole = l2_phit_on_squares(data, squares, level)
-    a, b = l2_phit_on_squares(data, part, level), l2_phit_on_squares(data, rest, level)
+    whole = l2_phit_on_squares(data, _refined_cover(squares, level, p), L)
+    a = l2_phit_on_squares(data, _refined_cover(part, level, p), L)
+    b = l2_phit_on_squares(data, _refined_cover(rest, level, p), L)
     assert a + b == pytest.approx(whole, rel=1e-12)
     assert 0.0 <= a <= whole * (1 + 1e-12) and 0.0 <= b <= whole * (1 + 1e-12)
 
@@ -404,11 +414,17 @@ def test_l2_phit_is_additive_over_disjoint_covers_and_monotone(level, p, seed):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 6), st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32 - 1))
 def test_l2_phit_is_the_block_form_bitwise(level, p, seed):
-    # at p = 1 the package reads the gamma table itself instead of its (2n, 1) blocks
+    # on the cover refined to the data's level p * n the package reads the gamma
+    # table itself, the float of its (2 p n, 1) blocks; the level-n blocks of
+    # the unrefined cover give the same value
     rng = np.random.default_rng(seed)
     squares = random_connected_square_domain(rng, level).squares
-    data = random_initial_data(rng, p * level)
-    assert l2_phit_on_squares(data, squares, level) == l2_phit_blocks(data, squares, level)
+    L = p * level
+    data = random_initial_data(rng, L)
+    fine = _refined_cover(squares, level, p)
+    got = l2_phit_on_squares(data, fine, L)
+    assert got == l2_phit_blocks(data, fine, L)
+    assert got == pytest.approx(l2_phit_blocks(data, squares, level), rel=1e-12)
 
 
 def test_discrete_observability_random_smoke(chevron, rng):

@@ -25,6 +25,7 @@ from waveobs.shape import (
     pair_with_density,
     performance_index,
     shape_derivative_density,
+    sweep_centres,
 )
 
 EX1 = get_preset("ex1")
@@ -337,6 +338,14 @@ def test_optimize_and_cylindrical_sweep_each_build_one_right_hand_side(monkeypat
     assert trace.iterations == 4 and built == [8]
     sw = cylindrical_sweep(EX2.y0, 0.15, 8, 2.0, **args)
     assert sw.costs.size == 13 and built == [8, 8]
+
+
+def test_sweep_centres_are_the_decimals_and_mirror_pairs_sum_to_one():
+    # each centre is computed once from the decimal ends, not stepped in binary
+    x0s = cylindrical_sweep(EX1.y0, 0.15, 8, 2.0).x0s
+    assert [repr(float(x)) for x in x0s] == [repr(k / 100) for k in range(20, 81, 5)]
+    assert all(a + b == 1.0 for a, b in zip(x0s, x0s[::-1]))
+    assert sweep_centres(0.35, 0.8, 1).tolist() == [0.35]
 
 
 def test_sweep_single_point():
