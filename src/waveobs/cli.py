@@ -290,12 +290,12 @@ def _custom_data(data):
     return ControlPreset("custom", y0, y1, tuple(nodes[1:-1]), x0_init=None)
 
 
-def _weight_profile(delta0, delta):
-    """The smoothed weight's profile, or a UsageError for a bad 'delta' or 'delta0'."""
-    from waveobs.hum import WeightProfile
+def _ramp_widths(delta0, delta):
+    """The smoothed weight's (delta0, delta), or a UsageError for a bad 'delta' or 'delta0'."""
+    from waveobs.hum import ramp_widths
 
     try:
-        return WeightProfile(delta0, delta)
+        return ramp_widths(delta0, delta)
     except ValueError as exc:
         raise UsageError(f"invalid weight: {exc}")
 
@@ -329,8 +329,7 @@ def _resolve_region(config, T, levels, key):
                              "domain has a sharp weight")
         _check_refines(domain, levels, key)
         return IndicatorRegion(domain)
-    profile = _weight_profile(float(domain.delta0), config["delta"])
-    return SmoothedTube(domain.curve, profile)
+    return SmoothedTube(domain.curve, *_ramp_widths(float(domain.delta0), config["delta"]))
 
 
 def _check_grid(T, level, factor=None, level_key="level"):
@@ -506,7 +505,7 @@ def _cmd_optimize(config, writer, seed):
     if config["delta0"] > 0.5:
         raise UsageError(f"config key 'delta0' must be at most 0.5, so that the band "
                          f"[delta0, 1 - delta0] holds the curve, got {config['delta0']!r}")
-    _weight_profile(config["delta0"], config["delta"])
+    _ramp_widths(config["delta0"], config["delta"])
     T = data.T
     eps = data.eps if config["eps_reg"] is None else config["eps_reg"]
     rho = data.rho if config["rho"] is None else config["rho"]
@@ -577,7 +576,7 @@ def _cmd_sweep(config, writer, seed):
     x0_min, x0_max = config["x0_min"], config["x0_max"]
     if not 0.0 < x0_min <= x0_max < 1.0:
         raise UsageError("need 0 < x0_min <= x0_max < 1")
-    _weight_profile(config["delta0"], config["delta"])
+    _ramp_widths(config["delta0"], config["delta"])
     sweep = _sweep(writer, config, data, x0_min, x0_max, config["count"])
     return {
         "data": data.name,
@@ -608,13 +607,9 @@ def _cmd_power_cobs(config, writer, seed):
         ["k", "estimate"],
         [[k + 1, est] for k, est in enumerate(res.estimates)],
     )
-    m = res.vector.m
-    xs = np.arange(m + 1) / m
-    writer.write_csv(
-        "worst_datum.csv",
-        ["x", "y0", "y1"],
-        np.column_stack([xs, res.vector.y0, res.vector.y1]),
-    )
+    y0, y1 = np.split(res.vector, 2)
+    xs = np.arange(y0.size) / (y0.size - 1)
+    writer.write_csv("worst_datum.csv", ["x", "y0", "y1"], np.column_stack([xs, y0, y1]))
     return {
         "constant": res.constant,
         "iterations": res.iterations,

@@ -208,7 +208,9 @@ def l2_phit_on_squares(data, squares, n):
     graph (:func:`waveobs.graph.build_graph`, degrees d, weights W) in the
     gamma table g.  Data at a level p n take the refined cover
     ``squares_in_domain(domain, p n)``.  The float d and W are built once per
-    (cover, n) and kept in a small read-only cache.  Products are
+    (cover, n) and kept read-only in a one-slot cache, so a batch of checks
+    should pass one cover object to every check: a hit on that object is an
+    identity check, not a set comparison.  Products are
     ``ndarray.dot``, the BLAS call of ``@`` with less dispatch on these short
     vectors; the tests pin the float to ``@``.
     """
@@ -220,7 +222,7 @@ def l2_phit_on_squares(data, squares, n):
     return float(degrees.dot(g * g) - g.dot(weights.dot(g))) / (8.0 * n * n)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _cover_graph(squares, n):
     weights = build_graph(squares, n)  # integers: the same floats in any square order
     tables = weights.sum(axis=1).astype(float), weights.astype(float)

@@ -367,11 +367,8 @@ def squares_in_domain(domain, n):
     """Elementary squares at level n whose open interior lies in the domain.
 
     The frozenset of (i, j) index pairs of :func:`cover_cells` (possibly
-    empty), so that per-cover caches such as the graph cache of
-    :func:`waveobs.dalembert.l2_phit_on_squares` (``_cover_graph``) can key on
-    it; a square union at its own level and full window returns its stored set.
-    That cache relies on callers passing one cover object to every check of a
-    batch: a hit on that object is an identity check, not a set comparison.
+    empty), so that per-cover caches can key on it; a square union at its own
+    level and full window returns its stored set.
     """
     own_level = isinstance(domain, SquareUnion) and n == domain.level
     if own_level and (domain.t_lo, domain.t_hi) == (0, domain.T):

@@ -47,7 +47,7 @@ from .dalembert import (
 from .grid import Curve, SquareUnion, _slab_cells, cover_cells
 
 __all__ = [
-    "WeightProfile",
+    "ramp_widths",
     "SmoothedTube",
     "IndicatorRegion",
     "basis_tables",
@@ -63,64 +63,52 @@ __all__ = [
 ]
 
 
-class WeightProfile:
-    """Even cutoff profile: 1 up to delta0-delta, quintic ramp to 0 at delta0.
+def ramp_widths(delta0, delta=None):
+    """The smoothed weight's (delta0, delta) as floats, delta defaulting to delta0/4.
 
-    The ramp p(tau) = 1 - 10 tau^3 + 15 tau^4 - 6 tau^5 has two vanishing
-    derivatives at both ends, so the weight is C^2 in space.
+    A ValueError unless 0 < delta < delta0.
     """
-
-    def __init__(self, delta0, delta=None):
-        delta0 = float(delta0)
-        if delta is None:
-            delta = delta0 / 4.0
-        delta = float(delta)
-        if not 0 < delta0:
-            raise ValueError(f"delta0 must be positive, got {delta0}")
-        if not 0 < delta < delta0:
-            raise ValueError(
-                f"ramp width must satisfy 0 < delta < delta0, got delta={delta}, delta0={delta0}"
-            )
-        self.delta0 = delta0
-        self.delta = delta
-
-    def eta(self, s):
-        s = np.abs(np.asarray(s, dtype=float))
-        tau = np.clip((s - (self.delta0 - self.delta)) / self.delta, 0.0, 1.0)
-        return 1.0 + tau**3 * (-10.0 + tau * (15.0 - 6.0 * tau))
-
-    def eta_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        tau = (a - (self.delta0 - self.delta)) / self.delta
-        band = (tau > 0.0) & (tau < 1.0)
-        tau = np.clip(tau, 0.0, 1.0)
-        mag = -30.0 * tau**2 * (1.0 - tau) ** 2 / self.delta
-        return np.where(band, np.sign(s) * mag, 0.0)
+    delta0 = float(delta0)
+    delta = float(delta0 / 4.0 if delta is None else delta)
+    if not 0 < delta0:
+        raise ValueError(f"delta0 must be positive, got {delta0}")
+    if not 0 < delta < delta0:
+        raise ValueError(
+            f"ramp width must satisfy 0 < delta < delta0, got delta={delta}, delta0={delta0}"
+        )
+    return delta0, delta
 
 
 @dataclass
 class SmoothedTube:
-    """Weight chi(x, t) = eta(x - gamma(t)) around a piecewise-affine curve."""
+    """Weight chi(x, t) = eta(x - gamma(t)) around a piecewise-affine curve.
+
+    The even profile eta is 1 up to delta0 - delta and falls to 0 at delta0 by
+    the quintic ramp p(tau) = 1 - 10 tau^3 + 15 tau^4 - 6 tau^5, whose first two
+    derivatives vanish at both ends, so the weight is C^2 in space.  delta
+    defaults to delta0/4 (see :func:`ramp_widths`).
+    """
 
     curve: Curve
-    profile: WeightProfile
+    delta0: float
+    delta: float = None
+
+    def __post_init__(self):
+        self.delta0, self.delta = ramp_widths(self.delta0, self.delta)
 
     @classmethod
     def around(cls, x0, T, delta0, delta=None):
         """Cylindrical tube at fixed center x0 (a constant curve on 128 nodes)."""
-        return cls(Curve.constant(x0, T, 128), WeightProfile(delta0, delta))
+        return cls(Curve.constant(x0, T, 128), delta0, delta)
 
     @property
     def T(self):
         return self.curve.T
 
     def chi(self, x, t):
-        return self.profile.eta(np.asarray(x, dtype=float) - self.curve(t))
-
-    def chi_x(self, x, t):
-        """Spatial derivative of the weight; no caller until ROADMAP item 2's covector."""
-        return self.profile.eta_prime(np.asarray(x, dtype=float) - self.curve(t))
+        s = np.abs(np.asarray(x, dtype=float) - self.curve(t))
+        tau = np.clip((s - (self.delta0 - self.delta)) / self.delta, 0.0, 1.0)
+        return 1.0 + tau**3 * (-10.0 + tau * (15.0 - 6.0 * tau))
 
 
 @dataclass
@@ -215,8 +203,7 @@ def _tube_bands(region, A, B, h):
     dist = np.abs(xc - region.curve(np.clip(tc, 0.0, region.T)))
     # |x - xc| + |t - tc| <= h/2 on a cell, so |x - gamma(t)| moves by <= max(1, Lip) h/2
     slack = max(1.0, region.curve.lipschitz_estimate()) * h / 2.0 + 1e-6 * h
-    delta0, delta = region.profile.delta0, region.profile.delta
-    return dist <= delta0 + slack, dist > delta0 - delta - slack
+    return dist <= region.delta0 + slack, dist > region.delta0 - region.delta - slack
 
 
 def _gram_cells(region, L, plan, quad):
@@ -433,7 +420,7 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), *, grid_factor=4):
             return phi * region.chi(x, t)
         chi = np.zeros_like(phi)
         g = region.curve(t)
-        reach = region.profile.delta0 + 1.0 / m
+        reach = region.delta0 + 1.0 / m
         lo, hi = np.searchsorted(x[0], [g.min() - reach, g.max() + reach])
         chi[:, lo:hi] = region.chi(x[:, lo:hi], t)
         return phi * chi

@@ -23,38 +23,17 @@ import numpy as np
 
 from .hum import IndicatorRegion, assemble_gram, solve_hum
 
-__all__ = ["StatePair", "power_iterate", "PowerResult"]
+__all__ = ["energy_norm_sq", "power_iterate", "PowerResult"]
 
 
-@dataclass
-class StatePair:
-    """Energy-space pair: node values of two piecewise-affine functions."""
-
-    y0: np.ndarray  # length m+1, zero at both ends
-    y1: np.ndarray  # length m+1
-
-    @property
-    def m(self):
-        return self.y0.size - 1
-
-    def norm_sq(self):
-        """Exact |(y0, y1)|_V^2 for the piecewise-affine pair."""
-        m = self.m
-        grad = m * float(np.sum(np.diff(self.y0) ** 2))
-        a, b = self.y1[:-1], self.y1[1:]
-        mass = float(np.sum(a * a + a * b + b * b)) / (3 * m)
-        return grad + mass
-
-    def inner(self, other):
-        m = self.m
-        grad = m * float(np.diff(self.y0) @ np.diff(other.y0))
-        a, b = self.y1[:-1], self.y1[1:]
-        c, d = other.y1[:-1], other.y1[1:]
-        mass = float(np.sum(2 * a * c + a * d + b * c + 2 * b * d)) / (6 * m)
-        return grad + mass
-
-    def scaled(self, factor):
-        return StatePair(self.y0 * factor, self.y1 * factor)
+def energy_norm_sq(y):
+    """Exact |(y0, y1)|_V^2 of a piecewise-affine pair, y its stacked node values (y0, y1)."""
+    y0, y1 = np.split(y, 2)
+    m = y0.size - 1
+    grad = m * float(np.sum(np.diff(y0) ** 2))
+    a, b = y1[:-1], y1[1:]
+    mass = float(np.sum(a * a + a * b + b * b)) / (3 * m)
+    return grad + mass
 
 
 def _operator(G, L):
@@ -89,14 +68,14 @@ class PowerResult:
     estimates: np.ndarray
     iterations: int
     converged: bool
-    vector: StatePair
+    vector: np.ndarray  # stacked node values (y0, y1)
 
 
 def default_start(m):
-    """Parabolic position, zero velocity, unit energy norm."""
+    """Parabolic position, zero velocity, unit energy norm: stacked node values (y0, y1)."""
     x = np.arange(m + 1) / m
-    y = StatePair(y0=x * (1.0 - x), y1=np.zeros(m + 1))
-    return y.scaled(1.0 / np.sqrt(y.norm_sq()))
+    y = np.concatenate([x * (1.0 - x), np.zeros(m + 1)])
+    return y * (1.0 / np.sqrt(energy_norm_sq(y)))
 
 
 def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
@@ -113,19 +92,19 @@ def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
                          "interior node exists, so the parabolic start and the operator are zero")
     if int(max_iters) != max_iters or max_iters < 1:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
-    y = default_start(L) if start is None else start
-    if y.m != L:
-        raise ValueError(f"state grid {y.m} must match the control level {L}")
-    nrm = np.sqrt(y.norm_sq())
+    y = default_start(L) if start is None else np.asarray(start, dtype=float)
+    if y.size != 2 * (L + 1):
+        raise ValueError(f"state grid {y.size // 2 - 1} must match the control level {L}")
+    nrm = np.sqrt(energy_norm_sq(y))
     if nrm == 0:
         raise ValueError("initial datum orthogonal to dominant eigenspace")
     K = _operator(assemble_gram(IndicatorRegion(domain), L), L)
-    v = np.concatenate([y.y0, y.y1]) * (1.0 / nrm)
+    v = y * (1.0 / nrm)
     estimates = []
     converged = False
     for _ in range(int(max_iters)):
         w = K @ v
-        est = float(np.sqrt(StatePair(w[: L + 1], w[L + 1 :]).norm_sq()))  # |R L y| at unit |y|
+        est = float(np.sqrt(energy_norm_sq(w)))  # |R L y| at unit |y|
         if est == 0:
             raise ValueError("initial datum orthogonal to dominant eigenspace")
         estimates.append(est)
@@ -142,5 +121,5 @@ def power_iterate(domain, level, start=None, tol=1e-4, max_iters=50):
         estimates=np.asarray(estimates),
         iterations=len(estimates),
         converged=converged,
-        vector=StatePair(v[: L + 1], v[L + 1 :]),
+        vector=v,
     )

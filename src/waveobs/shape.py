@@ -22,7 +22,7 @@ import numpy as np
 
 from .dalembert import eval_phi
 from .grid import _fraction
-from .hum import SmoothedTube, WeightProfile, hum_control, hum_rhs, lattice_plan, solve_tridiagonal
+from .hum import SmoothedTube, hum_control, hum_rhs, lattice_plan, solve_tridiagonal
 
 __all__ = [
     "shape_derivative_density",
@@ -49,8 +49,7 @@ def shape_derivative_density(solution):
     wave values vary along the curve.
     """
     region = solution.region
-    prof = region.profile
-    d0, d = prof.delta0, prof.delta
+    d0, d = region.delta0, region.delta
     times = region.curve.times
     gam = region.curve.values
     tau = (_G16_NODES + 1.0) / 2.0
@@ -151,7 +150,6 @@ def optimize(
     cost (zero data on a constant curve) is already optimal and returns
     at once, converged.
     """
-    profile = WeightProfile(delta0, delta)
     plan = lattice_plan(level, curve0.T)  # every step's Gram lives on this lattice
     b = hum_rhs(level, y0, y1, breakpoints)  # and pairs with the same datum
     curve = curve0
@@ -159,7 +157,7 @@ def optimize(
     converged = False
     p = int(patience)
     for it in range(int(max_iters) + 1):
-        sol = hum_control(SmoothedTube(curve, profile), b, plan=plan)
+        sol = hum_control(SmoothedTube(curve, delta0, delta), b, plan=plan)
         jeps_cost = sol.cost + 0.5 * eps * curve.h1_seminorm_sq()
         costs.append(jeps_cost)
         raw.append(sol.cost)
@@ -245,5 +243,10 @@ def sweep_centres(x0_min, x0_max, count):
 
 
 def performance_index(optimal_cost, cylinder_cost):
-    """Relative cost saving (percent) of the optimized curve over the best tube."""
+    """Relative cost saving (percent) of the optimized curve over the best tube.
+
+    None when the best tube's cost is 0 (zero data), where the ratio is undefined.
+    """
+    if cylinder_cost == 0:
+        return None
     return 100.0 * (1.0 - optimal_cost / cylinder_cost)

@@ -380,35 +380,49 @@ def poisson_solve(rhs_node_integrals):
     return solve_tridiagonal([2.0 * m] * (m - 1), [-float(m)] * (m - 2), f)
 
 
+def energy_inner(y, z):
+    """Exact energy inner product <y, z>_V of two piecewise-affine pairs.
+
+    y and z are stacked node values (y0, y1): the H1_0 pairing of the positions
+    plus the exact P1 mass pairing of the velocities.
+    """
+    y0, y1 = np.split(np.asarray(y, dtype=float), 2)
+    z0, z1 = np.split(np.asarray(z, dtype=float), 2)
+    m = y0.size - 1
+    grad = m * float(np.diff(y0) @ np.diff(z0))
+    a, b = y1[:-1], y1[1:]
+    c, d = z1[:-1], z1[1:]
+    mass = float(np.sum(2 * a * c + a * d + b * c + 2 * b * d)) / (6 * m)
+    return grad + mass
+
+
 def rhs_from_pair(level, y):
-    """Duality pairings of the basis data against a piecewise-affine pair.
+    """Duality pairings of the basis data against a piecewise-affine pair (stacked (y0, y1)).
 
     Cell entries are trapezoid-exact integrals of y0; hat entries are exact
     P1 mass pairings against y1 (with a sign flip).
     """
     L = level
+    y0, y1 = np.split(np.asarray(y, dtype=float), 2)
     b = np.empty(2 * L - 1)
-    y1 = y.y1
     b[: L - 1] = -(y1[:-2] + 4.0 * y1[1:-1] + y1[2:]) / (6.0 * L)
-    b[L - 1 :] = (y.y0[:-1] + y.y0[1:]) / (2.0 * L)
+    b[L - 1 :] = (y0[:-1] + y0[1:]) / (2.0 * L)
     return b
 
 
 def apply_duality(level, data):
-    """Energy-space representative of a piecewise datum (phi0, phi1).
+    """Energy-space representative of a piecewise datum (phi0, phi1), stacked as (w, -phi0).
 
     First component solves -w'' = phi1 (hat loads of a piecewise-constant
     right side are exact); second component is -phi0 at the nodes.
     """
-    from waveobs.power import StatePair
-
     L = level
     beta = data.beta
     loads = (beta[:-1] + beta[1:]) / (2.0 * L)
     w = np.zeros(L + 1)
     w[1:-1] = poisson_solve(loads)
     nodes = np.arange(L + 1) / L
-    return StatePair(y0=w, y1=-data.phi0(nodes))
+    return np.concatenate([w, -data.phi0(nodes)])
 
 
 def apply_operator(G, level, y):
@@ -424,13 +438,12 @@ def power_estimates(G, level, y, tol=1e-4, max_iters=50):
     estimates = []
     for _ in range(max_iters):
         w = apply_operator(G, level, y)
-        est = float(np.sqrt(w.norm_sq()))
+        est = float(np.sqrt(energy_inner(w, w)))
         estimates.append(est)
-        y = w.scaled(1.0 / est)
-        flat = np.concatenate([y.y0, y.y1])
-        nz = flat[np.abs(flat) > 0]
+        y = w * (1.0 / est)
+        nz = y[np.abs(y) > 0]
         if nz.size and nz[0] < 0:
-            y = y.scaled(-1.0)
+            y = -y
         if len(estimates) >= 2 and abs(est - estimates[-2]) / est < tol:
             break
     return np.asarray(estimates)

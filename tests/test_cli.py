@@ -243,6 +243,21 @@ def test_optimize_reports_the_start_curve_interval_count(tmp_path):
     assert code == 0 and read_json(out / "summary.json")["curve_nodes"] == 2
 
 
+def test_optimize_on_zero_data_reports_no_performance_index(tmp_path, capsys):
+    # every cost is 0, so the saving over the best cylinder is undefined: null, not a crash
+    config = {"data": {"y0_nodes": [0, 0, 0, 0, 0]}, "gamma0": {"constant": 0.5}, "level": 8,
+              "sweep_count": 3}
+    code, out = run_cli(tmp_path, "optimize", config)
+    assert code == 0
+    summary = read_json(out / "summary.json")
+    assert summary["J_opt"] == 0 and summary["converged"] is True
+    assert summary["performance_index"] is None
+    assert json.loads(capsys.readouterr().out)["performance_index"] is None
+    for name in ("iterations.csv", "curve_snapshots.csv", "curve_final.csv", "sweep.csv",
+                 "manifest.json"):
+        assert (out / name).is_file(), name
+
+
 @pytest.mark.parametrize("max_iters", [11, 20, 45])
 def test_optimize_snapshots_the_reference_iterations(tmp_path, max_iters):
     config = {"level": 8, "curve_nodes": 8, "max_iters": max_iters, "patience": 100,

@@ -21,7 +21,6 @@ from waveobs.hum import (
     HumSolution,
     IndicatorRegion,
     SmoothedTube,
-    WeightProfile,
     assemble_gram,
     basis_tables,
     control_density,
@@ -29,6 +28,7 @@ from waveobs.hum import (
     forward_verify,
     hum_control,
     hum_rhs,
+    ramp_widths,
     solve_hum,
     solve_tridiagonal,
 )
@@ -41,54 +41,63 @@ EX1 = get_preset("ex1")
 # ------------------------------------------------------------ weight profile
 
 
+def _profile(delta0, delta=None):
+    """The tube's profile eta: its weight around the constant curve x = 0, at t = 1."""
+    tube = SmoothedTube(Curve.constant(0.0, 2.0, 4), delta0, delta)
+    return tube, lambda s: tube.chi(s, np.ones_like(np.asarray(s, dtype=float)))
+
+
 def test_weight_plateau_and_support():
-    w = WeightProfile(0.15)
+    w, eta = _profile(0.15)
     assert w.delta == pytest.approx(0.15 / 4)
-    assert w.eta(0.0) == 1.0
-    assert w.eta(w.delta0 - w.delta) == pytest.approx(1.0)
-    assert w.eta(w.delta0) == 0.0
-    assert w.eta(0.3) == 0.0
+    assert eta(0.0) == 1.0
+    assert eta(w.delta0 - w.delta) == pytest.approx(1.0)
+    assert eta(w.delta0) == 0.0
+    assert eta(0.3) == 0.0
     s = np.linspace(-0.4, 0.4, 801)
-    vals = w.eta(s)
+    vals = eta(s)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert np.allclose(vals, w.eta(-s))  # even
+    assert np.allclose(vals, eta(-s))  # even
 
 
 def test_weight_smooth_to_second_order_at_ends():
-    w = WeightProfile(0.15, 0.05)
+    w, eta = _profile(0.15, 0.05)
     for s in (w.delta0, w.delta0 - w.delta):
-        assert w.eta_prime(s) == pytest.approx(0.0, abs=1e-15)
+        # both one-sided slopes vanish: the central difference is O(h^2), not O(1)
+        for h in (1e-3, 1e-4):
+            assert abs(eta(s + h) - eta(s - h)) / (2 * h) <= 10 * h**2 / w.delta**3
         # the third derivative jumps at the junction, so the central second
         # difference decays only linearly; C^2 means it decays to zero
         d2 = [
-            abs((w.eta(s + h) - 2 * w.eta(s) + w.eta(s - h)) / h**2)
+            abs((eta(s + h) - 2 * eta(s) + eta(s - h)) / h**2)
             for h in (1e-4, 1e-5, 1e-6)
         ]
         assert d2[2] < 0.15 * d2[1] < 0.15**2 * d2[0] * 1.5
         assert d2[2] <= 0.1
-    # derivative consistent with the profile itself
-    s = np.linspace(-0.2, 0.2, 101)
-    h = 1e-7
-    fd = (w.eta(s + h) - w.eta(s - h)) / (2 * h)
-    assert np.allclose(fd, w.eta_prime(s), atol=1e-5)
 
 
 def test_weight_midpoint_slope():
+    # p'(1/2) = -15/8 on tau, so eta' = -15/(8 delta); the central difference is off by 5 h^2/delta^3
+    h = 1e-6
     for delta0, delta in ((0.15, 0.0375), (0.2, 0.1), (0.3, 0.02)):
-        w = WeightProfile(delta0, delta)
+        _, eta = _profile(delta0, delta)
         mid = delta0 - delta / 2
-        assert w.eta_prime(mid) == pytest.approx(-15.0 / (8.0 * delta), rel=1e-12)
+        slope = (eta(mid + h) - eta(mid - h)) / (2 * h)
+        assert slope == pytest.approx(-15.0 / (8.0 * delta), rel=1e-7)
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        WeightProfile(0.15, 0.15)
-    with pytest.raises(ValueError):
-        WeightProfile(0.15, 0.2)
-    with pytest.raises(ValueError):
-        WeightProfile(-0.1)
-    with pytest.raises(ValueError):
-        WeightProfile(0.15, 0.0)
+    curve = Curve.constant(0.5, 2.0, 4)
+    for args, says in (((0.15, 0.15), "ramp width must satisfy 0 < delta < delta0"),
+                       ((0.15, 0.2), "got delta=0.2, delta0=0.15"),
+                       ((-0.1,), "delta0 must be positive, got -0.1"),
+                       ((0.15, 0.0), "ramp width must satisfy")):
+        with pytest.raises(ValueError, match=says):
+            SmoothedTube(curve, *args)
+        with pytest.raises(ValueError, match=says):
+            ramp_widths(*args)
+    assert ramp_widths(0.15) == (0.15, 0.15 / 4.0)
+    assert ramp_widths(0.15, 0.05) == (0.15, 0.05)
 
 
 def test_smoothed_tube_weight_geometry():
@@ -96,10 +105,7 @@ def test_smoothed_tube_weight_geometry():
     t = np.array([0.1, 0.5, 1.9])
     assert tube.chi(np.full(3, 0.25), t) == pytest.approx(np.ones(3))
     assert tube.chi(np.full(3, 0.25 + 0.15), t) == pytest.approx(np.zeros(3))
-    x = np.linspace(0, 1, 41)
-    assert tube.chi_x(x, np.full_like(x, 0.7)) == pytest.approx(
-        tube.profile.eta_prime(x - 0.25)
-    )
+    assert (tube.delta0, tube.delta) == (0.15, 0.15 / 4.0)
 
 
 # -------------------------------------------------------------- gram assembly
@@ -264,7 +270,7 @@ def test_gram_psd_on_random_tubes(rng):
 
     for _ in range(3):
         vals = np.clip(0.5 + 0.2 * rng.standard_normal(9), 0.2, 0.8)
-        tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), WeightProfile(0.15))
+        tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), 0.15)
         G = assemble_gram(tube, 8)
         assert np.allclose(G, G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
@@ -277,7 +283,7 @@ def test_tube_gram_matches_pointwise_quadrature(rng):
     # the tube reaches past both ends of the interval, so it weights the cut
     # triangles at x = 0 and x = 1 as well as those at t = 0 and t = T
     vals = [0.1, 0.4, 0.9, 0.6, 0.2, 0.5, 0.9, 0.3, 0.1]
-    tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), WeightProfile(0.15))
+    tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), 0.15)
     for L in (8, 16):
         h = 1.0 / L
         G = assemble_gram(tube, L)
@@ -313,7 +319,7 @@ def test_plateau_cells_have_weight_one(values, delta0, frac, L):
     from waveobs.hum import _cell_rules, _tube_bands, lattice_plan
 
     tube = SmoothedTube(
-        Curve(np.linspace(0.0, 2.0, len(values)), values), WeightProfile(delta0, frac * delta0)
+        Curve(np.linspace(0.0, 2.0, len(values)), values), delta0, frac * delta0
     )
     h = 1.0 / L
     du, dv, _, _ = _cell_rules(h)
@@ -321,8 +327,7 @@ def test_plateau_cells_have_weight_one(values, delta0, frac, L):
     A, B = plan.A, plan.B
     near, ramp = _tube_bands(tube, A, B, h)
     plateau = near & ~ramp
-    prof = tube.profile
-    if prof.delta0 - prof.delta < max(1.0, tube.curve.lipschitz_estimate()) * h / 2 + 1e-6 * h:
+    if tube.delta0 - tube.delta < max(1.0, tube.curve.lipschitz_estimate()) * h / 2 + 1e-6 * h:
         assert not plateau.any()
     for c in range(5):
         mask = np.zeros(A.size, dtype=bool)
@@ -354,7 +359,7 @@ def test_block_gram_matches_the_dense_moment_table(chevron, data, L):
         delta0 = data.draw(st.floats(0.05, 0.4))
         frac = data.draw(st.floats(0.01, 0.99))
         curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
-        region = SmoothedTube(curve, WeightProfile(delta0, frac * delta0))
+        region = SmoothedTube(curve, delta0, frac * delta0)
     else:
         if kind == "union":
             seed = data.draw(st.integers(0, 2**32 - 1))
@@ -390,7 +395,7 @@ def test_tube_cells_match_the_per_category_reference_bitwise(values, delta0, fra
     from waveobs.hum import _gram_cells, lattice_plan
 
     curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
-    tube = SmoothedTube(curve, WeightProfile(delta0, frac * delta0))
+    tube = SmoothedTube(curve, delta0, frac * delta0)
     got = _gram_cells(tube, L, lattice_plan(L, tube.T), quad)
     ref = tube_cells_per_category(tube, L, quad)
     assert all(np.array_equal(x, y) for x, y in zip(got, ref))
@@ -408,7 +413,7 @@ def test_hum_control_is_bitwise_the_same_with_a_lattice_plan(chevron, data, L):
         delta0 = data.draw(st.floats(0.05, 0.4))
         frac = data.draw(st.floats(0.01, 0.99))
         curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
-        region = SmoothedTube(curve, WeightProfile(delta0, frac * delta0))
+        region = SmoothedTube(curve, delta0, frac * delta0)
     elif kind == "cylinder":
         region = SmoothedTube.around(0.25, 2.0, 0.15)
     else:
@@ -752,7 +757,7 @@ def _verify_run(solution, preset, m):
 
 def _wavy_tube():
     times = np.linspace(0.0, 2.0, 33)
-    return SmoothedTube(Curve(times, 0.5 + 0.4 * np.sin(np.pi * times)), WeightProfile(0.15))
+    return SmoothedTube(Curve(times, 0.5 + 0.4 * np.sin(np.pi * times)), 0.15)
 
 
 def _forcing_regions(chevron):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from oracles import apply_duality, apply_operator, poisson_solve, power_estimates
+from oracles import apply_duality, apply_operator, energy_inner, poisson_solve, power_estimates
 from waveobs.dalembert import project
 from waveobs.graph import observability_constant_graph
 from waveobs.grid import SquareUnion
 from waveobs.hum import IndicatorRegion, assemble_gram
-from waveobs.power import StatePair, _operator, default_start, power_iterate
+from waveobs.power import _operator, default_start, energy_norm_sq, power_iterate
 from waveobs.testing import random_connected_square_domain
 
 PRINTED_ESTIMATES = [2.6895, 3.829, 3.981, 3.994, 3.997]
@@ -52,25 +52,29 @@ def test_poisson_sine_second_order():
     assert errs[2] == pytest.approx(errs[1] / 4, rel=0.1)
 
 
-# ----------------------------------------------------------------- state pairs
+# ------------------------------------------------ energy pairs (stacked y0, y1)
 
 
-def test_state_pair_norm_exact():
+def test_energy_norm_exact(rng):
     m = 8
     x = np.arange(m + 1) / m
-    pair = StatePair(y0=x * (1 - x), y1=np.ones(m + 1))
+    pair = np.concatenate([x * (1 - x), np.ones(m + 1)])
     # piecewise-affine x(1-x): gradient part is sum of slope^2 / m
     slopes = m * np.diff(x * (1 - x))
-    assert pair.norm_sq() == pytest.approx(np.sum(slopes**2) / m + 1.0)
-    other = StatePair(y0=np.zeros(m + 1), y1=x)
+    assert energy_norm_sq(pair) == pytest.approx(np.sum(slopes**2) / m + 1.0)
+    other = np.concatenate([np.zeros(m + 1), x])
     # mass pairing of 1 against x over (0,1) is 1/2
-    assert pair.inner(other) == pytest.approx(0.5)
-    assert pair.inner(pair) == pytest.approx(pair.norm_sq())
+    assert energy_inner(pair, other) == pytest.approx(0.5)
+    assert energy_inner(pair, pair) == pytest.approx(energy_norm_sq(pair))
+    for _ in range(5):
+        y = np.r_[0.0, rng.standard_normal(m - 1), 0.0, rng.standard_normal(m + 1)]
+        assert energy_norm_sq(y) == pytest.approx(energy_inner(y, y), rel=1e-14)
 
 
 def test_default_start_is_normalized():
     y = default_start(32)
-    assert y.norm_sq() == pytest.approx(1.0, rel=1e-12)
+    assert y.shape == (66,)
+    assert energy_norm_sq(y) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_riesz_map_is_isometric_to_second_order():
@@ -85,7 +89,7 @@ def test_riesz_map_is_isometric_to_second_order():
             m,
         )
         w = apply_duality(m, data)
-        grad = m * float(np.sum(np.diff(w.y0) ** 2))
+        grad = m * float(np.sum(np.diff(w[: m + 1]) ** 2))
         errs.append(abs(grad - exact) / exact)
     assert errs[0] < 1e-2
     assert errs[1] == pytest.approx(errs[0] / 4, rel=0.3)
@@ -98,20 +102,17 @@ def test_riesz_map_is_isometric_to_second_order():
 def test_operator_zero_linear_self_adjoint(chevron, rng):
     L = 8
     G = assemble_gram(IndicatorRegion(chevron), L)
-    zero = apply_operator(G, L, StatePair(np.zeros(L + 1), np.zeros(L + 1)))
-    assert zero.norm_sq() == 0.0
-    y = StatePair(np.concatenate([[0], rng.standard_normal(L - 1), [0]]),
-                  rng.standard_normal(L + 1))
+    zero = apply_operator(G, L, np.zeros(2 * (L + 1)))
+    assert energy_norm_sq(zero) == 0.0
+    y = np.r_[0.0, rng.standard_normal(L - 1), 0.0, rng.standard_normal(L + 1)]
     ay = apply_operator(G, L, y)
-    ay3 = apply_operator(G, L, y.scaled(3.0))
-    assert ay3.y0 == pytest.approx(3.0 * ay.y0, abs=1e-9)
-    assert ay3.y1 == pytest.approx(3.0 * ay.y1, abs=1e-9)
+    ay3 = apply_operator(G, L, 3.0 * y)
+    assert ay3 == pytest.approx(3.0 * ay, abs=1e-9)
     for _ in range(5):
-        z = StatePair(np.concatenate([[0], rng.standard_normal(L - 1), [0]]),
-                      rng.standard_normal(L + 1))
-        lhs = apply_operator(G, L, y).inner(z)
-        rhs = y.inner(apply_operator(G, L, z))
-        scale = np.sqrt(y.norm_sq() * z.norm_sq())
+        z = np.r_[0.0, rng.standard_normal(L - 1), 0.0, rng.standard_normal(L + 1)]
+        lhs = energy_inner(apply_operator(G, L, y), z)
+        rhs = energy_inner(y, apply_operator(G, L, z))
+        scale = np.sqrt(energy_norm_sq(y) * energy_norm_sq(z))
         assert abs(lhs - rhs) <= 1e-6 * scale
 
 
@@ -124,7 +125,7 @@ def test_reference_domain_estimates(chevron):
     for k, ref in enumerate(PRINTED_ESTIMATES):
         assert res.estimates[k] == pytest.approx(ref, rel=0.03)
     assert res.constant == pytest.approx(4.0, abs=0.05)
-    assert np.sqrt(res.vector.norm_sq()) == pytest.approx(1.0, rel=1e-10)
+    assert np.sqrt(energy_norm_sq(res.vector)) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_agrees_with_graph_constant(chevron):
@@ -144,18 +145,11 @@ def test_restart_from_worst_datum_is_stationary(chevron):
 
 def _dense_constant(G, L):
     """Largest eigenvalue of the operator from a dense generalized eigensolve."""
-    basis = []
-    for k in range(1, L):
-        y0 = np.zeros(L + 1)
-        y0[k] = 1.0
-        basis.append(StatePair(y0, np.zeros(L + 1)))
-    for k in range(L + 1):
-        y1 = np.zeros(L + 1)
-        y1[k] = 1.0
-        basis.append(StatePair(np.zeros(L + 1), y1))
-    B = np.array([[u.inner(v) for v in basis] for u in basis])
+    # unit positions at the interior nodes, then unit velocities at every node
+    basis = np.eye(2 * (L + 1))[[*range(1, L), *range(L + 1, 2 * L + 2)]]
+    B = np.array([[energy_inner(u, v) for v in basis] for u in basis])
     images = [apply_operator(G, L, e) for e in basis]
-    A = np.array([[u.inner(w) for w in images] for u in basis])
+    A = np.array([[energy_inner(u, w) for w in images] for u in basis])
     return eigh(0.5 * (A + A.T), B, eigvals_only=True)[-1]
 
 
@@ -175,8 +169,7 @@ def test_operator_matrix_is_the_oracle_on_each_unit_vector(chevron):
         n = L + 1
         assert K.shape == (2 * n, 2 * n)
         for j, e in enumerate(np.eye(2 * n)):
-            w = apply_operator(G, L, StatePair(e[:n], e[n:]))
-            assert np.concatenate([w.y0, w.y1]) == pytest.approx(K[:, j], abs=1e-12)
+            assert apply_operator(G, L, e) == pytest.approx(K[:, j], abs=1e-12)
 
 
 def test_power_iterate_follows_the_oracle_iteration(chevron):
@@ -210,8 +203,7 @@ def test_matches_dense_eigensolve_and_grows(rng):
         dense = _dense_constant(G, L)
         start = None
         if L == 2:
-            start = StatePair(np.r_[0.0, rng.standard_normal(L - 1), 0.0],
-                              rng.standard_normal(L + 1))
+            start = np.r_[0.0, rng.standard_normal(L - 1), 0.0, rng.standard_normal(L + 1)]
         res = power_iterate(dom, L, start=start, tol=1e-6, max_iters=200)
         assert res.constant == pytest.approx(dense, rel=1e-4)
         assert np.all(np.diff(res.estimates) >= -1e-8 * res.constant)
@@ -229,7 +221,7 @@ def test_default_start_reaches_the_constant_at_level_2():
 
 def test_level_1_is_rejected_before_the_start_is_scaled():
     # at level 1 the parabolic start is the zero pair and the operator is zero
-    for start in (None, StatePair(np.zeros(2), np.ones(2))):
+    for start in (None, np.r_[0.0, 0.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="needs level >= 2, got 1"):
             power_iterate(LEVEL1_UNION, 1, start=start)
 
@@ -246,6 +238,6 @@ def test_start_on_another_grid_is_rejected(chevron):
 
 
 def test_zero_start_is_rejected(chevron):
-    dead = StatePair(np.zeros(9), np.zeros(9))
+    dead = np.zeros(18)
     with pytest.raises(ValueError, match="orthogonal to dominant eigenspace"):
         power_iterate(chevron, 8, start=dead)

@@ -9,7 +9,6 @@ from waveobs.grid import Curve
 from waveobs.hum import (
     HumSolution,
     SmoothedTube,
-    WeightProfile,
     datum_from_coefficients,
     hum_control,
     hum_rhs,
@@ -50,7 +49,7 @@ def _smooth_random_curve(rng, n_nodes, T=2.0, modes=3, amp=0.08):
 def test_constant_curve_has_no_penalty():
     c = Curve.constant(0.3, 2.0, 16)
     assert c.h1_seminorm_sq() == 0.0
-    tube = SmoothedTube(c, WeightProfile(0.15))
+    tube = SmoothedTube(c, 0.15)
     sol = hum_control(tube, hum_rhs(8, EX1.y0))
     for eps in (0.0, 1e-2):
         assert sol.cost + 0.5 * eps * c.h1_seminorm_sq() == sol.cost
@@ -91,7 +90,7 @@ def test_symmetric_state_gives_zero_density():
     j = shape_derivative_density(sol)
     # the density's natural magnitude is ~cost/delta; the leftover asymmetry
     # is roundoff in the Gram and its solve, orders of magnitude below it
-    scale = sol.cost / tube.profile.delta
+    scale = sol.cost / tube.delta
     assert np.max(np.abs(j)) <= 1e-7 * scale
 
 
@@ -105,12 +104,12 @@ def test_directional_derivative_matches_finite_differences():
         bar += rng.standard_normal() / k * np.sin(np.pi * k * times / 2.0)
         bar += rng.standard_normal() / k * np.cos(np.pi * k * times / 2.0)
     bar /= np.max(np.abs(bar))
-    prof, b = WeightProfile(0.15), hum_rhs(L, EX1.y0)
-    sol = hum_control(SmoothedTube(curve, prof), b)
+    b = hum_rhs(L, EX1.y0)
+    sol = hum_control(SmoothedTube(curve, 0.15), b)
     pairing = pair_with_density(curve, shape_derivative_density(sol), bar)
     for eta in (1e-3, 1e-4):
-        up = hum_control(SmoothedTube(curve.with_values(curve.values + eta * bar), prof), b).cost
-        dn = hum_control(SmoothedTube(curve.with_values(curve.values - eta * bar), prof), b).cost
+        up = hum_control(SmoothedTube(curve.with_values(curve.values + eta * bar), 0.15), b).cost
+        dn = hum_control(SmoothedTube(curve.with_values(curve.values - eta * bar), 0.15), b).cost
         fd = (up - dn) / (2 * eta)
         assert abs(fd - pairing) <= 1e-2 * abs(fd)
 
@@ -389,3 +388,5 @@ def test_performance_index_examples():
     assert performance_index(1.0, 4.0) == 75.0
     assert performance_index(48.70, 179.22) == pytest.approx(72.83, abs=0.01)
     assert performance_index(1.2651, 1.0) == pytest.approx(-26.51, abs=0.01)
+    # zero data: every cost is 0 and the ratio is undefined
+    assert performance_index(0.0, 0.0) is None
