@@ -291,8 +291,8 @@ def _custom_data(data):
 
 
 def _ramp_widths(delta0, delta):
-    """The smoothed weight's (delta0, delta), or a UsageError for a bad 'delta' or 'delta0'."""
-    from waveobs.hum import ramp_widths
+    """The tube weight's (delta0, delta), or a UsageError for a bad 'delta' or 'delta0'."""
+    from waveobs.grid import ramp_widths
 
     try:
         return ramp_widths(delta0, delta)
@@ -310,8 +310,8 @@ def _check_refines(domain, levels, key):
 
 def _resolve_region(config, T, levels, key):
     """Observation region from a config 'domain' entry (weighted or sharp), refined by ``levels``."""
-    from waveobs.grid import SquareUnion
-    from waveobs.hum import IndicatorRegion, SmoothedTube
+    from waveobs.grid import CurveTube, SquareUnion
+    from waveobs.hum import IndicatorRegion
 
     if config["quad"] < 2:  # one Gauss point misses the du^2, dv^2 moments even on a sharp weight
         raise UsageError(f"config key 'quad' must be at least 2, got {config['quad']}")
@@ -329,7 +329,8 @@ def _resolve_region(config, T, levels, key):
                              "domain has a sharp weight")
         _check_refines(domain, levels, key)
         return IndicatorRegion(domain)
-    return SmoothedTube(domain.curve, *_ramp_widths(float(domain.delta0), config["delta"]))
+    _ramp_widths(domain.delta0, config["delta"])
+    return CurveTube(domain.curve, domain.delta0, config["delta"])
 
 
 def _check_grid(T, level, factor=None, level_key="level"):
@@ -455,7 +456,7 @@ def _cmd_hum(config, writer, seed):
 
 def _gamma0_curve(spec, T, n_nodes, delta0):
     """The start curve, inside the band [delta0, 1 - delta0] the descent projects onto."""
-    from waveobs.grid import Curve, CurveTube
+    from waveobs.grid import Curve, check_band
 
     if spec is None:
         raise UsageError("optimize needs a 'gamma0' spec")
@@ -468,7 +469,8 @@ def _gamma0_curve(spec, T, n_nodes, delta0):
             curve = Curve(spec["times"], spec["values"])
         else:
             raise UsageError("'gamma0' needs 'constant' or 'times'+'values'")
-        return CurveTube(curve, delta0).curve
+        check_band(curve.values, delta0)
+        return curve
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid gamma0 curve: {exc}")
 
@@ -498,6 +500,7 @@ def _sweep(writer, config, data, x0_min, x0_max, count):
 def _cmd_optimize(config, writer, seed):
     import numpy as np
 
+    from waveobs.grid import _fraction
     from waveobs.shape import optimize, performance_index
 
     data = _resolve_data(config)
@@ -547,7 +550,9 @@ def _cmd_optimize(config, writer, seed):
         "curve_final.csv", ["t", "value"], np.column_stack([final.times, final.values])
     )
 
-    sweep = _sweep(writer, config, data, 0.2, 0.8, config["sweep_count"])
+    d0 = _fraction(config["delta0"])  # the sweep keeps to the start's band [delta0, 1 - delta0]
+    sweep = _sweep(writer, config, data, max(d0, _fraction(0.2)), min(1 - d0, _fraction(0.8)),
+                   config["sweep_count"])
     j_opt = float(costs[-1])
     return {
         "data": data.name,

@@ -25,7 +25,7 @@ variants, axis square unions and tubes around a moving curve (a cylinder is
 the tube around a constant curve), their square covers and their JSON
 parsing.  Only a square union carries a time window,
 0 <= ``t_lo`` < ``t_hi`` <= T; tubes span (0, T) with a half-width
-delta0 >= 0.
+delta0 >= 0 and carry the smoothed weight of the control problems.
 Whether a square-aligned domain observes is decided exactly by the
 connectivity of its observation graph (see :mod:`waveobs.graph`).
 """
@@ -43,7 +43,9 @@ __all__ = [
     "table_positions",
     "Curve",
     "SquareUnion",
+    "ramp_widths",
     "CurveTube",
+    "check_band",
     "squares_in_time_slab",
     "cover_cells",
     "squares_in_domain",
@@ -198,9 +200,6 @@ class SquareUnion:
         self._occupied[tuple(cells.T)] = True
         self._occupied.flags.writeable = False
 
-    def is_empty(self):
-        return not self.squares
-
     def contains(self, x, t):
         """Vectorized membership, up to the measure-zero square boundaries."""
         x = np.asarray(x, dtype=float)
@@ -215,26 +214,65 @@ class SquareUnion:
         return inside & (t > float(self.t_lo)) & (t < float(self.t_hi))
 
 
+def ramp_widths(delta0, delta=None):
+    """A tube weight's (delta0, delta) as floats, delta defaulting to delta0/4.
+
+    A ValueError unless 0 < delta < delta0.
+    """
+    delta0 = float(delta0)
+    delta = float(delta0 / 4.0 if delta is None else delta)
+    if not 0 < delta0:
+        raise ValueError(f"delta0 must be positive, got {delta0}")
+    if not 0 < delta < delta0:
+        raise ValueError(
+            f"ramp width must satisfy 0 < delta < delta0, got delta={delta}, delta0={delta0}"
+        )
+    return delta0, delta
+
+
 @dataclass
 class CurveTube:
-    """Moving domain {(x, t) : |x - gamma(t)| < delta0, 0 < t < T}."""
+    """Moving domain {(x, t) : |x - gamma(t)| < delta0, 0 < t < T} and its weight chi.
+
+    chi(x, t) = eta(x - gamma(t)): the even profile eta is 1 up to delta0 - delta and falls
+    to 0 at delta0 by the quintic ramp p(tau) = 1 - 10 tau^3 + 15 tau^4 - 6 tau^5, whose
+    first two derivatives vanish at both ends, so chi is C^2 in space.  delta defaults to
+    delta0/4 (see :func:`ramp_widths`); delta0 = 0 is the empty domain, with no weight.
+    """
 
     curve: Curve
     delta0: Fraction
+    delta: float = None
 
     def __post_init__(self):
         self.delta0 = _fraction(self.delta0)
-        d0 = float(self.delta0)
-        vals = self.curve.values
-        if self.delta0 < 0 or np.any(vals < d0 - 1e-12) or np.any(vals > 1 - d0 + 1e-12):
-            raise ValueError(f"tube needs 0 <= delta0 <= gamma <= 1 - delta0, got delta0={d0}")
+        if self.delta0 < 0:
+            raise ValueError(f"tube needs 0 <= delta0, got delta0={float(self.delta0)}")
+        if float(self.delta0) > 0 or self.delta is not None:
+            self.delta = ramp_widths(self.delta0, self.delta)[1]
+
+    @classmethod
+    def around(cls, x0, T, delta0, delta=None):
+        """Cylindrical tube at fixed center x0 (a constant curve on 128 intervals)."""
+        return cls(Curve.constant(x0, T, 128), delta0, delta)
 
     @property
     def T(self):
         return _fraction(self.curve.times[-1])
 
-    def is_empty(self):
-        return self.delta0 <= 0
+    def chi(self, x, t):
+        s = np.abs(np.asarray(x, dtype=float) - self.curve(t))
+        tau = np.clip((s - (self.delta0 - self.delta)) / self.delta, 0.0, 1.0)
+        return 1.0 + tau**3 * (-10.0 + tau * (15.0 - 6.0 * tau))
+
+
+def check_band(gamma, delta0):
+    """A ValueError unless 0 <= delta0 <= gamma <= 1 - delta0 (to 1e-12) for all values gamma:
+    the rule of tube documents and descent starts, not of a :class:`CurveTube`."""
+    delta0 = _fraction(delta0)
+    d0 = float(delta0)
+    if delta0 < 0 or np.any(gamma < d0 - 1e-12) or np.any(gamma > 1 - d0 + 1e-12):
+        raise ValueError(f"tube needs 0 <= delta0 <= gamma <= 1 - delta0, got delta0={d0}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +391,6 @@ def cover_cells(domain, n):
     """
     if n < 1:
         raise ValueError(f"subdivision level must be >= 1, got {n}")
-    if domain.is_empty():
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if isinstance(domain, SquareUnion):
         # time window on d = a - b: t_min = (d-1)/(2n) >= t_lo, t_max = (d+1)/(2n) <= t_hi
         d_lo = math.ceil(2 * n * domain.t_lo) + 1
@@ -388,6 +424,7 @@ def domain_from_json(doc):
     time window, default (0, T)); on the other types they raise.  A
     ``curve_tube``'s optional ``T`` must be its curve's horizon.  A
     ``cylinder`` is the tube around the constant curve x0 on 128 intervals.
+    A tube document keeps to the band of :func:`check_band`.
     """
     try:
         kind = doc["type"]
@@ -408,12 +445,14 @@ def domain_from_json(doc):
         T = _fraction(doc["T"])
         if T <= 0:
             raise ValueError(f"cylinder needs T > 0, got T={float(T)}")
-        curve = Curve.constant(_fraction(doc["x0"]), float(T))
-        return CurveTube(curve=curve, delta0=doc["delta0"])
+        x0 = _fraction(doc["x0"])
+        check_band(float(x0), doc["delta0"])
+        return CurveTube.around(x0, float(T), doc["delta0"])
     if kind == "curve_tube":
         curve = Curve(doc["curve"]["times"], doc["curve"]["values"])
         T = float(_fraction(doc.get("T", curve.T)))
         if abs(T - curve.T) > 1e-12:
             raise ValueError(f"curve_tube T={T} does not match its curve's horizon {curve.T}")
+        check_band(curve.values, doc["delta0"])
         return CurveTube(curve=curve, delta0=doc["delta0"])
     raise ValueError(f"unknown domain type {kind!r}")

@@ -17,9 +17,10 @@ The strip's cells and the basis tables depend only on (L, T): a descent builds
 their :func:`lattice_plan` once.  A tube's weight is evaluated in one call on
 every cell that can meet its ramp, its moments in one product per category.
 
-The weight is either a smoothed tube around a curve (quintic ramp of width
-delta from 1 to 0, reaching 0 at distance delta0) or the sharp indicator of
-a square-aligned domain, in which case the quadrature is exact.
+The weight is either a tube's smoothed weight (:class:`waveobs.grid.CurveTube`:
+a quintic ramp of width delta from 1 to 0, reaching 0 at distance delta0 from
+its curve) or the sharp indicator of a square-aligned domain, in which case
+the quadrature is exact.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ from .dalembert import (
     terminal_velocity,
     time_cells,
 )
-from .grid import Curve, SquareUnion, _slab_cells, cover_cells
+from .grid import CurveTube, SquareUnion, _slab_cells, cover_cells
 
 __all__ = [
-    "ramp_widths",
-    "SmoothedTube",
     "IndicatorRegion",
     "basis_tables",
     "lattice_plan",
@@ -61,54 +60,6 @@ __all__ = [
     "control_density",
     "forward_verify",
 ]
-
-
-def ramp_widths(delta0, delta=None):
-    """The smoothed weight's (delta0, delta) as floats, delta defaulting to delta0/4.
-
-    A ValueError unless 0 < delta < delta0.
-    """
-    delta0 = float(delta0)
-    delta = float(delta0 / 4.0 if delta is None else delta)
-    if not 0 < delta0:
-        raise ValueError(f"delta0 must be positive, got {delta0}")
-    if not 0 < delta < delta0:
-        raise ValueError(
-            f"ramp width must satisfy 0 < delta < delta0, got delta={delta}, delta0={delta0}"
-        )
-    return delta0, delta
-
-
-@dataclass
-class SmoothedTube:
-    """Weight chi(x, t) = eta(x - gamma(t)) around a piecewise-affine curve.
-
-    The even profile eta is 1 up to delta0 - delta and falls to 0 at delta0 by
-    the quintic ramp p(tau) = 1 - 10 tau^3 + 15 tau^4 - 6 tau^5, whose first two
-    derivatives vanish at both ends, so the weight is C^2 in space.  delta
-    defaults to delta0/4 (see :func:`ramp_widths`).
-    """
-
-    curve: Curve
-    delta0: float
-    delta: float = None
-
-    def __post_init__(self):
-        self.delta0, self.delta = ramp_widths(self.delta0, self.delta)
-
-    @classmethod
-    def around(cls, x0, T, delta0, delta=None):
-        """Cylindrical tube at fixed center x0 (a constant curve on 128 nodes)."""
-        return cls(Curve.constant(x0, T, 128), delta0, delta)
-
-    @property
-    def T(self):
-        return self.curve.T
-
-    def chi(self, x, t):
-        s = np.abs(np.asarray(x, dtype=float) - self.curve(t))
-        tau = np.clip((s - (self.delta0 - self.delta)) / self.delta, 0.0, 1.0)
-        return 1.0 + tau**3 * (-10.0 + tau * (15.0 - 6.0 * tau))
 
 
 @dataclass
@@ -200,7 +151,7 @@ def _tube_bands(region, A, B, h):
     """Masks of the cells (A, B) that can meet the tube's weight or its ramp."""
     xc = (A + B + 1) * (h / 2.0)
     tc = (A - B) * (h / 2.0)
-    dist = np.abs(xc - region.curve(np.clip(tc, 0.0, region.T)))
+    dist = np.abs(xc - region.curve(np.clip(tc, 0.0, region.curve.T)))
     # |x - xc| + |t - tc| <= h/2 on a cell, so |x - gamma(t)| moves by <= max(1, Lip) h/2
     slack = max(1.0, region.curve.lipschitz_estimate()) * h / 2.0 + 1e-6 * h
     return dist <= region.delta0 + slack, dist > region.delta0 - region.delta - slack
@@ -209,7 +160,7 @@ def _tube_bands(region, A, B, h):
 def _gram_cells(region, L, plan, quad):
     """Period cells (a, b) of the cells the weight meets and their moments (q x q Gauss rule).
 
-    A smoothed tube keeps the plan's cells where its weight can be nonzero and
+    A tube keeps the plan's cells where its weight can be nonzero and
     evaluates it, in one call, only on those that can meet its ramp (elsewhere
     it is 1); the moments come from one product per category, since a row's
     rounding depends on its product's row count.  An indicator region keeps
@@ -227,7 +178,7 @@ def _gram_cells(region, L, plan, quad):
         A, B = cover_cells(dom, L)
         mom = 0.5 * w[:1] @ powers[0]  # one row: the weight is 1
         return A % (2 * L), B % (2 * L), np.broadcast_to(mom, (A.size, 6))
-    if not isinstance(region, SmoothedTube):
+    if not isinstance(region, CurveTube):
         raise TypeError(f"unsupported region type {type(region).__name__}")
     near, ramp = _tube_bands(region, plan.A, plan.B, h)
     cat = np.repeat(np.arange(5), np.diff(plan.offsets))[near]
@@ -258,7 +209,7 @@ def assemble_gram(region, level, quad=4, plan=None):
     the basis tables, G is the symmetric part of [Phi_F D_F | Phi_G D_G + 2 Phi_F M_FG] Phi^T.
     """
     L = int(level)
-    if plan is None and isinstance(region, SmoothedTube):
+    if plan is None and isinstance(region, CurveTube):
         plan = lattice_plan(L, region.T, tables=False)
     elif plan is not None and (plan.level, plan.M) != (L, time_cells(region.T, L)):
         raise ValueError(f"the lattice plan is for level {plan.level} and T = "
@@ -392,7 +343,7 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), *, grid_factor=4):
     block of time levels (see :func:`leapfrog_solve`).  Every node
     (i/m, k/m) lies on the level-m characteristic lattice, so phi there is
     F((i+k)/m) + G((i-k)/m): each block gathers its rows from windows of the
-    2m node values of F and G.  A smoothed tube evaluates its weight only on
+    2m node values of F and G.  A tube evaluates its weight only on
     the columns within delta0 + 1/m of the curve over the block; elsewhere
     the weight is exactly 0.  At power-of-two m the forcing is bitwise
     :func:`control_density`; otherwise i/m + k/m may differ from (i+k)/m in
@@ -416,7 +367,7 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), *, grid_factor=4):
     def forcing(x, t):
         k = np.rint(t[:, 0] * m).astype(np.int64)
         phi = F_rows[(k + 1) % (2 * m)] + G_rows[(1 - k) % (2 * m)]
-        if not isinstance(region, SmoothedTube):
+        if not isinstance(region, CurveTube):
             return phi * region.chi(x, t)
         chi = np.zeros_like(phi)
         g = region.curve(t)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dalembert import eval_phi
-from .grid import _fraction
-from .hum import SmoothedTube, hum_control, hum_rhs, lattice_plan, solve_tridiagonal
+from .grid import CurveTube, _fraction
+from .hum import hum_control, hum_rhs, lattice_plan, solve_tridiagonal
 
 __all__ = [
     "shape_derivative_density",
@@ -157,7 +157,7 @@ def optimize(
     converged = False
     p = int(patience)
     for it in range(int(max_iters) + 1):
-        sol = hum_control(SmoothedTube(curve, delta0, delta), b, plan=plan)
+        sol = hum_control(CurveTube(curve, delta0, delta), b, plan=plan)
         jeps_cost = sol.cost + 0.5 * eps * curve.h1_seminorm_sq()
         costs.append(jeps_cost)
         raw.append(sol.cost)
@@ -231,7 +231,7 @@ def cylindrical_sweep(
     costs = np.empty_like(x0s)
     plan, b = lattice_plan(level, T), hum_rhs(level, y0, y1, breakpoints)
     for k, x0 in enumerate(x0s):
-        costs[k] = hum_control(SmoothedTube.around(x0, T, delta0, delta), b, plan=plan).cost
+        costs[k] = hum_control(CurveTube.around(x0, T, delta0, delta), b, plan=plan).cost
     return SweepResult(x0s=x0s, costs=costs)
 
 

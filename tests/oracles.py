@@ -335,10 +335,11 @@ def gram_dense(region, level, quad=4):
     into blocks.  The moments are nonnegative, so |Phi| M |Phi|^T is the size
     of the terms summed into each entry, the scale of its rounding error.
     """
-    from waveobs.hum import SmoothedTube, _gram_cells, basis_tables, lattice_plan
+    from waveobs.grid import CurveTube
+    from waveobs.hum import _gram_cells, basis_tables, lattice_plan
 
     n = 2 * level
-    plan = lattice_plan(level, region.T) if isinstance(region, SmoothedTube) else None
+    plan = lattice_plan(level, region.T) if isinstance(region, CurveTube) else None
     a, b, mom = _gram_cells(region, level, plan, quad)
     slots = np.stack([a, a + n, b + 2 * n, b + 3 * n], axis=1)
     idx = slots[:, :, None] * (4 * n) + slots[:, None, :]

@@ -19,8 +19,8 @@ from waveobs.graph import (
     observability_constant_graph,
     spectrum,
 )
-from waveobs.grid import Curve, squares_in_domain, squares_in_time_slab
-from waveobs.hum import SmoothedTube, forward_verify, hum_control, hum_rhs
+from waveobs.grid import Curve, CurveTube, squares_in_domain, squares_in_time_slab
+from waveobs.hum import forward_verify, hum_control, hum_rhs
 from waveobs.power import power_iterate
 from waveobs.presets import get_preset
 from waveobs.shape import (
@@ -179,7 +179,7 @@ def test_criterion_05_power_iteration_reference_run(chevron):
 def test_criterion_06_null_control_terminal_ratio():
     ratios = {}
     for level in (64, 128):
-        tube = SmoothedTube.around(0.25, EX1.T, DELTA0)
+        tube = CurveTube.around(0.25, EX1.T, DELTA0)
         sol = hum_control(tube, hum_rhs(level, EX1.y0))
         ratios[level] = forward_verify(sol, EX1.y0)["ratio"]
     assert ratios[64] <= 5e-2
@@ -199,14 +199,14 @@ def test_criterion_07_gradient_matches_finite_differences():
             bar += rng.standard_normal() / k * np.sin(np.pi * k * times / 2.0)
             bar += rng.standard_normal() / k * np.cos(np.pi * k * times / 2.0)
         bar /= np.max(np.abs(bar))
-        sol = hum_control(SmoothedTube(curve, DELTA0), b)
+        sol = hum_control(CurveTube(curve, DELTA0), b)
         pairing = pair_with_density(curve, shape_derivative_density(sol), bar)
         for eta in (1e-3, 1e-4):
             up = hum_control(
-                SmoothedTube(curve.with_values(curve.values + eta * bar), DELTA0), b
+                CurveTube(curve.with_values(curve.values + eta * bar), DELTA0), b
             ).cost
             dn = hum_control(
-                SmoothedTube(curve.with_values(curve.values - eta * bar), DELTA0), b
+                CurveTube(curve.with_values(curve.values - eta * bar), DELTA0), b
             ).cost
             fd = (up - dn) / (2 * eta)
             assert abs(fd - pairing) <= 1e-2 * abs(fd)

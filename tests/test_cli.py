@@ -269,6 +269,35 @@ def test_optimize_snapshots_the_reference_iterations(tmp_path, max_iters):
     assert sorted({int(line.split(",")[0]) for line in snaps}) == snapshot_indices(max_iters + 1)
 
 
+@pytest.mark.parametrize("delta0,centres", [(0.15, ["0.2", "0.5", "0.8"]),
+                                             (0.25, ["0.25", "0.5", "0.75"]),
+                                             (0.3, ["0.3", "0.5", "0.7"])])
+def test_optimize_sweeps_the_part_of_its_range_inside_the_band(tmp_path, delta0, centres):
+    # [0.2, 0.8] within [delta0, 1 - delta0]: the sweep's cylinders are starts optimize accepts
+    config = {"delta0": delta0, "level": 8, "max_iters": 1, "sweep_count": 3,
+              "gamma0": {"constant": 0.45}}
+    code, out = run_cli(tmp_path, "optimize", config)
+    assert code == 0
+    x0s = [float(row.split(",")[0]) for row in csv_lines(out / "sweep.csv")[1:]]
+    assert [repr(x) for x in x0s] == centres
+    summary = read_json(out / "summary.json")
+    assert {summary["sweep_best_x0"], summary["sweep_worst_x0"]} <= set(x0s)
+
+
+def test_a_tube_may_leave_the_band_that_documents_and_starts_keep(tmp_path, capsys):
+    from waveobs.grid import Curve, CurveTube, domain_from_json
+
+    tube = CurveTube(Curve.constant(0.1, 2.0), 0.15)  # a sweep's cylinder at x0 = 0.1
+    assert tube.chi(np.array([0.1, 0.3]), np.array([1.0, 1.0])).tolist() == [1.0, 0.0]
+    says = "tube needs 0 <= delta0 <= gamma <= 1 - delta0, got delta0=0.15"
+    with pytest.raises(ValueError, match=re.escape(says)):
+        domain_from_json({"type": "cylinder", "x0": 0.1, "delta0": 0.15, "T": 2})
+    with pytest.raises(SystemExit) as err:
+        run_cli(tmp_path, "optimize", {"gamma0": {"constant": 0.1}, "level": 8})
+    assert err.value.code == 2
+    assert f"invalid gamma0 curve: {says}" in capsys.readouterr().err
+
+
 def test_sweep_artifacts(tmp_path):
     config = {"level": 8, "count": 3, "x0_min": 0.25, "x0_max": 0.75}
     code, out = run_cli(tmp_path, "sweep", config)

@@ -14,13 +14,13 @@ from waveobs.grid import (
     Curve,
     CurveTube,
     SquareUnion,
+    ramp_widths,
     squares_in_domain,
     squares_in_time_slab,
 )
 from waveobs.hum import (
     HumSolution,
     IndicatorRegion,
-    SmoothedTube,
     assemble_gram,
     basis_tables,
     control_density,
@@ -28,7 +28,6 @@ from waveobs.hum import (
     forward_verify,
     hum_control,
     hum_rhs,
-    ramp_widths,
     solve_hum,
     solve_tridiagonal,
 )
@@ -43,7 +42,7 @@ EX1 = get_preset("ex1")
 
 def _profile(delta0, delta=None):
     """The tube's profile eta: its weight around the constant curve x = 0, at t = 1."""
-    tube = SmoothedTube(Curve.constant(0.0, 2.0, 4), delta0, delta)
+    tube = CurveTube(Curve.constant(0.0, 2.0, 4), delta0, delta)
     return tube, lambda s: tube.chi(s, np.ones_like(np.asarray(s, dtype=float)))
 
 
@@ -92,8 +91,9 @@ def test_weight_validation():
                        ((0.15, 0.2), "got delta=0.2, delta0=0.15"),
                        ((-0.1,), "delta0 must be positive, got -0.1"),
                        ((0.15, 0.0), "ramp width must satisfy")):
-        with pytest.raises(ValueError, match=says):
-            SmoothedTube(curve, *args)
+        # a negative half-width fails the tube's own rule before its ramp's
+        with pytest.raises(ValueError, match=says if args[0] > 0 else "tube needs 0 <= delta0"):
+            CurveTube(curve, *args)
         with pytest.raises(ValueError, match=says):
             ramp_widths(*args)
     assert ramp_widths(0.15) == (0.15, 0.15 / 4.0)
@@ -101,11 +101,11 @@ def test_weight_validation():
 
 
 def test_smoothed_tube_weight_geometry():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     t = np.array([0.1, 0.5, 1.9])
     assert tube.chi(np.full(3, 0.25), t) == pytest.approx(np.ones(3))
     assert tube.chi(np.full(3, 0.25 + 0.15), t) == pytest.approx(np.zeros(3))
-    assert (tube.delta0, tube.delta) == (0.15, 0.15 / 4.0)
+    assert (float(tube.delta0), tube.delta) == (0.15, 0.15 / 4.0)
 
 
 # -------------------------------------------------------------- gram assembly
@@ -270,7 +270,7 @@ def test_gram_psd_on_random_tubes(rng):
 
     for _ in range(3):
         vals = np.clip(0.5 + 0.2 * rng.standard_normal(9), 0.2, 0.8)
-        tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), 0.15)
+        tube = CurveTube(Curve(np.linspace(0, 2, 9), vals), 0.15)
         G = assemble_gram(tube, 8)
         assert np.allclose(G, G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
@@ -283,7 +283,7 @@ def test_tube_gram_matches_pointwise_quadrature(rng):
     # the tube reaches past both ends of the interval, so it weights the cut
     # triangles at x = 0 and x = 1 as well as those at t = 0 and t = T
     vals = [0.1, 0.4, 0.9, 0.6, 0.2, 0.5, 0.9, 0.3, 0.1]
-    tube = SmoothedTube(Curve(np.linspace(0, 2, 9), vals), 0.15)
+    tube = CurveTube(Curve(np.linspace(0, 2, 9), vals), 0.15)
     for L in (8, 16):
         h = 1.0 / L
         G = assemble_gram(tube, L)
@@ -318,7 +318,7 @@ def test_plateau_cells_have_weight_one(values, delta0, frac, L):
     from waveobs.grid import Curve
     from waveobs.hum import _cell_rules, _tube_bands, lattice_plan
 
-    tube = SmoothedTube(
+    tube = CurveTube(
         Curve(np.linspace(0.0, 2.0, len(values)), values), delta0, frac * delta0
     )
     h = 1.0 / L
@@ -359,7 +359,7 @@ def test_block_gram_matches_the_dense_moment_table(chevron, data, L):
         delta0 = data.draw(st.floats(0.05, 0.4))
         frac = data.draw(st.floats(0.01, 0.99))
         curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
-        region = SmoothedTube(curve, delta0, frac * delta0)
+        region = CurveTube(curve, delta0, frac * delta0)
     else:
         if kind == "union":
             seed = data.draw(st.integers(0, 2**32 - 1))
@@ -395,7 +395,7 @@ def test_tube_cells_match_the_per_category_reference_bitwise(values, delta0, fra
     from waveobs.hum import _gram_cells, lattice_plan
 
     curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
-    tube = SmoothedTube(curve, delta0, frac * delta0)
+    tube = CurveTube(curve, delta0, frac * delta0)
     got = _gram_cells(tube, L, lattice_plan(L, tube.T), quad)
     ref = tube_cells_per_category(tube, L, quad)
     assert all(np.array_equal(x, y) for x, y in zip(got, ref))
@@ -413,9 +413,9 @@ def test_hum_control_is_bitwise_the_same_with_a_lattice_plan(chevron, data, L):
         delta0 = data.draw(st.floats(0.05, 0.4))
         frac = data.draw(st.floats(0.01, 0.99))
         curve = Curve(np.linspace(0.0, 2.0, len(values)), values)
-        region = SmoothedTube(curve, delta0, frac * delta0)
+        region = CurveTube(curve, delta0, frac * delta0)
     elif kind == "cylinder":
-        region = SmoothedTube.around(0.25, 2.0, 0.15)
+        region = CurveTube.around(0.25, 2.0, 0.15)
     else:
         if L % chevron.level:
             return
@@ -441,7 +441,7 @@ def test_hum_control_solves_the_gram_against_its_right_hand_side(chevron, L):
 
     data = get_preset("ex2")  # a velocity datum with breakpoints
     b, plan = hum_rhs(L, data.y0, data.y1, data.data_breakpoints()), lattice_plan(L, 2.0)
-    for region in (SmoothedTube.around(0.25, 2.0, 0.15), IndicatorRegion(chevron)):
+    for region in (CurveTube.around(0.25, 2.0, 0.15), IndicatorRegion(chevron)):
         sol = hum_control(region, b, plan=plan)
         z, res = solve_hum(assemble_gram(region, L, plan=plan), b)
         assert sol.level == (len(b) + 1) // 2 == L
@@ -451,7 +451,7 @@ def test_hum_control_solves_the_gram_against_its_right_hand_side(chevron, L):
 
 
 def test_hum_control_refuses_a_right_hand_side_of_even_length():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     for b in (np.zeros(0), np.ones(16), hum_rhs(8, EX1.y0)[1:]):
         with pytest.raises(ValueError, match="2L - 1 entries"):
             hum_control(tube, b)
@@ -461,7 +461,7 @@ def test_hum_control_refuses_a_right_hand_side_of_even_length():
 def test_a_lattice_plan_for_another_level_or_horizon_is_refused(chevron, kind):
     from waveobs.hum import lattice_plan
 
-    region = SmoothedTube.around(0.25, 2.0, 0.15) if kind == "tube" else IndicatorRegion(chevron)
+    region = CurveTube.around(0.25, 2.0, 0.15) if kind == "tube" else IndicatorRegion(chevron)
     assert region.T == 2.0
     for plan in (lattice_plan(16, 2.0), lattice_plan(8, 3.0), lattice_plan(8, 1.5)):
         with pytest.raises(ValueError, match="lattice plan"):
@@ -502,7 +502,7 @@ def test_a_single_gram_builds_its_basis_tables_after_the_cell_moments(monkeypatc
     events, gram_cells, tables = [], hum._gram_cells, hum.basis_tables
     monkeypatch.setattr(hum, "_gram_cells", lambda *a: events.append("cells") or gram_cells(*a))
     monkeypatch.setattr(hum, "basis_tables", lambda L: events.append("tables") or tables(L))
-    for region in (SmoothedTube.around(0.25, 2.0, 0.15), IndicatorRegion(chevron)):
+    for region in (CurveTube.around(0.25, 2.0, 0.15), IndicatorRegion(chevron)):
         events.clear()
         hum.assemble_gram(region, 8)
         assert events == ["cells", "tables"]
@@ -522,7 +522,7 @@ def test_lattice_plan_is_read_only():
 def test_plateau_cells_exist_on_the_reference_cylinder():
     from waveobs.hum import _tube_bands, lattice_plan
 
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     plan = lattice_plan(32, 2.0)
     near, ramp = _tube_bands(tube, plan.A, plan.B, 1.0 / 32)
     assert 0 < np.sum(near & ~ramp) < np.sum(near)
@@ -553,7 +553,7 @@ def test_cell_rules_are_cached_and_read_only():
 @pytest.mark.parametrize("sharp", [False, True])
 def test_gram_needs_two_gauss_points(chevron, sharp):
     # one point gets h^4/4 for the du^2 moment of a full cell, whose value is h^4/3
-    region = IndicatorRegion(chevron) if sharp else SmoothedTube.around(0.25, 2.0, 0.15)
+    region = IndicatorRegion(chevron) if sharp else CurveTube.around(0.25, 2.0, 0.15)
     with pytest.raises(ValueError, match="quadrature order must be >= 2, got 1"):
         assemble_gram(region, 8, quad=1)
 
@@ -576,7 +576,7 @@ def test_indicator_gram_needs_no_integer_time_cells(L):
 
 
 def test_gram_requires_integer_time_cells():
-    tube = SmoothedTube.around(0.5, 0.3, 0.15)
+    tube = CurveTube.around(0.5, 0.3, 0.15)
     with pytest.raises(ValueError):
         assemble_gram(tube, 8)
 
@@ -585,7 +585,7 @@ def test_gram_requires_integer_time_cells():
 
 
 def test_zero_data_gives_zero_control():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     sol = hum_control(tube, hum_rhs(8, zero))
     assert np.all(sol.z == 0.0)
@@ -594,7 +594,7 @@ def test_zero_data_gives_zero_control():
 
 
 def test_reference_cylinder_cost():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     sol = hum_control(tube, hum_rhs(32, EX1.y0))
     assert sol.cost == pytest.approx(46.94, rel=0.10)
     assert sol.residual <= 1e-10
@@ -602,7 +602,7 @@ def test_reference_cylinder_cost():
 
 
 def test_duality_identity():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     G = assemble_gram(tube, 16)
     b = hum_rhs(16, EX1.y0)
     z, _ = solve_hum(G, b)
@@ -611,7 +611,7 @@ def test_duality_identity():
 
 
 def test_optimality_against_random_test_data(rng):
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     L = 16
     G = assemble_gram(tube, L)
     b = hum_rhs(L, EX1.y0)
@@ -626,7 +626,7 @@ def test_optimality_against_random_test_data(rng):
 
 
 def test_control_density_is_weighted_basis_sum(rng):
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     L = 8
     sol = hum_control(tube, hum_rhs(L, EX1.y0))
     x = rng.uniform(0, 1, 100)
@@ -659,7 +659,7 @@ def test_singular_gram_that_passes_the_cholesky_check_is_reported():
 
 
 def test_solve_with_a_matrix_right_side_is_the_column_solves(rng):
-    G = assemble_gram(SmoothedTube.around(0.25, 2.0, 0.15), 16)
+    G = assemble_gram(CurveTube.around(0.25, 2.0, 0.15), 16)
     n = G.shape[0]
     for B in (rng.standard_normal((n, 5)), np.eye(n)):
         Z, res = solve_hum(G, B)
@@ -684,7 +684,7 @@ def test_tridiagonal_solve_matches_a_dense_solve(rng, n):
 
 
 def test_uncontrolled_run_conserves_energy():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     L = 16
     idle = HumSolution(
         z=np.zeros(2 * L - 1),
@@ -699,7 +699,7 @@ def test_uncontrolled_run_conserves_energy():
 
 
 def test_terminal_ratio_decreases_with_level():
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     ratios = []
     for L in (8, 16, 32):
         sol = hum_control(tube, hum_rhs(L, EX1.y0))
@@ -724,7 +724,7 @@ def _per_step_leapfrog(m, T, y0, beta, forcing):
 
 
 def test_blocked_forcing_is_bitwise_per_step_forcing(chevron, rng):
-    tube = hum_control(SmoothedTube.around(0.25, 2.0, 0.15), hum_rhs(8, EX1.y0))
+    tube = hum_control(CurveTube.around(0.25, 2.0, 0.15), hum_rhs(8, EX1.y0))
     sharp = hum_control(IndicatorRegion(chevron), hum_rhs(8, EX1.y0))
     forcings = {
         "tube": lambda x, t: control_density(tube, x, t),
@@ -757,12 +757,12 @@ def _verify_run(solution, preset, m):
 
 def _wavy_tube():
     times = np.linspace(0.0, 2.0, 33)
-    return SmoothedTube(Curve(times, 0.5 + 0.4 * np.sin(np.pi * times)), 0.15)
+    return CurveTube(Curve(times, 0.5 + 0.4 * np.sin(np.pi * times)), 0.15)
 
 
 def _forcing_regions(chevron):
     return {
-        "cylinder": SmoothedTube.around(0.25, 2.0, 0.15),
+        "cylinder": CurveTube.around(0.25, 2.0, 0.15),
         "wavy_tube": _wavy_tube(),  # its band reaches both walls
         "chevron": IndicatorRegion(chevron),
     }
@@ -812,7 +812,7 @@ def test_forward_run_is_the_eval_phi_forcing_run(chevron, L):
 
 def test_forward_grid_validation():
     # a grid size given in the old positional slot must not be read as a factor
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     sol = hum_control(tube, hum_rhs(8, EX1.y0))
     with pytest.raises(TypeError):
         forward_verify(sol, EX1.y0, None, (), 32)
@@ -867,7 +867,7 @@ def _poly_datum(coefs, scale=1.0, mirror=False):
     st.sampled_from([4, 8, 16]),
 )
 def test_cost_is_quadratic_in_the_data(coefs, c, x0, L):
-    region = SmoothedTube.around(x0, 2.0, 0.15)
+    region = CurveTube.around(x0, 2.0, 0.15)
     J = hum_control(region, hum_rhs(L, *_poly_datum(coefs))).cost
     Jc = hum_control(region, hum_rhs(L, *_poly_datum(coefs, scale=c))).cost
     assert Jc == pytest.approx(c * c * J, rel=1e-9)
@@ -890,7 +890,7 @@ def test_cost_is_invariant_under_the_mirror(coefs, x0, levels):
         return IndicatorRegion(SquareUnion(level=n, squares=cover, T=2))
 
     def tube(x):
-        return SmoothedTube.around(float(x), 2.0, 0.15)
+        return CurveTube.around(float(x), 2.0, 0.15)
 
     for weight in (cylinder, tube):
         J = hum_control(weight(x0), hum_rhs(n * p, *_poly_datum(coefs))).cost

@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from waveobs.grid import Curve
+from waveobs.grid import Curve, CurveTube
 from waveobs.hum import (
     HumSolution,
-    SmoothedTube,
     datum_from_coefficients,
     hum_control,
     hum_rhs,
@@ -49,7 +48,7 @@ def _smooth_random_curve(rng, n_nodes, T=2.0, modes=3, amp=0.08):
 def test_constant_curve_has_no_penalty():
     c = Curve.constant(0.3, 2.0, 16)
     assert c.h1_seminorm_sq() == 0.0
-    tube = SmoothedTube(c, 0.15)
+    tube = CurveTube(c, 0.15)
     sol = hum_control(tube, hum_rhs(8, EX1.y0))
     for eps in (0.0, 1e-2):
         assert sol.cost + 0.5 * eps * c.h1_seminorm_sq() == sol.cost
@@ -70,7 +69,7 @@ def test_sawtooth_regularizer():
 
 def test_zero_adjoint_gives_zero_density():
     L = 8
-    tube = SmoothedTube.around(0.25, 2.0, 0.15)
+    tube = CurveTube.around(0.25, 2.0, 0.15)
     idle = HumSolution(
         z=np.zeros(2 * L - 1),
         cost=0.0,
@@ -85,7 +84,7 @@ def test_zero_adjoint_gives_zero_density():
 def test_symmetric_state_gives_zero_density():
     # the sawtooth datum is odd about x = 1/2, so phi^2 is even about the
     # centered tube's axis and the odd weight derivative integrates to zero
-    tube = SmoothedTube.around(0.5, 2.0, 0.15)
+    tube = CurveTube.around(0.5, 2.0, 0.15)
     sol = hum_control(tube, hum_rhs(32, EX4.y0, breakpoints=EX4.data_breakpoints()))
     j = shape_derivative_density(sol)
     # the density's natural magnitude is ~cost/delta; the leftover asymmetry
@@ -105,11 +104,11 @@ def test_directional_derivative_matches_finite_differences():
         bar += rng.standard_normal() / k * np.cos(np.pi * k * times / 2.0)
     bar /= np.max(np.abs(bar))
     b = hum_rhs(L, EX1.y0)
-    sol = hum_control(SmoothedTube(curve, 0.15), b)
+    sol = hum_control(CurveTube(curve, 0.15), b)
     pairing = pair_with_density(curve, shape_derivative_density(sol), bar)
     for eta in (1e-3, 1e-4):
-        up = hum_control(SmoothedTube(curve.with_values(curve.values + eta * bar), 0.15), b).cost
-        dn = hum_control(SmoothedTube(curve.with_values(curve.values - eta * bar), 0.15), b).cost
+        up = hum_control(CurveTube(curve.with_values(curve.values + eta * bar), 0.15), b).cost
+        dn = hum_control(CurveTube(curve.with_values(curve.values - eta * bar), 0.15), b).cost
         fd = (up - dn) / (2 * eta)
         assert abs(fd - pairing) <= 1e-2 * abs(fd)
 
