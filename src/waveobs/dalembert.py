@@ -106,10 +106,12 @@ class PiecewiseInitialData:
         return float((self.alpha.dot(self.alpha) + self.beta.dot(self.beta)) / self.level)
 
     def _profile(self, w, nodes, slopes):
-        n = self.level
-        w = np.mod(np.asarray(w, dtype=float), 2.0)
-        c = np.clip(np.floor(w * n).astype(np.int64), 0, 2 * n - 1)
-        return nodes[c] + slopes[c] * (w - c / n)
+        # np.mod(w, 2.0) bit for bit, cheaper: w - 2 floor(w/2) is that for finite w but -5e-324
+        w = np.asarray(w, dtype=float)
+        w = np.where(w == -5e-324, 2.0, w - 2.0 * np.floor(w * 0.5))
+        c = np.fmin(np.floor(w * self.level), 2 * self.level - 1)  # w * n may round up to 2n
+        k = c.astype(np.int64)
+        return nodes[k] + slopes[k] * (w - c / self.level)
 
     def F(self, u):
         """Right-moving profile, 2-periodic with F(0) = 0."""

@@ -117,11 +117,9 @@ class Curve:
     """
 
     def __init__(self, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-            raise ValueError("times and values must be 1d arrays of equal length >= 2")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        times = self.times = np.asarray(times, dtype=float)
+        self.values = self._checked(values)
+        if not np.isfinite(times).all():
             raise ValueError("curve times and values must be finite")
         dt = np.diff(times)
         if np.any(dt <= 0):
@@ -130,8 +128,14 @@ class Curve:
             raise ValueError("curve times must be uniformly spaced")
         if times[0] != 0.0:
             raise ValueError("curve must start at t = 0")
-        self.times = times
-        self.values = values
+
+    def _checked(self, values):  # the values, as floats, if they fit the times and are finite
+        values = np.asarray(values, dtype=float)
+        if self.times.ndim != 1 or self.times.shape != values.shape or self.times.size < 2:
+            raise ValueError("times and values must be 1d arrays of equal length >= 2")
+        if not np.isfinite(values).all():
+            raise ValueError("curve times and values must be finite")
+        return values
 
     @classmethod
     def constant(cls, x0, T, n_nodes=128):
@@ -160,7 +164,9 @@ class Curve:
         return float(np.sum(np.diff(self.values) ** 2) / self.dt)
 
     def with_values(self, values):
-        return Curve(self.times, values)
+        curve = object.__new__(Curve)  # the times are validated
+        curve.times, curve.values = self.times, self._checked(values)
+        return curve
 
 
 @dataclass
@@ -250,6 +256,7 @@ class CurveTube:
             raise ValueError(f"tube needs 0 <= delta0, got delta0={float(self.delta0)}")
         if float(self.delta0) > 0 or self.delta is not None:
             self.delta = ramp_widths(self.delta0, self.delta)[1]
+        self.d0, self.horizon = float(self.delta0), self.curve.T  # the weight's floats of delta0, T
 
     @classmethod
     def around(cls, x0, T, delta0, delta=None):
@@ -262,7 +269,7 @@ class CurveTube:
 
     def chi(self, x, t):
         s = np.abs(np.asarray(x, dtype=float) - self.curve(t))
-        tau = np.clip((s - (self.delta0 - self.delta)) / self.delta, 0.0, 1.0)
+        tau = np.clip((s - (self.d0 - self.delta)) / self.delta, 0.0, 1.0)
         return 1.0 + tau**3 * (-10.0 + tau * (15.0 - 6.0 * tau))
 
 

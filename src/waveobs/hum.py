@@ -9,13 +9,13 @@ the free wave whose initial datum minimizes the conjugate functional
 
 Restricted to piecewise data at level L (hat positions, cell-indicator
 velocities) this is a finite quadratic minimization G z = b with Gram matrix
-G_kl = integral of phi_k phi_l chi over the space-time strip.  Basis waves
-are affine on every characteristic lattice cell, so six weight moments per
-cell (tensor Gauss rules, collapsed on the strip boundary's half-square
-cells) fill a moment table whose F-F and G-G blocks are diagonal per cell.
-The strip's cells and the basis tables depend only on (L, T): a descent builds
-their :func:`lattice_plan` once.  A tube's weight is evaluated in one call on
-every cell that can meet its ramp, its moments in one product per category.
+G_kl = integral of phi_k phi_l chi over the space-time strip.  Basis waves are affine
+on every characteristic lattice cell, so six weight moments per cell (tensor Gauss
+rules, collapsed on the strip boundary's half-square cells) fill a moment table whose
+F-F and G-G blocks are diagonal per cell: bincounts sum its six diagonals and its F-G
+block, each bin in cell order.  The strip's cells and the basis tables depend only on
+(L, T): a descent builds their :func:`lattice_plan` once.  A tube's weight is evaluated
+in one call on every cell that can meet its ramp, its moments in one product per category.
 
 The weight is either a tube's smoothed weight (:class:`waveobs.grid.CurveTube`:
 a quintic ramp of width delta from 1 to 0, reaching 0 at distance delta0 from
@@ -154,7 +154,7 @@ def _tube_bands(region, A, B, h):
     dist = np.abs(xc - region.curve(np.clip(tc, 0.0, region.curve.T)))
     # |x - xc| + |t - tc| <= h/2 on a cell, so |x - gamma(t)| moves by <= max(1, Lip) h/2
     slack = max(1.0, region.curve.lipschitz_estimate()) * h / 2.0 + 1e-6 * h
-    return dist <= region.delta0 + slack, dist > region.delta0 - region.delta - slack
+    return dist <= region.d0 + slack, dist > region.d0 - region.delta - slack
 
 
 def _gram_cells(region, L, plan, quad):
@@ -207,26 +207,29 @@ def assemble_gram(region, level, quad=4, plan=None):
     cells, the F-F and G-G blocks of the moment table are four diagonals each
     (D_F, D_G) and the cross block M_FG is 4L x 4L; with Phi = [Phi_F | Phi_G]
     the basis tables, G is the symmetric part of [Phi_F D_F | Phi_G D_G + 2 Phi_F M_FG] Phi^T.
+    Bincounts sum each diagonal and each M_FG block in cell order; x is built block by block.
     """
     L = int(level)
+    T = region.horizon if isinstance(region, CurveTube) else region.T
     if plan is None and isinstance(region, CurveTube):
-        plan = lattice_plan(L, region.T, tables=False)
-    elif plan is not None and (plan.level, plan.M) != (L, time_cells(region.T, L)):
+        plan = lattice_plan(L, T, tables=False)
+    elif plan is not None and (plan.level, plan.M) != (L, time_cells(T, L)):
         raise ValueError(f"the lattice plan is for level {plan.level} and T = "
-                         f"{plan.M / plan.level}, not level {L} and T = {region.T}")
+                         f"{plan.M / plan.level}, not level {L} and T = {T}")
     n = 2 * L
     a, b, mom = _gram_cells(region, L, plan, quad)
-    f0, f1, f3 = (np.bincount(a, mom[:, k], minlength=n) for k in (0, 1, 3))
-    g0, g1, g4 = (np.bincount(b, mom[:, k], minlength=n) for k in (0, 2, 4))
-    ab = a * n + b
-    fg = [np.bincount(ab, mom[:, k], minlength=n * n).reshape(n, n) for k in (0, 2, 1, 5)]
-    m_fg = np.block([fg[:2], fg[2:]])  # rows: F nodes, F slopes; columns: G nodes, G slopes
+    D = np.stack([np.bincount(c, mom[:, k], minlength=n)  # D_F on a, D_G on b
+                  for c, k in ((a, 0), (a, 1), (a, 3), (b, 0), (b, 2), (b, 4))]).reshape(2, 3, n)
+    ab, m_fg = a * n + b, np.empty((2, n, 2, n))  # M_FG: F (node, slope) on a by G's on b
+    for i, j, k in ((0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 1, 5)):  # [[w, w dv], [w du, w du dv]]
+        m_fg[i, :, j] = np.bincount(ab, mom[:, k], minlength=n * n).reshape(n, n)
     phi = basis_tables(L) if plan is None or plan.phi is None else plan.phi
-    del a, b, ab, mom, fg, plan  # freed before the products (so is a plan built here)
-    nf, sf, ng, sg = np.split(phi, 4, axis=1)
-    x = np.hstack([nf * f0 + sf * f1, nf * f1 + sf * f3, ng * g0 + sg * g1, ng * g1 + sg * g4])
-    x[:, 2 * n :] += 2.0 * (phi[:, : 2 * n] @ m_fg)
-    G = x @ phi.T
+    del a, b, ab, mom, plan  # freed before the products (so is a plan built here)
+    p, x = phi.reshape(len(phi), 2, 2, n), np.empty((len(phi), 2, 2, n))  # (F, G) x (node, slope)
+    for s, k in np.ndindex(2, 2):  # [Phi_F D_F | Phi_G D_G], one (rows, 2L) block at a time
+        x[:, s, k] = p[:, s, 0] * D[s, k] + p[:, s, 1] * D[s, k + 1]
+    x[:, 1] += 2.0 * (phi[:, : 2 * n] @ m_fg.reshape(2 * n, 2 * n)).reshape(len(phi), 2, n)
+    G = x.reshape(len(phi), 4 * n) @ phi.T
     return 0.5 * (G + G.T)
 
 
@@ -370,8 +373,7 @@ def forward_verify(solution, y0, y1=None, breakpoints=(), *, grid_factor=4):
         if not isinstance(region, CurveTube):
             return phi * region.chi(x, t)
         chi = np.zeros_like(phi)
-        g = region.curve(t)
-        reach = region.delta0 + 1.0 / m
+        g, reach = region.curve(t), region.d0 + 1.0 / m
         lo, hi = np.searchsorted(x[0], [g.min() - reach, g.max() + reach])
         chi[:, lo:hi] = region.chi(x[:, lo:hi], t)
         return phi * chi

@@ -49,20 +49,17 @@ def shape_derivative_density(solution):
     wave values vary along the curve.
     """
     region = solution.region
-    d0, d = region.delta0, region.delta
+    d0, d = region.d0, region.delta
     times = region.curve.times
     gam = region.curve.values
     tau = (_G16_NODES + 1.0) / 2.0
     mag = -30.0 * tau**2 * (1.0 - tau) ** 2 / d  # eta' magnitude at the nodes
     offs = d0 - d + d * tau
     w = _G16_WEIGHTS * (d / 2.0)
-    sides = np.array([-1.0, 1.0])[:, None, None]  # both bands in one call; j adds - then +
+    sides = np.array([-1.0, 1.0])[:, None, None]  # both bands in one call
     phi = eval_phi(solution.data, gam[:, None] + sides * offs, times[:, None])
     r = (phi**2 * (sides * mag)) @ w
-    j = np.zeros_like(gam)
-    j += r[0]
-    j += r[1]
-    return j
+    return r[0] + r[1]
 
 
 def _p1_tridiagonal(curve, end, off):
@@ -145,17 +142,19 @@ def optimize(
 
     Runs projected gradient descent with the envelope-theorem gradient and
     H1 smoothing.  Stops when the relative change between the means of the
-    last two blocks of ``patience`` regularized costs drops below ``tol``
+    last two blocks of ``patience`` >= 1 regularized costs drops below ``tol``
     (requires 2*patience history), or at ``max_iters``.  A zero initial
     cost (zero data on a constant curve) is already optimal and returns
     at once, converged.
     """
+    p = int(patience)
+    if p < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
     plan = lattice_plan(level, curve0.T)  # every step's Gram lives on this lattice
     b = hum_rhs(level, y0, y1, breakpoints)  # and pairs with the same datum
     curve = curve0
     costs, raw, curves = [], [], [curve]
     converged = False
-    p = int(patience)
     for it in range(int(max_iters) + 1):
         sol = hum_control(CurveTube(curve, delta0, delta), b, plan=plan)
         jeps_cost = sol.cost + 0.5 * eps * curve.h1_seminorm_sq()

@@ -8,6 +8,9 @@ an independent copy.  Likewise the power operator, one matrix in
 ``waveobs.power``, is applied here step by step: pairings, a Gram solve, the
 piecewise datum and a tridiagonal Poisson solve; and the Gram, assembled in
 ``waveobs.hum`` block by block, is formed here with its whole moment table.
+Two faster forms of the package are checked against plainer forms here, bit
+for bit: the Gram's in-place blocks against ten bincounts, ``np.block`` and
+``hstack``, and the profiles' fold against ``np.mod``.
 """
 
 import math
@@ -348,6 +351,48 @@ def gram_dense(region, level, quad=4):
     phi = basis_tables(level)
     G = phi @ M @ phi.T
     return 0.5 * (G + G.T), np.abs(phi) @ M @ np.abs(phi).T
+
+
+def assemble_gram_blocks(region, level, quad=4, plan=None):
+    """The Gram from ten bincounts: three diagonals each of F and G, four n x n cross
+    blocks joined by ``np.block``, and the diagonal part of x as an ``hstack`` of eight
+    products of the split tables (``waveobs.hum.assemble_gram`` fills them in place)."""
+    from waveobs.grid import CurveTube
+    from waveobs.hum import _gram_cells, basis_tables, lattice_plan
+
+    L, n = int(level), 2 * int(level)
+    if plan is None and isinstance(region, CurveTube):
+        plan = lattice_plan(L, region.T, tables=False)
+    a, b, mom = _gram_cells(region, L, plan, quad)
+    f0, f1, f3 = (np.bincount(a, mom[:, k], minlength=n) for k in (0, 1, 3))
+    g0, g1, g4 = (np.bincount(b, mom[:, k], minlength=n) for k in (0, 2, 4))
+    ab = a * n + b
+    fg = [np.bincount(ab, mom[:, k], minlength=n * n).reshape(n, n) for k in (0, 2, 1, 5)]
+    m_fg = np.block([fg[:2], fg[2:]])  # rows: F nodes, F slopes; columns: G nodes, G slopes
+    phi = basis_tables(L) if plan is None or plan.phi is None else plan.phi
+    nf, sf, ng, sg = np.split(phi, 4, axis=1)
+    x = np.hstack([nf * f0 + sf * f1, nf * f1 + sf * f3, ng * g0 + sg * g1, ng * g1 + sg * g4])
+    x[:, 2 * n :] += 2.0 * (phi[:, : 2 * n] @ m_fg)
+    G = x @ phi.T
+    return 0.5 * (G + G.T)
+
+
+# -------------------------------------------------------------- profiles
+
+
+def eval_phi_mod(data, x, t):
+    """phi(x, t) = F(x+t) + G(x-t) with each argument folded to [0, 2) by ``np.mod``
+    and its period cell clipped by ``np.clip``, on the data's node tables."""
+
+    def profile(w, nodes, slopes):
+        n = data.level
+        w = np.mod(np.asarray(w, dtype=float), 2.0)
+        c = np.clip(np.floor(w * n).astype(np.int64), 0, 2 * n - 1)
+        return nodes[c] + slopes[c] * (w - c / n)
+
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    (fn, fs), (gn, gs) = data._profiles
+    return profile(x + t, fn, fs) + profile(x - t, gn, gs)
 
 
 # -------------------------------------------------------------- forcing

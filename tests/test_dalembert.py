@@ -22,6 +22,7 @@ from waveobs.testing import random_connected_square_domain, random_initial_data
 
 from oracles import (
     energy,
+    eval_phi_mod,
     eval_phi_t,
     fold_index,
     gamma_fundamental,
@@ -220,6 +221,47 @@ def test_gamma_of_equals_fold_definition_bitwise(n, seed, draw):
     pos = np.abs(k) - 1
     want = np.where(k > 0, data.alpha[pos] + data.beta[pos], data.alpha[pos] - data.beta[pos])
     assert np.array_equal(data.gamma_of(e), want)
+
+
+def _fold(w):
+    """The profiles' fold of w onto [0, 2], read through the profile itself: at level 1,
+    with node values (0, 1) and unit slopes, it returns 0 + (w - 0) on [0, 1) and
+    1 + (w - 1) on [1, 2], both exactly w."""
+    data = PiecewiseInitialData(1, [0.0], [0.0])
+    return data._profile(np.asarray(w, dtype=float), np.array([0.0, 1.0]), np.ones(2))
+
+
+_FOLD_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-17, -1e-17, 2.0, -2.0,
+               4.0, -4.0, 1e6, -1e6, 2.0 - 2**-52, -2.0 + 2**-52, 2.0 + 2**-51, 1.0,
+               -1.0, 1.0 - 2**-53, 2**52 + 1.0, -(2**52) - 1.0, 1e300, -1e300, 2**-1022]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_FOLD_EDGES),
+                          st.floats(-1e6, 1e6),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1))
+def test_fold_is_bitwise_np_mod(w):
+    # w - 2 floor(w/2) is np.mod(w, 2.0) but for -5e-324, whose half rounds to -0.0
+    w = np.array(w)
+    assert np.array_equal(_fold(w).view(np.int64), np.mod(w, 2.0).view(np.int64))
+
+
+def test_fold_of_the_edges_is_bitwise_np_mod():
+    for w in _FOLD_EDGES:
+        assert np.float64(_fold(w)).view(np.int64) == np.mod(w, 2.0).view(np.int64), w
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_eval_phi_is_bitwise_the_np_mod_oracle(n, seed):
+    # random points, lattice nodes, and x + t or x - t at -5e-324 and +-0
+    rng = np.random.default_rng(seed)
+    data = random_initial_data(rng, n)
+    nodes = np.arange(-4 * n, 6 * n + 1) / n
+    x = np.concatenate([rng.uniform(-3.0, 4.0, 300), nodes, [-5e-324, 0.0, 0.0, -0.0, 1.0]])
+    t = np.concatenate([rng.uniform(-1.0, 3.0, 300), nodes[::-1], [0.0, -5e-324, 5e-324, 0.0, 1.0]])
+    got = eval_phi(data, x, t)
+    assert np.array_equal(got.view(np.int64), eval_phi_mod(data, x, t).view(np.int64))
 
 
 def test_profiles_equal_the_eager_node_tables_bitwise(rng):

@@ -551,6 +551,38 @@ def test_curve_validation():
         Curve([0.0], [0.5])
 
 
+def test_with_values_checks_the_values_like_curve_and_shares_the_times():
+    c = Curve.constant(0.4, 2.0, 8)
+    new = c.with_values(np.linspace(0.3, 0.5, 9))
+    assert new.times is c.times and isinstance(new, Curve)
+    assert np.array_equal(new.values, np.linspace(0.3, 0.5, 9)) and new.values.dtype == float
+    assert new.T == c.T and new.dt == c.dt and new(1.0) == Curve(c.times, new.values)(1.0)
+    for bad in ([0.4] * 8, [0.4] * 10, [[0.4] * 9], 0.4):
+        with pytest.raises(ValueError) as got:
+            c.with_values(bad)
+        with pytest.raises(ValueError) as want:
+            Curve(c.times, bad)
+        assert str(got.value) == str(want.value) == (
+            "times and values must be 1d arrays of equal length >= 2")
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.full(9, 0.4)
+        values[3] = bad
+        with pytest.raises(ValueError, match="^curve times and values must be finite$"):
+            c.with_values(values)
+        with pytest.raises(ValueError, match="^curve times and values must be finite$"):
+            Curve(c.times, values)
+    assert np.array_equal(c.values, np.full(9, 0.4))  # the original is untouched
+
+
+@pytest.mark.parametrize("delta0", [0.15, "3/20", Fraction(1, 7), 0, np.float64(0.2)])
+@pytest.mark.parametrize("T", [2.0, 1.5, 3])
+def test_tube_floats_are_its_exact_parameters(delta0, T):
+    tube = CurveTube(Curve.constant(0.5, T, 16), delta0)
+    assert type(tube.d0) is float and tube.d0 == float(tube.delta0)
+    assert type(tube.horizon) is float and tube.horizon == float(tube.T) == tube.curve.T
+    assert CurveTube.around(0.5, T, delta0).d0 == tube.d0
+
+
 # ----------------------------------------------------------------------- io
 
 

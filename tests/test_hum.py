@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eval_phi_forcing
+from oracles import assemble_gram_blocks, eval_phi_forcing
 
 from waveobs.dalembert import _GAUSS8_NODES, _GAUSS8_WEIGHTS, eval_phi, leapfrog_solve
 from waveobs.grid import (
@@ -378,6 +378,37 @@ def test_block_gram_matches_the_dense_moment_table(chevron, data, L):
     assert np.array_equal(G, G.T)
     # relative to the summed terms, not to G: at L = 1 a tube along x = 0 cancels 65-fold
     assert np.all(np.abs(G - ref) <= 2e-15 * size)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(0.1, 0.25),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=32),
+    st.sampled_from([4, 8, 16, 32, 64]),
+    st.booleans(),
+)
+def test_tube_gram_is_bitwise_the_ten_bincount_assembly(delta0, start, slopes, L, with_plan):
+    # curves over T = 2 with slopes up to 2, clipped to the band [delta0, 1 - delta0]
+    from waveobs.hum import lattice_plan
+
+    steps = np.concatenate([[0.0], np.cumsum(slopes)]) * (2.0 / len(slopes))
+    values = np.clip(delta0 + start * (1.0 - 2.0 * delta0) + steps, delta0, 1.0 - delta0)
+    tube = CurveTube(Curve(np.linspace(0.0, 2.0, len(values)), values), delta0)
+    plan = lattice_plan(L, tube.T) if with_plan else None
+    G, ref = assemble_gram(tube, L, plan=plan), assemble_gram_blocks(tube, L, plan=plan)
+    assert np.array_equal(G.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("with_plan", [False, True])
+@pytest.mark.parametrize("L", [4, 8, 16, 32, 64])
+def test_indicator_gram_is_bitwise_the_ten_bincount_assembly(chevron, L, with_plan):
+    from waveobs.hum import lattice_plan
+
+    region = IndicatorRegion(chevron)
+    plan = lattice_plan(L, region.T) if with_plan else None
+    G, ref = assemble_gram(region, L, plan=plan), assemble_gram_blocks(region, L, plan=plan)
+    assert np.array_equal(G.view(np.int64), ref.view(np.int64))
 
 
 @settings(deadline=None, max_examples=60)

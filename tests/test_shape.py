@@ -252,6 +252,38 @@ def test_zero_data_stops_at_once_without_warnings():
     assert trace.costs[0] == 0.0
 
 
+@pytest.mark.parametrize("patience", [0, -3])
+def test_optimize_rejects_patience_below_one(patience):
+    with pytest.raises(ValueError, match="patience must be >= 1"):
+        optimize(EX1.y0, Curve.constant(0.25, 2.0, 16), 0.15, 8, patience=patience)
+
+
+def test_shape_derivative_density_is_bitwise_the_np_mod_accumulated_form(rng):
+    # the density before the exact fold: np.mod profiles, and j = 0 + r[-] + r[+]
+    from oracles import eval_phi_mod
+
+    from waveobs.shape import _G16_NODES, _G16_WEIGHTS
+
+    for L, zero in ((8, False), (16, False), (32, False), (16, True)):
+        tube = CurveTube(_smooth_random_curve(rng, 64), 0.15)
+        b = hum_rhs(L, EX2.y0, EX2.y1, EX2.data_breakpoints())
+        sol = hum_control(tube, 0.0 * b if zero else b)
+        d0, d = float(tube.delta0), tube.delta
+        tau = (_G16_NODES + 1.0) / 2.0
+        mag = -30.0 * tau**2 * (1.0 - tau) ** 2 / d
+        w = _G16_WEIGHTS * (d / 2.0)
+        sides = np.array([-1.0, 1.0])[:, None, None]
+        gam = tube.curve.values
+        phi = eval_phi_mod(sol.data, gam[:, None] + sides * (d0 - d + d * tau),
+                           tube.curve.times[:, None])
+        r = (phi**2 * (sides * mag)) @ w
+        j = np.zeros_like(gam)
+        j += r[0]
+        j += r[1]
+        got = shape_derivative_density(sol)
+        assert np.array_equal(got.view(np.int64), j.view(np.int64))
+
+
 def test_smoothed_directions_stay_bounded_along_run():
     norms = []
 
